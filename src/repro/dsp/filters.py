@@ -163,9 +163,11 @@ def _sosfiltfilt_safe(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Apply sosfiltfilt, falling back to sosfilt for very short signals.
 
     ``sosfiltfilt`` needs a minimum pad length; short vibration snippets
-    (a handful of accelerometer samples) would otherwise raise.
+    (a handful of accelerometer samples) would otherwise raise.  The
+    decision uses the row length, so a stack of short rows takes the
+    same path as each row alone.
     """
     pad_needed = 3 * (2 * sos.shape[0] + 1)
-    if samples.size <= pad_needed:
+    if samples.shape[-1] <= pad_needed:
         return sp_signal.sosfilt(sos, samples)
     return sp_signal.sosfiltfilt(sos, samples)
