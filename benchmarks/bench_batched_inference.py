@@ -5,8 +5,8 @@ BLSTM segmentation stage (`PhonemeSegmenter.segments_batch` vs a
 sequential `segments` loop), the cross-domain sensing stage
 (`CrossDomainSensor.convert_batch` vs a sequential `convert` loop),
 and the full pipeline (`DefensePipeline.analyze_batch` vs an
-`analyze_timed` loop) at batch sizes 1/4/8/16, plus the opt-in
-float32 compute path.  The acceptance bar: batched segmentation at
+`analyze_timed` loop, i.e. batches of one) at batch sizes 1/4/8/16.
+The acceptance bar: batched segmentation at
 batch 8 must be at least 2x the sequential throughput (the vectorized
 forward amortizes Python-level recurrence overhead across the batch).
 
@@ -75,7 +75,7 @@ def _timed(func, rounds):
 
 
 def measure_segmentation(segmenter, batch_sizes, rounds):
-    """Rows of (batch, seq req/s, batched req/s, speedup, f32 req/s)."""
+    """Rows of (batch, seq req/s, batched req/s, speedup)."""
     rows = []
     speedups = {}
     for batch in batch_sizes:
@@ -87,10 +87,6 @@ def measure_segmentation(segmenter, batch_sizes, rounds):
         bat_total, _ = _timed(
             lambda: segmenter.segments_batch(audios), rounds
         )
-        f32_total, _ = _timed(
-            lambda: segmenter.segments_batch(audios, dtype=np.float32),
-            rounds,
-        )
         n = batch * rounds
         speedup = seq_total / bat_total
         speedups[batch] = speedup
@@ -100,7 +96,6 @@ def measure_segmentation(segmenter, batch_sizes, rounds):
                 f"{n / seq_total:.1f}",
                 f"{n / bat_total:.1f}",
                 f"{speedup:.2f}x",
-                f"{n / f32_total:.1f}",
             )
         )
     return rows, speedups
@@ -200,7 +195,7 @@ def run_sweep(batch_sizes=BATCH_SIZES, rounds=5):
 
 def render(seg_rows, sense_rows, e2e_rows, rounds):
     body = format_table(
-        ["batch", "seq req/s", "batched req/s", "speedup", "f32 req/s"],
+        ["batch", "seq req/s", "batched req/s", "speedup"],
         seg_rows,
         title=(
             f"segmentation stage — one masked BLSTM forward per batch, "

@@ -73,35 +73,18 @@ class Loudspeaker:
         return np.sqrt(low * high)
 
     def play(self, signal: np.ndarray, sample_rate: float) -> np.ndarray:
-        """Emit ``signal`` through the driver.
-
-        Applies the band-pass response and a weak memoryless quadratic
-        nonlinearity (even-harmonic distortion).
-        """
-        samples = ensure_1d(signal)
-        ensure_positive(sample_rate, "sample_rate")
-        spectrum = np.fft.rfft(samples)
-        frequencies = np.fft.rfftfreq(samples.size, d=1.0 / sample_rate)
-        shaped = np.fft.irfft(
-            spectrum * self.frequency_response(frequencies), n=samples.size
-        )
-        if self.spec.harmonic_distortion > 0:
-            peak = float(np.max(np.abs(shaped))) + 1e-12
-            normalized = shaped / peak
-            shaped = peak * (
-                normalized
-                + self.spec.harmonic_distortion * normalized**2
-            )
-        return shaped
+        """Emit one signal through the driver (:meth:`play_batch` of one)."""
+        return self.play_batch(ensure_1d(signal)[np.newaxis], sample_rate)[0]
 
     def play_batch(
         self, signals: np.ndarray, sample_rate: float
     ) -> np.ndarray:
-        """:meth:`play` over a ``(batch, time)`` stack of signals.
+        """Emit a ``(batch, time)`` stack of signals through the driver.
 
-        Row ``i`` of the result is bitwise identical to
-        ``play(signals[i], sample_rate)``: the FFT shaping runs along the
-        last axis and the distortion normalizes by each row's own peak.
+        Applies the band-pass response and a weak memoryless quadratic
+        nonlinearity (even-harmonic distortion).  The FFT shaping runs
+        along the last axis and the distortion normalizes by each row's
+        own peak, so a row's output never depends on its batch-mates.
         """
         samples = ensure_2d(signals, "signals")
         ensure_positive(sample_rate, "sample_rate")

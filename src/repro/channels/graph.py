@@ -6,21 +6,21 @@ sampling rate, the per-stage randomness streams, and the chain's
 original input (for stages like the accelerometer that model artifacts
 of the *drive* signal).
 
-The randomness contract is the load-bearing part.  ``apply`` coerces the
-caller's seed into a generator once, then derives every stage's stream
-**up front, in stage order** — ``None`` for deterministic stages, the
-generator itself for :data:`~repro.channels.stages.PASSTHROUGH` stages,
-``child_rng(generator, label)`` otherwise.  Because child derivation
-consumes exactly one parent draw at derivation time, a caller that
-derives further children *after* ``apply``/``apply_batch`` returns (the
-sensor's body-motion stream) sees the same parent state the sequential
-pre-refactor code produced — which is what keeps the refactor bitwise
-invisible.
+The randomness contract is the load-bearing part.  ``apply_batch``
+coerces each item's seed into a generator once, then derives every
+stage's stream **up front, in stage order** — ``None`` for deterministic
+stages, the generator itself for
+:data:`~repro.channels.stages.PASSTHROUGH` stages, ``child_rng(generator,
+label)`` otherwise.  Because child derivation consumes exactly one
+parent draw at derivation time, a caller that derives further children
+*after* the channel returns (the sensor's body-motion stream) sees the
+parent in a state that does not depend on the batch.
 
-``apply_batch`` reuses PR 9's bucket strategy: recordings of equal
-length form dense ``(batch, time)`` stacks pushed through each stage's
-vectorized ``apply_batch``; grouping by *exact* length (never padding)
-is what preserves bitwise parity with the sequential path.
+``apply_batch`` is the only implementation; ``apply`` runs it on a batch
+of one.  Recordings of equal length form dense ``(batch, time)`` stacks
+pushed through each stage's ``apply_batch``; grouping by *exact* length
+(never padding) is what makes an item's output independent of its
+batch-mates.
 """
 
 from __future__ import annotations
@@ -84,19 +84,8 @@ class PropagationChannel:
         rate: float,
         rng: SeedLike = None,
     ) -> np.ndarray:
-        """Fold ``signal`` through every stage in order."""
-        samples = ensure_1d(signal)
-        ensure_positive(rate, "rate")
-        generator = as_generator(rng)
-        streams = self.derive_streams(generator)
-        current = samples
-        current_rate = float(rate)
-        for stage, stream in zip(self.stages, streams):
-            current = stage.apply(
-                current, current_rate, rng=stream, chain_input=samples
-            )
-            current_rate = stage.output_rate(current_rate)
-        return current
+        """Fold one signal through every stage (:meth:`apply_batch` of one)."""
+        return self.apply_batch([signal], rate, rngs=[rng])[0]
 
     def apply_batch(
         self,
@@ -104,10 +93,12 @@ class PropagationChannel:
         rate: float,
         rngs: Optional[Sequence[SeedLike]] = None,
     ) -> List[np.ndarray]:
-        """:meth:`apply` over a batch, bitwise identical per item.
+        """Fold a batch of signals through every stage in order.
 
-        ``rngs[i]`` is the seed/generator a sequential
-        ``apply(signals[i], rate, rng=rngs[i])`` call would receive.
+        ``rngs[i]`` is item ``i``'s seed or generator.  Each item's
+        stage streams are derived from it up front, in stage order, and
+        items of equal length travel as one ``(batch, time)`` stack, so
+        an item's output never depends on its batch-mates.
         """
         ensure_positive(rate, "rate")
         items = [ensure_1d(signal) for signal in signals]
@@ -118,8 +109,7 @@ class PropagationChannel:
                 f"need one rng per signal: got {len(rngs)} rngs for "
                 f"{len(items)} signals"
             )
-        # Derive every (item, stage) stream up front, in the exact order
-        # the sequential path consumes parent draws: item by item, stage
+        # Derive every (item, stage) stream up front: item by item, stage
         # by stage within the item.
         per_item_streams = [
             self.derive_streams(as_generator(rng)) for rng in rngs

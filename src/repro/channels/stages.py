@@ -18,13 +18,15 @@ Design rules
   :data:`PASSTHROUGH` sentinel (receives the channel's generator
   verbatim, preserving legacy bitwise streams), or a string label
   (receives ``child_rng(generator, label)``).  The channel derives every
-  stage stream *up front in stage order*, which is what makes the
-  batched path bitwise identical to the sequential one (see PR 9's
-  batch-parity contract).
-* ``apply_batch`` over a ``(batch, time)`` stack must be bitwise
-  identical row-by-row to ``apply``.  Stages with a vectorized kernel
-  (loudspeaker, conduction, accelerometer) delegate to it; the rest
-  inherit a loop-and-stack fallback that is trivially parity-safe.
+  stage stream *up front in stage order*, which is what keeps an item's
+  output bitwise independent of whatever else shares its batch.
+* Every stage implements exactly **one** kernel and inherits the other
+  entry point from :class:`StageBase`.  The replay stages (loudspeaker,
+  conduction, accelerometer) implement ``apply_batch`` over a
+  ``(batch, time)`` stack, and ``apply`` runs it on a batch of one.  The
+  attack-side stages implement the row kernel ``apply``, and
+  ``apply_batch`` loops over the rows: ``AttackScenario`` transmits one
+  recording at a time, so a stack never reaches them in practice.
 * ``chain_input`` is the channel's *original* input signal; stages that
   need the pre-chain drive (the accelerometer's DC-envelope artifact)
   declare ``consumes_chain_input = True``.  Such stages must sit before
@@ -84,7 +86,12 @@ class ChannelStage(Protocol):
 
 
 class StageBase:
-    """Shared stage behavior: identity rate, loop-and-stack batching."""
+    """Shared stage behavior: identity rate and the two kernel adapters.
+
+    A subclass overrides exactly one of :meth:`apply` and
+    :meth:`apply_batch`; the inherited one adapts to it.  Overriding
+    neither would make the two adapters call each other forever.
+    """
 
     #: Randomness policy — see module docstring.
     rng_label: Optional[str] = None
@@ -100,8 +107,18 @@ class StageBase:
         rate: float,
         rng: Optional[np.random.Generator] = None,
         chain_input: Optional[np.ndarray] = None,
-    ) -> np.ndarray:  # pragma: no cover - subclasses override
-        raise NotImplementedError
+    ) -> np.ndarray:
+        """One row through :meth:`apply_batch` as a batch of one."""
+        return self.apply_batch(
+            ensure_1d(signal)[np.newaxis],
+            rate,
+            rngs=[rng],
+            chain_inputs=(
+                None
+                if chain_input is None
+                else ensure_1d(chain_input, "chain_input")[np.newaxis]
+            ),
+        )[0]
 
     def apply_batch(
         self,
@@ -110,7 +127,7 @@ class StageBase:
         rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
         chain_inputs: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Row-wise fallback: bitwise-parity-safe by construction."""
+        """Each row of a ``(batch, time)`` stack through :meth:`apply`."""
         samples = ensure_2d(signals, "signals")
         n_items = samples.shape[0]
         if rngs is None:
@@ -147,9 +164,6 @@ class LoudspeakerStage(StageBase):
     """Playback through a driver (band shaping + harmonic distortion)."""
 
     spec: LoudspeakerSpec
-
-    def apply(self, signal, rate, rng=None, chain_input=None):
-        return Loudspeaker(self.spec).play(signal, rate)
 
     def apply_batch(self, signals, rate, rngs=None, chain_inputs=None):
         return Loudspeaker(self.spec).play_batch(signals, rate)
@@ -200,9 +214,6 @@ class ConductionStage(StageBase):
 
     rng_label = "strap"
 
-    def apply(self, signal, rate, rng=None, chain_input=None):
-        return self.path.apply(signal, rate, rng=rng)
-
     def apply_batch(self, signals, rate, rngs=None, chain_inputs=None):
         return self.path.apply_batch(signals, rate, rngs=rngs)
 
@@ -223,12 +234,6 @@ class AccelerometerStage(StageBase):
 
     def output_rate(self, rate: float) -> float:
         return self.spec.sample_rate
-
-    def apply(self, signal, rate, rng=None, chain_input=None):
-        drive = signal if chain_input is None else chain_input
-        return Accelerometer(self.spec).sense(
-            signal, rate, drive_audio=drive, rng=rng
-        )
 
     def apply_batch(self, signals, rate, rngs=None, chain_inputs=None):
         drives = signals if chain_inputs is None else chain_inputs

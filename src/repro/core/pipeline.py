@@ -25,17 +25,15 @@ import numpy as np
 from repro.core.detector import CorrelationDetector, DetectorConfig
 from repro.core.features import FeatureConfig, VibrationFeatureExtractor
 from repro.core.hardening import HardeningConfig
-from repro.core.segmentation import concatenate_segments
 from repro.core.segmenter import Segmenter
 from repro.core.stages import (
     Stage,
     StageContext,
     default_stages,
-    min_material_samples,
     stages_after_sync,
 )
 from repro.core.sync import SyncConfig
-from repro.errors import ConfigurationError, SignalError
+from repro.errors import ConfigurationError
 from repro.phonemes.corpus import Utterance
 from repro.runtime.events import StageEvent, StageEventSink, emit_event
 from repro.sensing.cross_domain import CrossDomainSensor
@@ -141,7 +139,7 @@ class BatchAnalysisItem:
 
     Mirrors the keyword arguments of :meth:`DefensePipeline.analyze`
     so a micro-batch is simply a list of what would otherwise be N
-    sequential calls.
+    separate calls.
     """
 
     va_audio: np.ndarray
@@ -308,29 +306,33 @@ class DefensePipeline:
     ) -> Tuple[DefenseVerdict, Dict[str, float]]:
         """:meth:`analyze`, plus per-stage wall-clock seconds.
 
-        The returned dict has one entry per :data:`PIPELINE_STAGES`
-        key.  Timing instrumentation never affects the verdict: the
-        stages consume the same RNG streams in the same order as
-        :meth:`analyze`.
+        Runs :meth:`analyze_batch` on a batch of one and re-raises the
+        request's error.  The returned dict has one entry per
+        :data:`PIPELINE_STAGES` key.
         """
-        ctx = StageContext(
-            pipeline=self,
-            va_audio=va_audio,
-            wearable_audio=wearable_audio,
-            generator=as_generator(rng),
-            oracle_utterance=oracle_utterance,
-            skip_segmentation=skip_segmentation,
+        (outcome,) = self.analyze_batch(
+            [
+                BatchAnalysisItem(
+                    va_audio=va_audio,
+                    wearable_audio=wearable_audio,
+                    rng=rng,
+                    oracle_utterance=oracle_utterance,
+                    skip_segmentation=skip_segmentation,
+                )
+            ]
         )
-        timings: Dict[str, float] = {}
-        self._run_stages(ctx, default_stages(), timings, [])
-        return self._verdict_from(ctx), timings
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome.verdict, outcome.timings
 
     def analyze_batch(
         self,
         items: Sequence[BatchAnalysisItem],
-        dtype=None,
     ) -> List[BatchAnalysisOutcome]:
         """Analyze a micro-batch with vectorized segmentation and sensing.
+
+        The one implementation behind :meth:`analyze` and
+        :meth:`analyze_timed`, which run it on a batch of one.
 
         The two hottest stages are hoisted out of the per-request loop:
 
@@ -343,18 +345,15 @@ class DefensePipeline:
           whole batch's ``replay-va`` conversions become one
           :meth:`~repro.sensing.cross_domain.CrossDomainSensor.convert_batch`
           call, and likewise the ``replay-wearable`` conversions.  Each
-          request's child RNG streams are derived in the sequential
-          order first, so every vibration signal is bitwise identical
-          to the sequential path.
+          request's child RNG streams are derived first (``replay-va``
+          then ``replay-wearable``), so no vibration signal depends on
+          its batch-mates.
 
         Everything request-specific (synchronization, oracle
         segmentation, material extraction, feature extraction,
-        detection) still runs per request — through the same stage
-        objects as :meth:`analyze` — with the request's own RNG stream,
-        so each verdict is bitwise identical to a sequential
-        :meth:`analyze` call with the same arguments (``dtype=None``;
-        the opt-in float32 compute path trades that bitwise guarantee
-        for speed).
+        detection) runs per request through the stage objects, with the
+        request's own RNG stream, so each verdict is bitwise identical
+        whatever else shares the batch.
 
         Per-request semantics preserved:
 
@@ -363,8 +362,7 @@ class DefensePipeline:
           segmentation and sensing costs are amortized equally across
           the requests that used them;
         * **deadline checks** — callers mark expired requests with
-          ``skip_segmentation=True`` exactly as on the sequential
-          path;
+          ``skip_segmentation=True``;
         * **error isolation** — a failing request records its
           exception in its own :class:`BatchAnalysisOutcome` and
           never disturbs batch-mates; if a *batched* call itself
@@ -419,8 +417,7 @@ class DefensePipeline:
                     [
                         contexts[index].va_aligned
                         for index in batched_indices
-                    ],
-                    dtype=dtype,
+                    ]
                 )
                 segment_lists.update(zip(batched_indices, found))
             except Exception:  # noqa: BLE001 — isolate per request
@@ -470,8 +467,8 @@ class DefensePipeline:
 
         # One vectorized cross-domain sensing pass per replay direction
         # for every request still healthy.  The child streams are
-        # derived per request in the sequential order (``replay-va``
-        # then ``replay-wearable``) *before* the batched calls, so a
+        # derived per request (``replay-va`` then ``replay-wearable``)
+        # *before* the batched calls, so a
         # batch-level failure can fall back to per-request conversion
         # inside SenseStage without perturbing any stream.
         self._sense_batch(items, contexts, outcomes)
@@ -687,31 +684,3 @@ class DefensePipeline:
             va_audio, utterance.waveform, max_lag
         )
         return max(0.0, -delay / self.config.audio_rate)
-
-    def _extract_material(
-        self,
-        va_audio: np.ndarray,
-        wearable_audio: np.ndarray,
-        segments: Sequence[Tuple[float, float]],
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Cut sensitive segments from both recordings (VA's timeline).
-
-        Falls back to the full recordings when segmentation yields too
-        little material for a stable correlation.  Retained as the
-        reference implementation of the extraction contract; the stage
-        line (:class:`~repro.core.stages.SegmentStage`) implements the
-        same policy with fallback annotation.
-        """
-        config = self.config
-        if segments:
-            va_material = concatenate_segments(
-                va_audio, segments, config.audio_rate
-            )
-            wearable_material = concatenate_segments(
-                wearable_audio, segments, config.audio_rate
-            )
-            if va_material.size >= min_material_samples(self):
-                return va_material, wearable_material, len(segments)
-        if va_audio.size == 0 or wearable_audio.size == 0:
-            raise SignalError("cannot analyze empty recordings")
-        return np.asarray(va_audio), np.asarray(wearable_audio), 0

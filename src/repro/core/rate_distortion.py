@@ -314,16 +314,12 @@ class RateDistortionSegmenter:
     # Segmenter protocol
     # ------------------------------------------------------------------
 
-    def frame_probabilities(
-        self, audio: np.ndarray, dtype=None
-    ) -> np.ndarray:
+    def frame_probabilities(self, audio: np.ndarray) -> np.ndarray:
         """Per-frame probability that the frame is an effective phoneme.
 
         Each frame inherits the pooled score of its rate-distortion
         segment, so thresholding these probabilities reproduces the
-        per-segment sensitive/non-sensitive decision.  ``dtype`` is
-        accepted for protocol compatibility; the computation is always
-        float64 (there is no reduced-precision model to opt into).
+        per-segment sensitive/non-sensitive decision.
         """
         features = self.features(audio)
         scores = self._frame_scores(audio)
@@ -336,7 +332,7 @@ class RateDistortionSegmenter:
         return probabilities
 
     def frame_probabilities_batch(
-        self, audios: Sequence[np.ndarray], dtype=None
+        self, audios: Sequence[np.ndarray]
     ) -> List[np.ndarray]:
         """Batched :meth:`frame_probabilities`; exact per-element parity.
 
@@ -344,10 +340,7 @@ class RateDistortionSegmenter:
         so the batched path is the sequential path — parity is
         definitional, not a tolerance.
         """
-        return [
-            self.frame_probabilities(audio, dtype=dtype)
-            for audio in audios
-        ]
+        return [self.frame_probabilities(audio) for audio in audios]
 
     def classify_segment(self, audio: np.ndarray) -> bool:
         """Classify one phoneme sound segment as effective or not."""
@@ -373,7 +366,7 @@ class RateDistortionSegmenter:
         )
 
     def segments_batch(
-        self, audios: Sequence[np.ndarray], dtype=None
+        self, audios: Sequence[np.ndarray]
     ) -> List[List[Tuple[float, float]]]:
         """Batched :meth:`segments`; exact per-element parity."""
         return [self.segments(audio) for audio in audios]

@@ -435,9 +435,7 @@ class PhonemeSegmenter:
             float(np.mean(probabilities)) >= self.config.decision_threshold
         )
 
-    def frame_probabilities(
-        self, audio: np.ndarray, dtype=None
-    ) -> np.ndarray:
+    def frame_probabilities(self, audio: np.ndarray) -> np.ndarray:
         """Per-frame probability that the frame is an effective phoneme.
 
         Delegates to :meth:`frame_probabilities_batch` with a
@@ -445,10 +443,10 @@ class PhonemeSegmenter:
         are one implementation — the parity contract between them is
         structural, not coincidental.
         """
-        return self.frame_probabilities_batch([audio], dtype=dtype)[0]
+        return self.frame_probabilities_batch([audio])[0]
 
     def frame_probabilities_batch(
-        self, audios: Sequence[np.ndarray], dtype=None
+        self, audios: Sequence[np.ndarray]
     ) -> List[np.ndarray]:
         """Per-frame effective-phoneme probabilities for many recordings.
 
@@ -458,13 +456,11 @@ class PhonemeSegmenter:
         vectorized fast path the serving layer's micro-batches ride.
 
         Parity contract: element ``i`` of the result is bitwise equal
-        to ``frame_probabilities(audios[i])`` in the default float64
-        path, for any batch size and any mix of lengths (the masked
-        recurrence freezes state across padding, and every matmul runs
-        on the same BLAS kernel family regardless of batch size — see
-        :meth:`repro.nn.model.SequenceClassifier.forward`).  With
-        ``dtype=np.float32`` (the opt-in reduced-precision compute
-        path) probabilities match float64 within ~1e-3.
+        to ``frame_probabilities(audios[i])`` for any batch size and any
+        mix of lengths (the masked recurrence freezes state across
+        padding, and every matmul runs on the same BLAS kernel family
+        regardless of batch size — see
+        :meth:`repro.nn.model.SequenceClassifier.forward`).
 
         Returns one 1-D probability array per input, in order.
         """
@@ -485,31 +481,25 @@ class PhonemeSegmenter:
         for index, matrix in enumerate(features):
             x[index, : matrix.shape[0]] = matrix
             mask[index, : matrix.shape[0]] = True
-        probabilities = self.model.predict_proba(
-            x, mask=mask, dtype=dtype
-        )
+        probabilities = self.model.predict_proba(x, mask=mask)
         return [
             probabilities[index, :length, 1]
             for index, length in enumerate(lengths)
         ]
 
     def segments(self, audio: np.ndarray) -> List[Tuple[float, float]]:
-        """Detected sensitive-phoneme segments as (start_s, end_s) pairs."""
-        samples = ensure_1d(audio, "audio")
-        probabilities = self.frame_probabilities(samples)
-        mask = probabilities >= self.config.decision_threshold
-        return self._mask_to_segments(
-            mask, samples.size / self.sample_rate
-        )
+        """Detected sensitive-phoneme segments (:meth:`segments_batch`
+        of one)."""
+        return self.segments_batch([audio])[0]
 
     def segments_batch(
-        self, audios: Sequence[np.ndarray], dtype=None
+        self, audios: Sequence[np.ndarray]
     ) -> List[List[Tuple[float, float]]]:
         """Detected segments for many recordings via one BLSTM forward.
 
-        The batched counterpart of :meth:`segments`: one list of
-        ``(start_s, end_s)`` pairs per input, in order, with the same
-        parity contract as :meth:`frame_probabilities_batch`.
+        One list of ``(start_s, end_s)`` pairs per input, in order,
+        with the same parity contract as
+        :meth:`frame_probabilities_batch`.
         """
         audios = [ensure_1d(audio, "audio") for audio in audios]
         return [
@@ -519,7 +509,7 @@ class PhonemeSegmenter:
             )
             for samples, probabilities in zip(
                 audios,
-                self.frame_probabilities_batch(audios, dtype=dtype),
+                self.frame_probabilities_batch(audios),
             )
         ]
 

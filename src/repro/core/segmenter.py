@@ -45,19 +45,15 @@ class Segmenter(Protocol):
     * every emitted ``(start_s, end_s)`` pair satisfies
       ``0 <= start_s < end_s <= duration`` of the analyzed recording;
     * ``segments_batch`` / ``frame_probabilities_batch`` return, per
-      element, the same result as the sequential method on that element
-      (with ``dtype=None``; reduced-precision opt-ins may relax this to
-      a documented tolerance).
+      element, the same result as the sequential method on that element.
     """
 
-    def frame_probabilities(
-        self, audio: np.ndarray, dtype=None
-    ) -> np.ndarray:
+    def frame_probabilities(self, audio: np.ndarray) -> np.ndarray:
         """Per-frame probability that the frame is an effective phoneme."""
         ...
 
     def frame_probabilities_batch(
-        self, audios: Sequence[np.ndarray], dtype=None
+        self, audios: Sequence[np.ndarray]
     ) -> List[np.ndarray]:
         """Per-frame probabilities for many recordings, in order."""
         ...
@@ -67,7 +63,7 @@ class Segmenter(Protocol):
         ...
 
     def segments_batch(
-        self, audios: Sequence[np.ndarray], dtype=None
+        self, audios: Sequence[np.ndarray]
     ) -> List[List[Tuple[float, float]]]:
         """Detected segments for many recordings, in order."""
         ...

@@ -63,10 +63,10 @@ class StageContext:
     va_material: Optional[np.ndarray] = None
     wearable_material: Optional[np.ndarray] = None
     n_segments: int = 0
-    #: Child RNG streams for the two sensing replays, pre-derived by the
-    #: batched path (in the sequential order: ``replay-va`` then
-    #: ``replay-wearable``) so a failed batched sensing pass can fall
-    #: back to per-request conversion without perturbing the stream.
+    #: Child RNG streams for the two sensing replays, derived by
+    #: ``analyze_batch`` (``replay-va`` then ``replay-wearable``) before
+    #: its batched sensing pass, so a failed pass can fall back to
+    #: per-request conversion without perturbing the stream.
     sense_rng_va: Optional["object"] = None
     sense_rng_wearable: Optional["object"] = None
     #: ``None`` until sensing ran; the batched path pre-seeds these from
@@ -188,8 +188,8 @@ class SegmentStage(Stage):
         online frame classifier bakes the training-time set into its
         weights, and the rate-distortion backend has no phoneme notion
         at all.  Everywhere else the pipeline's own segmenter is
-        returned and **no draw is consumed**, which also keeps
-        sequential and batched analysis bitwise identical (batched
+        returned and **no draw is consumed**, which also keeps a
+        request's analysis bitwise independent of its batch (batched
         pre-seeded segments never reach this hook).
         """
         pipeline = ctx.pipeline
@@ -214,8 +214,10 @@ class SenseStage(Stage):
     """Cross-domain sensing: audio material → wearable vibrations.
 
     Consumes the request's RNG streams in the library-wide order
-    (``replay-va`` then ``replay-wearable``) — the determinism contract
-    every caller relies on.
+    (``replay-va`` then ``replay-wearable``).  ``analyze_batch``
+    normally pre-seeds both vibrations from its batched sensing pass;
+    when that pass failed, this converts the request alone with the
+    streams the pass had already derived, so the result is the same.
     """
 
     name = "sense"

@@ -10,10 +10,11 @@ redesign it on every call.  :func:`butter_sos` caches the section
 matrices (read-only, like ``get_window``/``mel_filterbank``), so
 repeated filtering pays only the ``sosfiltfilt`` cost.
 
-The ``*_batch`` variants filter a ``(batch, time)`` stack of
-equal-length signals along the last axis.  scipy applies the identical
-per-row arithmetic, so every row is bitwise equal to filtering it alone
-— the contract the batched cross-domain sensing path builds on.
+:func:`butter_lowpass` filters a ``(..., time)`` stack of equal-length
+signals along the last axis (a 1-D signal is a stack of one).  scipy
+applies the identical per-row arithmetic, so every row is bitwise equal
+to filtering it alone — the contract the batched cross-domain sensing
+path builds on.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from repro.errors import ConfigurationError
-from repro.utils.validation import ensure_1d, ensure_2d, ensure_positive
+from repro.utils.validation import (
+    ensure_1d,
+    ensure_positive,
+    ensure_signals,
+)
 
 
 def _validate_cutoff(cutoff_hz: float, sample_rate: float, name: str) -> float:
@@ -98,25 +103,12 @@ def butter_lowpass(
     cutoff_hz: float,
     order: int = 4,
 ) -> np.ndarray:
-    """Zero-phase Butterworth low-pass filter."""
-    samples = ensure_1d(signal)
-    cutoff_hz = _validate_cutoff(cutoff_hz, sample_rate, "cutoff_hz")
-    sos = butter_sos(order, cutoff_hz, "lowpass", sample_rate)
-    return _sosfiltfilt_safe(sos, samples)
+    """Zero-phase Butterworth low-pass along the last axis.
 
-
-def butter_lowpass_batch(
-    signals: np.ndarray,
-    sample_rate: float,
-    cutoff_hz: float,
-    order: int = 4,
-) -> np.ndarray:
-    """Zero-phase low-pass over a ``(batch, time)`` stack of signals.
-
-    Row ``i`` of the result is bitwise identical to
-    ``butter_lowpass(signals[i], ...)``.
+    ``signal`` is one signal or a ``(..., time)`` stack; row ``i`` of a
+    stack is bitwise identical to filtering ``signal[i]`` alone.
     """
-    samples = ensure_2d(signals, "signals")
+    samples = ensure_signals(signal, "signal")
     cutoff_hz = _validate_cutoff(cutoff_hz, sample_rate, "cutoff_hz")
     sos = butter_sos(order, cutoff_hz, "lowpass", sample_rate)
     return _sosfiltfilt_safe(sos, samples)
@@ -160,7 +152,8 @@ def fir_lowpass(
 
 
 def _sosfiltfilt_safe(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Apply sosfiltfilt, falling back to sosfilt for very short signals.
+    """Apply sosfiltfilt along the last axis, falling back to sosfilt
+    for very short signals.
 
     ``sosfiltfilt`` needs a minimum pad length; short vibration snippets
     (a handful of accelerometer samples) would otherwise raise.  The

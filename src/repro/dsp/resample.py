@@ -15,7 +15,11 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from repro.errors import ConfigurationError, SignalError
-from repro.utils.validation import ensure_1d, ensure_2d, ensure_positive
+from repro.utils.validation import (
+    ensure_1d,
+    ensure_positive,
+    ensure_signals,
+)
 
 
 def alias_decimate(
@@ -23,14 +27,16 @@ def alias_decimate(
     input_rate: float,
     output_rate: float,
 ) -> np.ndarray:
-    """Decimate *without* an anti-aliasing filter.
+    """Decimate along the last axis *without* an anti-aliasing filter.
 
     Content above the output Nyquist folds back, mirroring the ambiguous
     signal conversion the paper identifies as a core challenge of
     cross-domain sensing (§ IV-B).  The input rate must be an integer
-    multiple of the output rate.
+    multiple of the output rate.  ``signal`` is one signal or a
+    ``(..., time)`` stack; strided selection touches the same samples of
+    every row, so each row equals decimating it alone.
     """
-    samples = ensure_1d(signal)
+    samples = ensure_signals(signal, "signal")
     ensure_positive(input_rate, "input_rate")
     ensure_positive(output_rate, "output_rate")
     ratio = input_rate / output_rate
@@ -44,35 +50,7 @@ def alias_decimate(
         raise ConfigurationError(
             "output_rate must not exceed input_rate for decimation"
         )
-    return samples[::step].copy()
-
-
-def alias_decimate_batch(
-    signals: np.ndarray,
-    input_rate: float,
-    output_rate: float,
-) -> np.ndarray:
-    """:func:`alias_decimate` over a ``(batch, time)`` stack of signals.
-
-    Row ``i`` of the result is bitwise identical to
-    ``alias_decimate(signals[i], ...)`` — strided selection touches the
-    same samples in the same order.
-    """
-    samples = ensure_2d(signals, "signals")
-    ensure_positive(input_rate, "input_rate")
-    ensure_positive(output_rate, "output_rate")
-    ratio = input_rate / output_rate
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ConfigurationError(
-            f"input_rate ({input_rate}) must be an integer multiple of "
-            f"output_rate ({output_rate})"
-        )
-    step = int(round(ratio))
-    if step < 1:
-        raise ConfigurationError(
-            "output_rate must not exceed input_rate for decimation"
-        )
-    return np.ascontiguousarray(samples[:, ::step])
+    return samples[..., ::step].copy()
 
 
 def resample_poly_safe(

@@ -175,12 +175,6 @@ def format_service_metrics(metrics) -> str:
             f"{metrics.throughput_rps:.2f} req/s"
         ),
     ]
-    if getattr(metrics, "n_batched_forwards", 0):
-        lines.append(
-            f"vectorized: {metrics.n_batched_forwards} batched "
-            f"forwards, {metrics.requests_per_forward:.2f} "
-            f"requests/forward"
-        )
     controller = getattr(metrics, "batch_controller", None)
     if controller is not None:
         p95 = controller.rolling_p95_s

@@ -41,7 +41,6 @@ class BidirectionalLSTM:
         inputs: np.ndarray,
         training: bool = True,
         mask: Optional[np.ndarray] = None,
-        dtype: Optional[np.dtype] = None,
     ) -> np.ndarray:
         """Sum of forward-pass and time-reversed-pass hidden states.
 
@@ -51,13 +50,11 @@ class BidirectionalLSTM:
         sees the reversed mask, so its recurrence stays at the initial
         state across the (now leading) padding and enters the last
         valid frame with exactly the state an unpadded run would have.
-        ``dtype`` opts in to reduced-precision compute (inference
-        only).
         """
         if training:
-            if mask is not None or dtype is not None:
+            if mask is not None:
                 raise ModelError(
-                    "mask/dtype are inference-only options; call "
+                    "mask is an inference-only option; call "
                     "forward with training=False"
                 )
             inputs = np.asarray(inputs, dtype=np.float64)
@@ -68,11 +65,9 @@ class BidirectionalLSTM:
         reversed_mask = None
         if mask is not None:
             reversed_mask = np.asarray(mask, dtype=bool)[:, ::-1]
-        h_forward = self.forward_layer.forward_inference(
-            inputs, mask=mask, dtype=dtype
-        )
+        h_forward = self.forward_layer.forward_inference(inputs, mask=mask)
         h_backward = self.backward_layer.forward_inference(
-            inputs[:, ::-1], mask=reversed_mask, dtype=dtype
+            inputs[:, ::-1], mask=reversed_mask
         )
         return h_forward + h_backward[:, ::-1]
 

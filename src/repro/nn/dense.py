@@ -40,7 +40,6 @@ class Dense:
         self,
         inputs: np.ndarray,
         training: bool = True,
-        dtype: Optional[np.dtype] = None,
     ) -> np.ndarray:
         """Apply the affine map.
 
@@ -49,36 +48,17 @@ class Dense:
         instance state is written, so concurrent inference on a shared
         layer is safe) and runs the matmul on the 2-D flattened view so
         every call — whatever its batch/time shape — exercises the same
-        BLAS kernel family; ``dtype`` opts in to reduced-precision
-        compute.
+        BLAS kernel family.
         """
-        if not training:
-            compute_dtype = np.dtype(dtype) if dtype is not None else (
-                np.dtype(np.float64)
-            )
-            inputs = np.asarray(inputs, dtype=compute_dtype)
-            if inputs.shape[-1] != self.input_dim:
-                raise ModelError(
-                    f"expected last dim {self.input_dim}, "
-                    f"got {inputs.shape}"
-                )
-            W, b = self.params["W"], self.params["b"]
-            if compute_dtype != np.float64:
-                W = W.astype(compute_dtype)
-                b = b.astype(compute_dtype)
-            flat = inputs.reshape(-1, self.input_dim)
-            return (flat @ W + b).reshape(
-                inputs.shape[:-1] + (self.output_dim,)
-            )
-        if dtype is not None:
-            raise ModelError(
-                "dtype is an inference-only option; call forward with "
-                "training=False"
-            )
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.shape[-1] != self.input_dim:
             raise ModelError(
                 f"expected last dim {self.input_dim}, got {inputs.shape}"
+            )
+        if not training:
+            flat = inputs.reshape(-1, self.input_dim)
+            return (flat @ self.params["W"] + self.params["b"]).reshape(
+                inputs.shape[:-1] + (self.output_dim,)
             )
         self._cache = inputs
         return inputs @ self.params["W"] + self.params["b"]

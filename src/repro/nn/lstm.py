@@ -77,21 +77,19 @@ class LSTMLayer:
         inputs: np.ndarray,
         training: bool = True,
         mask: Optional[np.ndarray] = None,
-        dtype: Optional[np.dtype] = None,
     ) -> np.ndarray:
         """Run the LSTM over ``inputs`` of shape (batch, time, input_dim).
 
         Returns hidden states of shape (batch, time, hidden_dim).  With
         ``training=True`` (the default) activations are cached for
         :meth:`backward`; ``training=False`` selects the inference fast
-        path (:meth:`forward_inference`), which supports ``mask`` and
-        ``dtype``.
+        path (:meth:`forward_inference`), which supports ``mask``.
         """
         if not training:
-            return self.forward_inference(inputs, mask=mask, dtype=dtype)
-        if mask is not None or dtype is not None:
+            return self.forward_inference(inputs, mask=mask)
+        if mask is not None:
             raise ModelError(
-                "mask/dtype are inference-only options; call forward "
+                "mask is an inference-only option; call forward "
                 "with training=False"
             )
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -142,7 +140,6 @@ class LSTMLayer:
         self,
         inputs: np.ndarray,
         mask: Optional[np.ndarray] = None,
-        dtype: Optional[np.dtype] = None,
     ) -> np.ndarray:
         """Inference-only forward: no BPTT caches, optional masking.
 
@@ -157,20 +154,14 @@ class LSTMLayer:
           freezes the hidden and cell state across padded frames via
           exact ``np.where`` selection, so right-padded batch members
           produce the same hidden states at their valid frames as an
-          unpadded run;
-        * ``dtype`` (e.g. ``np.float32``) selects an opt-in
-          reduced-precision compute path — parameters and inputs are
-          cast once up front.
+          unpadded run.
 
-        The float64 path keeps the training forward's operation order
+        The inference path keeps the training forward's operation order
         (``(x @ W + h @ U) + b`` and identical gate nonlinearities), so
         for a given matmul kernel the numbers match the training
         forward bitwise.
         """
-        compute_dtype = np.dtype(dtype) if dtype is not None else (
-            np.dtype(np.float64)
-        )
-        inputs = np.asarray(inputs, dtype=compute_dtype)
+        inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 3 or inputs.shape[2] != self.input_dim:
             raise ModelError(
                 f"expected (batch, time, {self.input_dim}) input, got "
@@ -179,10 +170,6 @@ class LSTMLayer:
         batch, time, _ = inputs.shape
         hidden = self.hidden_dim
         W, U, b = self.params["W"], self.params["U"], self.params["b"]
-        if compute_dtype != np.float64:
-            W = W.astype(compute_dtype)
-            U = U.astype(compute_dtype)
-            b = b.astype(compute_dtype)
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (batch, time):
@@ -194,9 +181,9 @@ class LSTMLayer:
         x_proj = (
             inputs.reshape(batch * time, self.input_dim) @ W
         ).reshape(batch, time, 4 * hidden)
-        h = np.zeros((batch, hidden), dtype=compute_dtype)
-        c = np.zeros((batch, hidden), dtype=compute_dtype)
-        hs = np.empty((batch, time, hidden), dtype=compute_dtype)
+        h = np.zeros((batch, hidden))
+        c = np.zeros((batch, hidden))
+        hs = np.empty((batch, time, hidden))
         for t in range(time):
             gates = x_proj[:, t] + h @ U + b
             i = _sigmoid(gates[:, :hidden])

@@ -147,15 +147,13 @@ class SequenceClassifier:
         inputs: np.ndarray,
         training: bool = True,
         mask: Optional[np.ndarray] = None,
-        dtype: Optional[np.dtype] = None,
     ) -> np.ndarray:
         """Per-frame logits, shape ``(batch, time, n_classes)``.
 
         ``training=False`` runs the allocation-light inference path:
         no BPTT caches, no instance-state writes (safe to share the
-        model across threads), an optional frame-validity ``mask`` for
-        right-padded batches, and an opt-in reduced-precision
-        ``dtype`` (e.g. ``np.float32``).
+        model across threads) and an optional frame-validity ``mask``
+        for right-padded batches.
 
         Batch-size-independence: OpenBLAS dispatches single-row
         matmuls to a different kernel than multi-row ones, whose
@@ -166,9 +164,9 @@ class SequenceClassifier:
         sequence scored inside any larger batch.
         """
         if training:
-            if mask is not None or dtype is not None:
+            if mask is not None:
                 raise ModelError(
-                    "mask/dtype are inference-only options; call "
+                    "mask is an inference-only option; call "
                     "forward with training=False"
                 )
             hidden = self.brnn.forward(
@@ -186,33 +184,26 @@ class SequenceClassifier:
             inputs = np.concatenate([inputs, inputs], axis=0)
             if mask is not None:
                 mask = np.concatenate([mask, mask], axis=0)
-        hidden = self.brnn.forward(
-            inputs, training=False, mask=mask, dtype=dtype
-        )
-        logits = self.head.forward(hidden, training=False, dtype=dtype)
+        hidden = self.brnn.forward(inputs, training=False, mask=mask)
+        logits = self.head.forward(hidden, training=False)
         return logits[:1] if mirrored else logits
 
     def predict_proba(
         self,
         inputs: np.ndarray,
         mask: Optional[np.ndarray] = None,
-        dtype: Optional[np.dtype] = None,
     ) -> np.ndarray:
         """Per-frame class probabilities (inference fast path)."""
-        return softmax(
-            self.forward(inputs, training=False, mask=mask, dtype=dtype)
-        )
+        return softmax(self.forward(inputs, training=False, mask=mask))
 
     def predict(
         self,
         inputs: np.ndarray,
         mask: Optional[np.ndarray] = None,
-        dtype: Optional[np.dtype] = None,
     ) -> np.ndarray:
         """Per-frame argmax labels, shape ``(batch, time)``."""
         return np.argmax(
-            self.forward(inputs, training=False, mask=mask, dtype=dtype),
-            axis=-1,
+            self.forward(inputs, training=False, mask=mask), axis=-1
         )
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import ensure_2d
+from repro.utils.validation import ensure_1d, ensure_2d
 
 
 @dataclass(frozen=True)
@@ -86,20 +86,10 @@ class ConductionPath:
         sample_rate: float,
         rng: SeedLike = None,
     ) -> np.ndarray:
-        """Filter an audio-rate drive signal through the coupling path.
-
-        Each call applies a fresh smooth random ripple to the response
-        (``response_jitter_db``): wrist-strap contact shifts slightly
-        between replays, so two conversions never see the bit-identical
-        coupling.
-        """
-        samples = np.asarray(signal, dtype=np.float64)
-        spectrum = np.fft.rfft(samples)
-        frequencies = np.fft.rfftfreq(samples.size, d=1.0 / sample_rate)
-        gain = self.response(frequencies)
-        if self.response_jitter_db > 0:
-            gain = gain * self._response_ripple(frequencies, rng)
-        return np.fft.irfft(spectrum * gain, n=samples.size)
+        """Filter one drive signal (:meth:`apply_batch` of one)."""
+        return self.apply_batch(
+            ensure_1d(signal)[np.newaxis], sample_rate, rngs=[rng]
+        )[0]
 
     def apply_batch(
         self,
@@ -107,14 +97,14 @@ class ConductionPath:
         sample_rate: float,
         rngs: Optional[Sequence[SeedLike]] = None,
     ) -> np.ndarray:
-        """:meth:`apply` over a ``(batch, time)`` stack of drive signals.
+        """Filter a ``(batch, time)`` stack of audio-rate drive signals.
 
-        ``rngs[i]`` supplies the per-replay ripple randomness for row
-        ``i`` — the same stream a sequential ``apply(signals[i],
-        rng=rngs[i])`` call would consume, so each row is bitwise
-        identical to the sequential path.  The FFT pair runs once over
-        the whole stack; only the (cheap) ripple parameters are drawn
-        per item.
+        Each replay applies a fresh smooth random ripple to the response
+        (``response_jitter_db``): wrist-strap contact shifts slightly
+        between replays, so two conversions never see the bit-identical
+        coupling.  ``rngs[i]`` supplies row ``i``'s ripple randomness.
+        The FFT pair runs once over the whole stack; only the (cheap)
+        ripple parameters are drawn per item.
         """
         samples = ensure_2d(signals, "signals")
         n_items = samples.shape[0]

@@ -129,19 +129,12 @@ class CrossDomainSensor:
         numpy.ndarray
             Vibration signal at :attr:`vibration_rate`.
         """
-        samples = ensure_1d(audio, "audio")
-        ensure_positive(audio_rate, "audio_rate")
-        generator = as_generator(rng)
-
-        vibration = self.channel.apply(samples, audio_rate, rng=generator)
-        if include_body_motion and self.body_motion_intensity > 0:
-            vibration = vibration + body_motion_interference(
-                vibration.size,
-                self.channel.output_rate(audio_rate),
-                intensity=self.body_motion_intensity,
-                rng=child_rng(generator, "body"),
-            )
-        return vibration
+        return self.convert_batch(
+            [audio],
+            audio_rate,
+            rngs=[rng],
+            include_body_motion=include_body_motion,
+        )[0]
 
     def convert_batch(
         self,
@@ -152,18 +145,17 @@ class CrossDomainSensor:
     ) -> List[np.ndarray]:
         """Replay a batch of recordings; vectorize the whole §IV-A chain.
 
-        ``rngs[i]`` is the seed/generator that a sequential
-        ``convert(audios[i], audio_rate, rng=rngs[i], ...)`` call would
-        receive; the per-item child streams (one per stochastic channel
-        stage, then ``body``) are derived in exactly the sequential
-        order, so item ``i`` of the result is **bitwise identical** to
-        the sequential path.
+        The one implementation behind :meth:`convert`.  ``rngs[i]`` is
+        item ``i``'s seed or generator; its child streams (one per
+        stochastic channel stage, then ``body``) are derived in that
+        order from it alone, so item ``i`` of the result is **bitwise
+        identical** whatever else shares the batch.
 
         The channel groups recordings of equal length into dense
         ``(batch, time)`` stacks and pushes them through each stage's
-        vectorized ``apply_batch``.  Grouping by *exact* length (instead
-        of right-padding to the batch maximum) is what preserves bitwise
-        parity: padding would change the FFT length and the
+        ``apply_batch``.  Grouping by *exact* length (instead of
+        right-padding to the batch maximum) is what keeps items
+        independent: padding would change the FFT length and the
         ``sosfiltfilt`` edge extension, perturbing every sample in the
         padded rows.
 
@@ -186,8 +178,8 @@ class CrossDomainSensor:
 
         # One generator per item, shared between the channel's up-front
         # stream derivation and the (later) body stream, so each parent
-        # consumes draws in the sequential order: channel stages first,
-        # then body.
+        # consumes draws in a fixed order: channel stages first, then
+        # body.
         generators = [as_generator(rng) for rng in rngs]
         converted = self.channel.apply_batch(
             items, audio_rate, rngs=generators

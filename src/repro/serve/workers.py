@@ -25,7 +25,6 @@ Execution runs on the unified :class:`repro.runtime.Runtime`:
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,9 +53,6 @@ from repro.runtime import (
 from repro.serve.batching import Batch
 from repro.serve.request import VerificationRequest
 from repro.utils.rng import stable_fingerprint
-
-logger = logging.getLogger(__name__)
-
 
 #: Segmenter backend names a :class:`PipelineSpec` accepts.
 BACKEND_BLSTM = "blstm"
@@ -236,13 +232,9 @@ class PipelineSpec:
 class WorkerResult:
     """Picklable per-request outcome returned by a worker.
 
-    ``batched`` records whether the request was served by the
-    vectorized fast path (one masked BLSTM forward shared by the whole
-    micro-batch) rather than a per-request pipeline run; the service
-    aggregates it into the ``batched_forward`` metrics.  ``events``
-    carries the request's :class:`StageEvent` stream (stage timings,
-    fallback annotations, error classes), which the service feeds into
-    its metrics sink.
+    ``events`` carries the request's :class:`StageEvent` stream (stage
+    timings, fallback annotations, error classes), which the service
+    feeds into its metrics sink.
     """
 
     request_id: str
@@ -251,7 +243,6 @@ class WorkerResult:
     stage_timings_s: Dict[str, float] = field(default_factory=dict)
     exec_s: float = 0.0
     error: Optional[str] = None
-    batched: bool = False
     events: List[StageEvent] = field(default_factory=list)
 
 
@@ -299,150 +290,57 @@ def execute_batch(
     """Run one micro-batch on this worker's warm pipeline.
 
     ``payload`` is the pipeline spec, the batch key, and
-    ``(request, age_at_dispatch_s)`` pairs.  Multi-request batches take
-    the vectorized fast path: one
-    :meth:`~repro.core.pipeline.DefensePipeline.analyze_batch` call
-    shares a single masked BLSTM segmentation forward across the whole
-    batch, with verdicts bitwise identical to per-request runs.  A
-    request the batched path cannot serve is retried sequentially on
-    its own — and if the batched entry point itself fails, the whole
-    batch falls back to the sequential loop — so one bad request never
-    poisons batch-mates.
+    ``(request, age_at_dispatch_s)`` pairs.  Every batch, a batch of one
+    included, is one
+    :meth:`~repro.core.pipeline.DefensePipeline.analyze_batch` call: a
+    single masked BLSTM segmentation forward and one bucketed sensing
+    pass shared by the whole batch, with verdicts bitwise identical to
+    serving each request alone.  A request that fails inside the batch
+    fails alone; its batch-mates still get their verdicts.
 
-    Deadlines: a request whose deadline already expired is not dropped
-    — it degrades to the full-recording fallback (segmentation
-    skipped).  On the vectorized path all deadline checks happen at
-    batch start (members no longer queue behind each other); on the
-    sequential path ages keep accruing while earlier members execute.
+    Deadlines are checked once, at batch start: a request whose deadline
+    already expired is not dropped — it degrades to the full-recording
+    fallback (segmentation skipped).
     """
     spec, key, items = payload
     pipeline = _worker_pipeline(spec, key)
-    batch_start = time.perf_counter()
-    if len(items) > 1:
-        results = _execute_vectorized(pipeline, items, batch_start)
-        if results is not None:
-            return results
-    return _execute_sequential(pipeline, items, batch_start)
-
-
-def _deadline_expired(
-    request: VerificationRequest, age_s: float
-) -> bool:
-    return (
-        request.deadline_s is not None and age_s >= request.deadline_s
-    )
-
-
-def _run_one(
-    pipeline: DefensePipeline,
-    request: VerificationRequest,
-    degraded: bool,
-) -> WorkerResult:
-    """Serve one request sequentially (also the per-request fallback)."""
     start = time.perf_counter()
-    try:
-        with capture_stage_events() as captured:
-            verdict, timings = pipeline.analyze_timed(
-                request.va_audio,
-                request.wearable_audio,
-                rng=int(request.seed),
-                oracle_utterance=request.oracle_utterance,
-                skip_segmentation=degraded,
-            )
-        return WorkerResult(
-            request_id=request.request_id,
-            verdict=verdict,
-            degraded=degraded,
-            stage_timings_s=timings,
-            exec_s=time.perf_counter() - start,
-            events=captured.events,
-        )
-    except Exception as error:  # noqa: BLE001 — reported per request
-        return WorkerResult(
-            request_id=request.request_id,
-            degraded=degraded,
-            exec_s=time.perf_counter() - start,
-            error=f"{type(error).__name__}: {error}",
-            events=captured.events,
-        )
-
-
-def _execute_sequential(
-    pipeline: DefensePipeline,
-    items: List[Tuple[VerificationRequest, float]],
-    batch_start: float,
-) -> List[WorkerResult]:
-    results: List[WorkerResult] = []
-    for request, age_at_dispatch_s in items:
-        age_s = age_at_dispatch_s + (
-            time.perf_counter() - batch_start
-        )
-        results.append(
-            _run_one(
-                pipeline, request, _deadline_expired(request, age_s)
-            )
-        )
-    return results
-
-
-def _execute_vectorized(
-    pipeline: DefensePipeline,
-    items: List[Tuple[VerificationRequest, float]],
-    batch_start: float,
-) -> Optional[List[WorkerResult]]:
-    """Serve the whole micro-batch through one ``analyze_batch`` call.
-
-    Returns ``None`` when the batched entry point itself fails, which
-    tells :func:`execute_batch` to fall back to the sequential loop.
-    Requests that fail *inside* the batch (their outcome carries an
-    error) are retried one-by-one so a poisoned input degrades only
-    itself.
-    """
-    now = time.perf_counter()
     degraded_flags = [
-        _deadline_expired(request, age_s + (now - batch_start))
+        request.deadline_s is not None and age_s >= request.deadline_s
         for request, age_s in items
     ]
-    batch_items = [
-        BatchAnalysisItem(
-            va_audio=request.va_audio,
-            wearable_audio=request.wearable_audio,
-            rng=int(request.seed),
-            oracle_utterance=request.oracle_utterance,
-            skip_segmentation=degraded,
+    with capture_stage_events() as captured:
+        outcomes = pipeline.analyze_batch(
+            [
+                BatchAnalysisItem(
+                    va_audio=request.va_audio,
+                    wearable_audio=request.wearable_audio,
+                    rng=int(request.seed),
+                    oracle_utterance=request.oracle_utterance,
+                    skip_segmentation=degraded,
+                )
+                for (request, _), degraded in zip(items, degraded_flags)
+            ]
         )
-        for (request, _), degraded in zip(items, degraded_flags)
+    exec_s = time.perf_counter() - start
+    results = [
+        WorkerResult(
+            request_id=request.request_id,
+            verdict=outcome.verdict,
+            degraded=degraded,
+            stage_timings_s=outcome.timings,
+            exec_s=exec_s / len(items),
+            error=(
+                None
+                if outcome.error is None
+                else f"{type(outcome.error).__name__}: {outcome.error}"
+            ),
+            events=list(outcome.events),
+        )
+        for (request, _), degraded, outcome in zip(
+            items, degraded_flags, outcomes
+        )
     ]
-    try:
-        with capture_stage_events() as captured:
-            outcomes = pipeline.analyze_batch(batch_items)
-    except Exception as error:  # noqa: BLE001 — sequential fallback
-        logger.warning(
-            "batched inference failed (%s: %s); "
-            "falling back to the sequential path",
-            type(error).__name__,
-            error,
-        )
-        return None
-    exec_share_s = (time.perf_counter() - batch_start) / len(items)
-    results: List[WorkerResult] = []
-    for (request, _), degraded, outcome in zip(
-        items, degraded_flags, outcomes
-    ):
-        if outcome.error is not None:
-            results.append(_run_one(pipeline, request, degraded))
-            continue
-        results.append(
-            WorkerResult(
-                request_id=request.request_id,
-                verdict=outcome.verdict,
-                degraded=degraded,
-                stage_timings_s=outcome.timings,
-                exec_s=exec_share_s,
-                batched=True,
-                events=list(outcome.events),
-            )
-        )
     # Batch-scoped events (the shared segmentation forward) belong to
     # the batch, not any one request; attach them once so the service's
     # sink counts each forward exactly once.

@@ -32,6 +32,20 @@ def ensure_2d(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(array)
 
 
+def ensure_signals(signals: np.ndarray, name: str = "signals") -> np.ndarray:
+    """Return a ``(..., time)`` stack as a contiguous float64 array or raise.
+
+    A 1-D signal is a stack with no leading axes; every row must be
+    non-empty.
+    """
+    array = np.asarray(signals, dtype=np.float64)
+    if array.ndim == 0:
+        raise SignalError(f"{name} must have a time axis, got a scalar")
+    if array.size == 0:
+        raise SignalError(f"{name} must be non-empty")
+    return np.ascontiguousarray(array)
+
+
 def ensure_positive(value: float, name: str) -> float:
     """Validate that a scalar configuration value is strictly positive."""
     value = float(value)

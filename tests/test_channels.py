@@ -162,6 +162,24 @@ class TestStageProtocol:
         for stage in stages:
             assert isinstance(stage, ChannelStage)
 
+    def test_each_stage_overrides_exactly_one_kernel(self):
+        # StageBase adapts apply <-> apply_batch in both directions; a
+        # stage overriding neither (or both) would recurse forever (or
+        # keep two kernels in step).
+        from repro.channels import stages as stage_module
+
+        classes = [
+            value
+            for value in vars(stage_module).values()
+            if isinstance(value, type)
+            and issubclass(value, stage_module.StageBase)
+            and value is not stage_module.StageBase
+        ]
+        assert len(classes) == 8
+        for cls in classes:
+            own = {"apply", "apply_batch"} & set(vars(cls))
+            assert len(own) == 1, (cls.__name__, own)
+
     def test_air_propagation_matches_propagate(self):
         signal = _speech_like(6_000, seed=6)
         stage = AirPropagationStage(3.0)

@@ -7,7 +7,6 @@ from repro.dsp.filters import (
     butter_bandpass,
     butter_highpass,
     butter_lowpass,
-    butter_lowpass_batch,
     fir_lowpass,
 )
 from repro.dsp.generators import tone
@@ -81,7 +80,7 @@ def test_stack_of_short_rows_matches_per_row_filtering():
     # Rows shorter than sosfiltfilt's pad length take the sosfilt path;
     # the decision must follow the row length, not the stack's size.
     stack = np.random.default_rng(3).normal(size=(4, 12))
-    filtered = butter_lowpass_batch(stack, RATE, 50.0)
+    filtered = butter_lowpass(stack, RATE, 50.0)
     for row in range(stack.shape[0]):
         np.testing.assert_array_equal(
             filtered[row], butter_lowpass(stack[row], RATE, 50.0)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.pipeline import DefenseConfig, DefensePipeline
 from repro.core.segmentation import PhonemeSegmenter, SegmenterConfig
 from repro.dsp.generators import tone, white_noise
-from repro.errors import SignalError
+from repro.errors import ModelError, SignalError
 
 RATE = 16_000.0
 
@@ -20,6 +20,45 @@ def test_empty_recordings_rejected():
     pipeline = DefensePipeline(segmenter=None)
     with pytest.raises(SignalError):
         pipeline.analyze(np.zeros(0), np.zeros(0), rng=0)
+
+
+_GOOD = np.random.default_rng(0).normal(0.0, 0.1, 16_000)
+
+
+@pytest.mark.parametrize("method", ["analyze", "verify"])
+@pytest.mark.parametrize(
+    "segmenter, va, wearable, error",
+    [
+        (None, np.zeros(0), _GOOD, SignalError),
+        (None, np.zeros((2, 100)), _GOOD, SignalError),
+        (None, _GOOD, np.zeros((2, 8_000)), SignalError),
+        (None, np.float64(1.0), _GOOD, SignalError),
+        # Sync and segmentation pass; features reject a one-sample
+        # vibration.
+        (None, _GOOD[:16], _GOOD[:16], SignalError),
+        # The batched segmentation forward raises inside analyze_batch;
+        # the single-request call still surfaces the segmenter's error.
+        ("untrained", _GOOD[:16], _GOOD[:16], ModelError),
+        ("untrained", _GOOD, _GOOD, ModelError),
+    ],
+    ids=[
+        "empty-va",
+        "2d-va",
+        "2d-wearable",
+        "scalar-va",
+        "too-short",
+        "untrained-short",
+        "untrained",
+    ],
+)
+def test_bad_input_raises_its_stage_error(
+    method, segmenter, va, wearable, error
+):
+    pipeline = DefensePipeline(
+        segmenter=PhonemeSegmenter(rng=0) if segmenter else None
+    )
+    with pytest.raises(error):
+        getattr(pipeline, method)(va, wearable, rng=1)
 
 
 def test_fallback_when_segments_too_short(corpus):

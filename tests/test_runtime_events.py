@@ -108,7 +108,8 @@ class TestPipelineEmission:
         sink = StageEventAggregator()
         pipeline = DefensePipeline(segmenter=None, sink=sink)
         pipeline.analyze(va, wearable, rng=0)
-        assert {e.stage for e in sink.events} == set(PIPELINE_STAGES)
+        stages = {e.stage for e in sink.events if e.scope == "pipeline"}
+        assert stages == set(PIPELINE_STAGES)
 
     def test_instance_and_ambient_sink_no_double_delivery(self):
         sink = StageEventAggregator()
