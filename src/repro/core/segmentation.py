@@ -488,8 +488,7 @@ class PhonemeSegmenter:
         ]
 
     def segments(self, audio: np.ndarray) -> List[Tuple[float, float]]:
-        """Detected sensitive-phoneme segments (:meth:`segments_batch`
-        of one)."""
+        """Sensitive-phoneme segments: :meth:`segments_batch` of one."""
         return self.segments_batch([audio])[0]
 
     def segments_batch(
