@@ -334,7 +334,9 @@ class DefensePipeline:
         The one implementation behind :meth:`analyze` and
         :meth:`analyze_timed`, which run it on a batch of one.
 
-        The two hottest stages are hoisted out of the per-request loop:
+        The two hottest stages are hoisted out of the per-request loop
+        whenever two or more requests share them (a lone request runs
+        them in its own stage, through the same batch-of-one kernel):
 
         * **segmentation** — every batch member that needs model-based
           segmentation contributes its (synced) VA recording to a
@@ -369,6 +371,7 @@ class DefensePipeline:
           fails, that stage falls back to per-request execution
           (sequential ``segments`` / ``convert`` with the
           already-derived streams) so healthy requests still complete.
+          A lone request is never retried: it raised in its own stage.
         """
         items = list(items)
         outcomes = [BatchAnalysisOutcome() for _ in items]
@@ -378,16 +381,16 @@ class DefensePipeline:
         )
 
         for index, item in enumerate(items):
-            ctx = StageContext(
-                pipeline=self,
-                va_audio=item.va_audio,
-                wearable_audio=item.wearable_audio,
-                generator=as_generator(item.rng),
-                oracle_utterance=item.oracle_utterance,
-                skip_segmentation=item.skip_segmentation,
-            )
             outcome = outcomes[index]
             try:
+                ctx = StageContext(
+                    pipeline=self,
+                    va_audio=item.va_audio,
+                    wearable_audio=item.wearable_audio,
+                    generator=as_generator(item.rng),
+                    oracle_utterance=item.oracle_utterance,
+                    skip_segmentation=item.skip_segmentation,
+                )
                 self._run_stages(
                     ctx, sync_stage, outcome.timings, outcome.events
                 )
@@ -409,7 +412,7 @@ class DefensePipeline:
         ]
         segment_lists: Dict[int, List[Tuple[float, float]]] = {}
         shared_segment_s = 0.0
-        if batched_indices:
+        if len(batched_indices) > 1:
             batch_fallback: Optional[str] = None
             start = time.perf_counter()
             try:
@@ -503,7 +506,9 @@ class DefensePipeline:
         failure of a batched conversion nothing is pre-seeded beyond the
         derived RNG streams, and :class:`~repro.core.stages.SenseStage`
         converts per request with those exact streams — bitwise the same
-        result, minus the speedup.
+        result, minus the speedup.  A lone healthy request is left to
+        :class:`~repro.core.stages.SenseStage`, whose ``convert`` is
+        the same kernel on a batch of one.
         """
         config = self.config
         sense_indices = [
@@ -512,7 +517,7 @@ class DefensePipeline:
             if contexts[index] is not None
             and outcomes[index].error is None
         ]
-        if not sense_indices:
+        if len(sense_indices) < 2:
             return
         for index in sense_indices:
             ctx = contexts[index]

@@ -13,6 +13,7 @@ from repro.core.pipeline import (
 from repro.core.segmentation import PhonemeSegmenter
 from repro.errors import ModelError
 from repro.nn.model import SequenceClassifier
+from repro.runtime import capture_stage_events
 from repro.serve.request import VerificationRequest
 from repro.serve.workers import PipelineSpec, execute_batch
 
@@ -206,6 +207,49 @@ class TestAnalyzeBatch:
             va, wearable, rng=9
         )
 
+    @pytest.mark.parametrize(
+        "kernel, event",
+        [
+            ("segments_batch", "segment:ModelError"),
+            ("convert_batch", "sense:ModelError"),
+        ],
+    )
+    def test_failed_batch_of_one_is_not_retried(
+        self, kernel, event, monkeypatch
+    ):
+        # A lone request runs its kernel once, in its own stage: no
+        # batched call, so no per-request retry of the same code.
+        from repro.sensing.cross_domain import CrossDomainSensor
+
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(kernel)
+            raise ModelError("kernel failed")
+
+        if kernel == "segments_batch":
+            monkeypatch.setattr(PhonemeSegmenter, kernel, failing)
+            segmenter = PhonemeSegmenter(rng=0)
+        else:
+            monkeypatch.setattr(CrossDomainSensor, kernel, failing)
+            segmenter = None
+        pipeline = DefensePipeline(
+            segmenter=segmenter, config=DefenseConfig(audio_rate=RATE)
+        )
+        va, wearable = make_pair(3)
+        with capture_stage_events() as events:
+            (outcome,) = pipeline.analyze_batch(
+                [
+                    BatchAnalysisItem(
+                        va_audio=va, wearable_audio=wearable, rng=3
+                    )
+                ]
+            )
+        assert isinstance(outcome.error, ModelError)
+        assert len(calls) == 1
+        assert events.fallback_counts() == {}
+        assert events.error_counts() == {event: 1}
+
     def test_skip_segmentation_matches_sequential(self, pipeline):
         va, wearable = make_pair(17)
         items = [
@@ -267,7 +311,7 @@ class TestExecuteBatchParity:
         for together, alone in zip(batched, singles):
             assert together.verdict == alone.verdict
 
-    def test_poisoned_request_degrades_only_itself(self):
+    def _assert_poison_fails_alone(self, bad, error):
         # A batch of 8 with one poisoned member: it fails alone, and its
         # 7 batch-mates get the verdicts they get when served alone.
         spec = PipelineSpec(use_segmenter=False)
@@ -275,19 +319,13 @@ class TestExecuteBatchParity:
             make_request(seed, n_samples=6_000 + 500 * (seed % 3))
             for seed in range(10, 17)
         ]
-        bad = VerificationRequest(
-            va_audio=np.zeros(0),
-            wearable_audio=np.zeros(8_000),
-            seed=99,
-            request_id="req-bad",
-        )
         batch = good[:3] + [bad] + good[3:]
         results = execute_batch(
             (spec, self.KEY, [(request, 0.0) for request in batch])
         )
         assert len(results) == 8
         assert results[3].verdict is None
-        assert results[3].error.startswith("SignalError")
+        assert results[3].error.startswith(error)
         mates = results[:3] + results[4:]
         for request, result in zip(good, mates):
             assert result.request_id == request.request_id
@@ -296,3 +334,24 @@ class TestExecuteBatchParity:
                 (spec, self.KEY, [(request, 0.0)])
             )[0]
             assert result.verdict == alone.verdict
+
+    def test_poisoned_request_degrades_only_itself(self):
+        bad = VerificationRequest(
+            va_audio=np.zeros(0),
+            wearable_audio=np.zeros(8_000),
+            seed=99,
+            request_id="req-bad",
+        )
+        self._assert_poison_fails_alone(bad, "SignalError")
+
+    def test_unseedable_request_degrades_only_itself(self):
+        # The seed reaches the generator inside analyze_batch's
+        # per-request isolation, not before it.
+        va, wearable = make_pair(18)
+        bad = VerificationRequest(
+            va_audio=va,
+            wearable_audio=wearable,
+            seed=-1,
+            request_id="req-bad",
+        )
+        self._assert_poison_fails_alone(bad, "ValueError")
