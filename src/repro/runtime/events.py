@@ -129,14 +129,10 @@ class StageEventAggregator(StageEventSink):
         return out
 
     def stage_totals(self) -> Dict[str, float]:
-        """Summed wall seconds per pipeline stage over successful events.
-
-        Only ``scope="pipeline"`` events count: a ``batch`` event's wall
-        time is already inside its members' amortized stage shares.
-        """
+        """Summed wall seconds per stage over successful events."""
         totals: Dict[str, float] = {}
         for event in self.events:
-            if event.ok and event.scope == "pipeline":
+            if event.ok:
                 totals[event.stage] = (
                     totals.get(event.stage, 0.0) + event.wall_s
                 )

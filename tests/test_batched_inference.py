@@ -311,47 +311,41 @@ class TestExecuteBatchParity:
         for together, alone in zip(batched, singles):
             assert together.verdict == alone.verdict
 
-    def _assert_poison_fails_alone(self, bad, error):
+    def test_poisoned_request_degrades_only_itself(self):
         # A batch of 8 with one poisoned member: it fails alone, and its
         # 7 batch-mates get the verdicts they get when served alone.
+        # The seed -1 request fails where its generator is built, which
+        # must sit inside analyze_batch's per-request isolation.
         spec = PipelineSpec(use_segmenter=False)
         good = [
             make_request(seed, n_samples=6_000 + 500 * (seed % 3))
             for seed in range(10, 17)
         ]
-        batch = good[:3] + [bad] + good[3:]
-        results = execute_batch(
-            (spec, self.KEY, [(request, 0.0) for request in batch])
-        )
-        assert len(results) == 8
-        assert results[3].verdict is None
-        assert results[3].error.startswith(error)
-        mates = results[:3] + results[4:]
-        for request, result in zip(good, mates):
-            assert result.request_id == request.request_id
-            assert result.error is None
-            alone = execute_batch(
-                (spec, self.KEY, [(request, 0.0)])
-            )[0]
-            assert result.verdict == alone.verdict
-
-    def test_poisoned_request_degrades_only_itself(self):
-        bad = VerificationRequest(
-            va_audio=np.zeros(0),
-            wearable_audio=np.zeros(8_000),
-            seed=99,
-            request_id="req-bad",
-        )
-        self._assert_poison_fails_alone(bad, "SignalError")
-
-    def test_unseedable_request_degrades_only_itself(self):
-        # The seed reaches the generator inside analyze_batch's
-        # per-request isolation, not before it.
+        alone = [
+            execute_batch((spec, self.KEY, [(request, 0.0)]))[0]
+            for request in good
+        ]
         va, wearable = make_pair(18)
-        bad = VerificationRequest(
-            va_audio=va,
-            wearable_audio=wearable,
-            seed=-1,
-            request_id="req-bad",
-        )
-        self._assert_poison_fails_alone(bad, "ValueError")
+        poisons = [
+            (np.zeros(0), np.zeros(8_000), 99, "SignalError"),
+            (va, wearable, -1, "ValueError"),
+        ]
+        for bad_va, bad_wearable, seed, error in poisons:
+            bad = VerificationRequest(
+                va_audio=bad_va,
+                wearable_audio=bad_wearable,
+                seed=seed,
+                request_id="req-bad",
+            )
+            batch = good[:3] + [bad] + good[3:]
+            results = execute_batch(
+                (spec, self.KEY, [(request, 0.0) for request in batch])
+            )
+            assert len(results) == 8
+            assert results[3].verdict is None
+            assert results[3].error.startswith(error)
+            mates = results[:3] + results[4:]
+            for request, result, single in zip(good, mates, alone):
+                assert result.request_id == request.request_id
+                assert result.error is None
+                assert result.verdict == single.verdict

@@ -108,8 +108,7 @@ class TestPipelineEmission:
         sink = StageEventAggregator()
         pipeline = DefensePipeline(segmenter=None, sink=sink)
         pipeline.analyze(va, wearable, rng=0)
-        stages = {e.stage for e in sink.events if e.scope == "pipeline"}
-        assert stages == set(PIPELINE_STAGES)
+        assert {e.stage for e in sink.events} == set(PIPELINE_STAGES)
 
     def test_instance_and_ambient_sink_no_double_delivery(self):
         sink = StageEventAggregator()
