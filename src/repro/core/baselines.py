@@ -124,11 +124,10 @@ class VibrationBaselineNoSelection:
         va_aligned, wearable_aligned, _ = self._sync(
             va_audio, wearable_audio, rate, self._sync_config
         )
-        vibration_va = self.sensor.convert(
-            va_aligned, rate, rng=child_rng(generator, "va")
-        )
-        vibration_wearable = self.sensor.convert(
-            wearable_aligned, rate, rng=child_rng(generator, "wear")
+        vibration_va, vibration_wearable = self.sensor.convert_batch(
+            [va_aligned, wearable_aligned],
+            rate,
+            rngs=[child_rng(generator, "va"), child_rng(generator, "wear")],
         )
         features_va = self._extractor.extract(vibration_va)
         features_wearable = self._extractor.extract(vibration_wearable)

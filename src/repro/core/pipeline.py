@@ -344,12 +344,12 @@ class DefensePipeline:
           :meth:`~repro.core.segmentation.PhonemeSegmenter.segments_batch`
           call;
         * **cross-domain sensing** — after material extraction, the
-          whole batch's ``replay-va`` conversions become one
+          whole batch's ``replay-va`` and ``replay-wearable``
+          conversions become one
           :meth:`~repro.sensing.cross_domain.CrossDomainSensor.convert_batch`
-          call, and likewise the ``replay-wearable`` conversions.  Each
-          request's child RNG streams are derived first (``replay-va``
-          then ``replay-wearable``), so no vibration signal depends on
-          its batch-mates.
+          call.  Each request's child RNG streams are derived first
+          (``replay-va`` then ``replay-wearable``), so no vibration
+          signal depends on its batch-mates.
 
         Everything request-specific (synchronization, oracle
         segmentation, material extraction, feature extraction,
@@ -474,7 +474,7 @@ class DefensePipeline:
         # *before* the batched calls, so a
         # batch-level failure can fall back to per-request conversion
         # inside SenseStage without perturbing any stream.
-        self._sense_batch(items, contexts, outcomes)
+        self._sense_batch(contexts, outcomes)
 
         for index in range(len(items)):
             outcome = outcomes[index]
@@ -495,7 +495,6 @@ class DefensePipeline:
 
     def _sense_batch(
         self,
-        items: Sequence[BatchAnalysisItem],
         contexts: Sequence[Optional[StageContext]],
         outcomes: Sequence[BatchAnalysisOutcome],
     ) -> None:
@@ -511,16 +510,14 @@ class DefensePipeline:
         the same kernel on a batch of one.
         """
         config = self.config
-        sense_indices = [
-            index
-            for index in range(len(items))
-            if contexts[index] is not None
-            and outcomes[index].error is None
+        sensed = [
+            ctx
+            for ctx, outcome in zip(contexts, outcomes)
+            if ctx is not None and outcome.error is None
         ]
-        if len(sense_indices) < 2:
+        if len(sensed) < 2:
             return
-        for index in sense_indices:
-            ctx = contexts[index]
+        for ctx in sensed:
             ctx.sense_rng_va = child_rng(ctx.generator, "replay-va")
             ctx.sense_rng_wearable = child_rng(
                 ctx.generator, "replay-wearable"
@@ -528,42 +525,28 @@ class DefensePipeline:
         fallback: Optional[str] = None
         start = time.perf_counter()
         try:
-            vibrations_va = self.sensor.convert_batch(
-                [contexts[index].va_material for index in sense_indices],
+            vibrations = self.sensor.convert_batch(
+                [ctx.va_material for ctx in sensed]
+                + [ctx.wearable_material for ctx in sensed],
                 config.audio_rate,
-                rngs=[
-                    contexts[index].sense_rng_va
-                    for index in sense_indices
-                ],
-                include_body_motion=config.wearer_moving,
-            )
-            vibrations_wearable = self.sensor.convert_batch(
-                [
-                    contexts[index].wearable_material
-                    for index in sense_indices
-                ],
-                config.audio_rate,
-                rngs=[
-                    contexts[index].sense_rng_wearable
-                    for index in sense_indices
-                ],
+                rngs=[ctx.sense_rng_va for ctx in sensed]
+                + [ctx.sense_rng_wearable for ctx in sensed],
                 include_body_motion=config.wearer_moving,
             )
         except Exception:  # noqa: BLE001 — SenseStage falls back
             fallback = "per-request"
         batch_wall = time.perf_counter() - start
         if fallback is None:
-            shared_sense_s = batch_wall / len(sense_indices)
-            for row, index in enumerate(sense_indices):
-                ctx = contexts[index]
-                ctx.vibration_va = vibrations_va[row]
-                ctx.vibration_wearable = vibrations_wearable[row]
+            shared_sense_s = batch_wall / len(sensed)
+            for row, ctx in enumerate(sensed):
+                ctx.vibration_va = vibrations[row]
+                ctx.vibration_wearable = vibrations[len(sensed) + row]
                 ctx.extra_stage_s["sense"] = shared_sense_s
         self._emit(
             StageEvent(
                 stage="sense_batch",
                 wall_s=batch_wall,
-                batch_size=len(sense_indices),
+                batch_size=len(sensed),
                 fallback=fallback,
                 scope="batch",
             )

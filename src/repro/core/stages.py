@@ -218,6 +218,8 @@ class SenseStage(Stage):
     normally pre-seeds both vibrations from its batched sensing pass;
     when that pass failed, this converts the request alone with the
     streams the pass had already derived, so the result is the same.
+    Both recordings go through one ``convert_batch`` call, so the two
+    equal-length rows share one ``(2, time)`` stack.
     """
 
     name = "sense"
@@ -237,17 +239,13 @@ class SenseStage(Stage):
         if rng_va is None or rng_wearable is None:
             rng_va = child_rng(ctx.generator, "replay-va")
             rng_wearable = child_rng(ctx.generator, "replay-wearable")
-        ctx.vibration_va = pipeline.sensor.convert(
-            ctx.va_material,
-            config.audio_rate,
-            rng=rng_va,
-            include_body_motion=config.wearer_moving,
-        )
-        ctx.vibration_wearable = pipeline.sensor.convert(
-            ctx.wearable_material,
-            config.audio_rate,
-            rng=rng_wearable,
-            include_body_motion=config.wearer_moving,
+        ctx.vibration_va, ctx.vibration_wearable = (
+            pipeline.sensor.convert_batch(
+                [ctx.va_material, ctx.wearable_material],
+                config.audio_rate,
+                rngs=[rng_va, rng_wearable],
+                include_body_motion=config.wearer_moving,
+            )
         )
 
 
