@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from repro.acoustics.loudspeaker import LoudspeakerSpec, WEARABLE_SPEAKER
 from repro.sensing.accelerometer import AccelerometerSpec
@@ -151,13 +152,22 @@ class CrossDomainSensor:
         order from it alone, so item ``i`` of the result is **bitwise
         identical** whatever else shares the batch.
 
-        The channel groups recordings of equal length into dense
+        Each recording is replayed zero-padded to
+        ``scipy.fft.next_fast_len`` of its length: the wearable plays the
+        clip, then a few ms of silence.  At a length with a large prime
+        factor numpy's FFT falls back to Bluestein's algorithm, 7-10×
+        slower than at the next fast length; the silence also keeps the
+        speaker and conduction filters from wrapping the clip's end onto
+        its start.  The vibration is then trimmed to the
+        ``ceil(n / step)`` samples the unpadded recording decimates to.
+        A recording already at a fast length is replayed unpadded.
+
+        The channel groups padded recordings of equal length into dense
         ``(batch, time)`` stacks and pushes them through each stage's
-        ``apply_batch``.  Grouping by *exact* length (instead of
-        right-padding to the batch maximum) is what keeps items
-        independent: padding would change the FFT length and the
-        ``sosfiltfilt`` edge extension, perturbing every sample in the
-        padded rows.
+        ``apply_batch``.  The padded length depends on the item's own
+        length alone (never on the batch maximum), so items stay
+        independent: padding to a batch-wide length would change the FFT
+        length and the ``sosfiltfilt`` edge extension of its rows.
 
         Returns
         -------
@@ -181,11 +191,21 @@ class CrossDomainSensor:
         # consumes draws in a fixed order: channel stages first, then
         # body.
         generators = [as_generator(rng) for rng in rngs]
-        converted = self.channel.apply_batch(
-            items, audio_rate, rngs=generators
+        vibration_rate = self.channel.output_rate(audio_rate)
+        step = round(audio_rate / vibration_rate)
+        replayed = self.channel.apply_batch(
+            [
+                np.pad(audio, (0, next_fast_len(audio.size) - audio.size))
+                for audio in items
+            ],
+            audio_rate,
+            rngs=generators,
         )
+        converted = [
+            vibration[: -(-audio.size // step)]
+            for vibration, audio in zip(replayed, items)
+        ]
         if want_body:
-            vibration_rate = self.channel.output_rate(audio_rate)
             body_rngs = [
                 child_rng(generator, "body") for generator in generators
             ]

@@ -140,6 +140,52 @@ class TestConvertBatchParity:
             sensor.convert_batch(audios, AUDIO_RATE, rngs=[1])
 
 
+class TestFastLengthReplay:
+    """``convert_batch`` replays each recording zero-padded to a fast FFT
+    length and trims the vibration back to the unpadded length."""
+
+    @pytest.fixture(scope="class")
+    def sensor(self):
+        return CrossDomainSensor()
+
+    # 53 246 pads to 53 361, which decimates to two samples more than
+    # the unpadded recording gives.
+    @pytest.mark.parametrize(
+        "n", [79, 80, 81, 4_001, 16_000, 48_397, 53_246]
+    )
+    def test_output_length(self, sensor, n):
+        audio = np.random.default_rng(n).normal(0.0, 0.1, n)
+        vibration = sensor.convert(audio, AUDIO_RATE, rng=n)
+        assert vibration.size == -(-n // 80)
+
+    def test_lengths_sharing_a_fast_length_share_a_bucket(
+        self, sensor, monkeypatch
+    ):
+        # 4 001 and 4 020 both pad to 4 032 samples.
+        audios = [
+            np.random.default_rng(n).normal(0.0, 0.1, n)
+            for n in (4_001, 4_020)
+        ]
+        seeds = [41, 42]
+        alone = [
+            sensor.convert(audio, AUDIO_RATE, rng=seed)
+            for audio, seed in zip(audios, seeds)
+        ]
+        shapes = []
+        first_stage = type(sensor.channel.stages[0])
+        kernel = first_stage.apply_batch
+
+        def recording(stage, signals, *args, **kwargs):
+            shapes.append(signals.shape)
+            return kernel(stage, signals, *args, **kwargs)
+
+        monkeypatch.setattr(first_stage, "apply_batch", recording)
+        together = sensor.convert_batch(audios, AUDIO_RATE, rngs=seeds)
+        assert shapes == [(2, 4_032)]
+        for vibration, single in zip(together, alone):
+            np.testing.assert_array_equal(vibration, single)
+
+
 class TestSenseHoistInAnalyzeBatch:
     """The pipeline-level hoist that feeds ``convert_batch``."""
 
