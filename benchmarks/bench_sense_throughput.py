@@ -6,13 +6,20 @@ speaker → strap → accelerometer chain (§IV-A) twice per request — once
 for the VA microphone recording, once for the wearable one — and used
 to dominate the serving hot path.  `CrossDomainSensor.convert_batch`
 pushes a whole micro-batch through the chain as dense ``(batch, time)``
-arrays (grouped by exact recording length, so results stay bitwise
-identical to the sequential path; see DESIGN.md § "Sensing hot path").
+arrays (grouped by padded recording length, which depends on each
+recording's own length alone, so results stay bitwise identical to the
+sequential path; see DESIGN.md § "Sensing hot path").
 
 Measures sequential vs batched conversions at batch sizes 1/4/8/16,
 for both the still-wearer and wearer-moving (body-motion) paths, and
 verifies bitwise parity on every measured batch.  Acceptance bar:
 batched must reach ``SPEEDUP_TARGET`` x sequential at batch 8.
+
+Those recordings are 16 000 + 800·k samples long, all lengths numpy's
+FFT handles fast.  Real segment material is not: a second table replays
+``RAGGED_LENGTHS`` (each with a prime factor in the thousands) through
+the unpadded channel and through ``convert``, which pads each recording
+to a fast FFT length first.  That table is reported, not gated.
 
 Runs two ways:
 
@@ -36,6 +43,7 @@ if __package__ in (None, ""):  # script mode: make repo imports work
     sys.path.insert(0, str(_ROOT / "src"))
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from benchmarks.conftest import emit, run_once
 from repro.eval.reporting import format_table
@@ -44,6 +52,9 @@ from repro.sensing.cross_domain import CrossDomainSensor
 AUDIO_RATE = 16_000.0
 BATCH_SIZES = (1, 4, 8, 16)
 SPEEDUP_TARGET = 1.1  # batched vs sequential sensing at batch 8
+#: Segment-material lengths from the serve pool (about 3 s of audio)
+#: whose FFTs would fall back to Bluestein's algorithm unpadded.
+RAGGED_LENGTHS = (40_726, 42_293, 45_311, 46_353, 48_397, 50_234)
 
 
 def _audios(n, seed=9400):
@@ -118,6 +129,60 @@ def run_sweep(batch_sizes=BATCH_SIZES, rounds=5):
     return tables, speedups
 
 
+def _largest_prime_factor(n):
+    factor, largest = 2, 1
+    while factor * factor <= n:
+        while n % factor == 0:
+            largest, n = factor, n // factor
+        factor += 1
+    return max(largest, n)
+
+
+def run_ragged(lengths=RAGGED_LENGTHS, rounds=3):
+    """Unpadded channel vs fast-length ``convert`` at ragged lengths."""
+    sensor = CrossDomainSensor()
+    generator = np.random.default_rng(9500)
+    rows = []
+    for seed, n in enumerate(lengths):
+        audio = generator.normal(0.0, 0.1, n)
+        unpadded = _timed(
+            lambda: sensor.channel.apply(audio, AUDIO_RATE, rng=seed),
+            rounds,
+        )
+        padded = _timed(
+            lambda: sensor.convert(audio, AUDIO_RATE, rng=seed), rounds
+        )
+        rows.append(
+            (
+                n,
+                _largest_prime_factor(n),
+                next_fast_len(n),
+                f"{rounds / unpadded:.1f}",
+                f"{rounds / padded:.1f}",
+                f"{unpadded / padded:.2f}x",
+            )
+        )
+    return rows
+
+
+def render_ragged(rows, rounds):
+    return format_table(
+        [
+            "length",
+            "largest prime",
+            "padded to",
+            "unpadded conv/s",
+            "convert conv/s",
+            "speedup",
+        ],
+        rows,
+        title=(
+            "cross-domain sensing at ragged lengths — unpadded channel "
+            f"vs fast-length convert, {rounds} round(s)"
+        ),
+    )
+
+
 def render(tables, rounds):
     blocks = []
     for label, rows in tables.items():
@@ -139,7 +204,11 @@ def test_sense_throughput(benchmark):
     tables, speedups = run_once(
         benchmark, lambda: run_sweep(rounds=rounds)
     )
-    emit("sense_throughput", render(tables, rounds))
+    ragged = run_ragged()
+    emit(
+        "sense_throughput",
+        render(tables, rounds) + "\n\n" + render_ragged(ragged, 3),
+    )
     assert speedups[8] >= SPEEDUP_TARGET, (
         f"batched sensing at batch 8 is only {speedups[8]:.2f}x "
         f"sequential (target {SPEEDUP_TARGET}x)"
@@ -166,6 +235,9 @@ def main(argv=None):
     rounds = 2 if args.quick else 5
     tables, speedups = run_sweep(batch_sizes=batch_sizes, rounds=rounds)
     print(render(tables, rounds))
+    if not args.quick:
+        print()
+        print(render_ragged(run_ragged(), 3))
 
     target = 1.0 if args.quick else SPEEDUP_TARGET
     if speedups[8] < target:
