@@ -20,10 +20,12 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow"
 
+# The *-smoke targets drive the CLI end to end; the unit and property
+# tests behind each one run in the tier-1 suite (make test).
+
 # 2-worker campaign smoke test: process-pool sharding must reproduce
 # the serial score set bitwise (the determinism contract).
 smoke:
-	$(PYTHON) -m pytest tests/test_eval_runner.py -q
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 --workers 2
 
 # Serving smoke: a tiny closed-loop run against the warm-pool service.
@@ -46,14 +48,11 @@ store-smoke:
 	grep -q "0 trained" /tmp/store-smoke.log
 	$(PYTHON) -m repro store verify --dir $(STORE_SMOKE_DIR)
 
-# Runtime smoke: the unified execution layer.  Unit tests cover the
-# fallback ladder, retries, StageEvent plumbing, and the shared
-# percentile helper; then a 2-worker campaign and a 2-worker serve
-# run must both succeed under the thread AND process executors (the
-# campaign score set is bitwise identical across all of them).
+# Runtime smoke: the unified execution layer.  A 2-worker campaign
+# and a 2-worker serve run must both succeed under the thread AND
+# process executors (the campaign score set is bitwise identical
+# across all of them).
 runtime-smoke:
-	$(PYTHON) -m pytest tests/test_runtime.py tests/test_runtime_events.py \
-		tests/test_utils_stats.py -q
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 \
 		--workers 2 --executor thread
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 \
@@ -64,13 +63,10 @@ runtime-smoke:
 		--worker-mode process --requests 8 --concurrency 4 --seed 0
 
 # Segmenter smoke: both segmentation backends through the full stack.
-# Unit/property tests pin the protocol, bounds, parity, and the RD
-# backend's zero-training contract; then a 2-worker serve run and a
-# small campaign must succeed under the trained BLSTM (--segmenter
-# paper) AND the training-free rate-distortion backend (--segmenter
-# rd).
+# A 2-worker serve run and a small campaign must succeed under the
+# trained BLSTM (--segmenter paper) AND the training-free
+# rate-distortion backend (--segmenter rd).
 segmenter-smoke:
-	$(PYTHON) -m pytest tests/test_segmenter_backends.py -q
 	$(PYTHON) -m repro loadgen --segmenter paper --workers 2 \
 		--requests 8 --concurrency 4 --seed 0
 	$(PYTHON) -m repro loadgen --segmenter rd --workers 2 \
@@ -92,15 +88,11 @@ fleet-smoke:
 	$(PYTHON) -m repro fleet serve --engine service --segmenter none \
 		--shards 2 --requests 8 --users 1000 --rate 50 --seed 0
 
-# Red-team smoke: unit tests pin the attack space, oracle budget
-# accounting, and optimizer checkpointing; then two tiny campaigns
-# (~2 generations each) exercise the gradient-free and
-# surrogate-gradient attackers end to end against the black-box
-# oracle, with the second deploying the randomized defenses.
+# Red-team smoke: two tiny campaigns (~2 generations each) exercise
+# the gradient-free and surrogate-gradient attackers end to end
+# against the black-box oracle, with the second deploying the
+# randomized defenses.
 redteam-smoke:
-	$(PYTHON) -m pytest tests/test_redteam_space.py \
-		tests/test_redteam_oracle.py tests/test_redteam_optimizers.py \
-		tests/test_core_hardening.py -q
 	$(PYTHON) -m repro redteam attack --mode cmaes --budget 10 \
 		--population 1 --bands 4 --slices 2 --probe-episodes 1 \
 		--eval-episodes 4 --workers 1 --executor inline --seed 3
@@ -110,12 +102,10 @@ redteam-smoke:
 		--harden
 
 # Scenario smoke: the composable channel layer and the scenario
-# registry.  Unit tests pin bitwise chain parity and the registry
-# round-trip; then the two proof packs run end to end through the
-# evaluate CLI, and the quick scenario matrix regenerates
+# registry.  The two proof packs run end to end through the evaluate
+# CLI, and the quick scenario matrix regenerates
 # benchmarks/results/scenario_matrix.txt over every registered pack.
 scenario-smoke:
-	$(PYTHON) -m pytest tests/test_channels.py tests/test_scenarios.py -q
 	$(PYTHON) -m repro evaluate --scenario ultrasound-solid \
 		--segmenter rd --commands 1 --attacks 1 --workers 2
 	$(PYTHON) -m repro evaluate --scenario metamaterial-barrier \
@@ -128,18 +118,11 @@ scenario-smoke:
 perf-smoke:
 	$(PYTHON) benchmarks/bench_batched_inference.py --quick
 
-# Sensing smoke: the vectorized cross-domain sensing chain.  Unit
-# tests pin bitwise parity (convert_batch vs convert, shm transport
-# round-trips, adaptive batching decisions); then the throughput
-# bench re-checks parity on every measured batch and gates batched >=
-# sequential at batch 8; finally an adaptive-batching serve run must
-# answer every request.
+# Sensing smoke: the vectorized cross-domain sensing chain.  The
+# throughput bench re-checks parity on every measured batch and gates
+# batched >= sequential at batch 8.
 sense-smoke:
-	$(PYTHON) -m pytest tests/test_sensing_batch.py \
-		tests/test_runtime_shm.py tests/test_serve_adaptive.py -q
 	$(PYTHON) benchmarks/bench_sense_throughput.py --quick
-	$(PYTHON) -m repro loadgen --segmenter none --workers 2 \
-		--requests 8 --concurrency 4 --p95-target-ms 150 --seed 0
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -4,10 +4,7 @@ Not a paper figure — this measures the online verification service
 (`repro.serve`) itself.  A closed-loop load generator drives the warm
 worker pool at increasing client concurrency; for each level the table
 reports throughput and client-side p50/p95/p99 latency, plus the
-server-side per-stage breakdown at the highest level.  A final run
-repeats the highest load with latency-adaptive batching enabled
-(``p95_target_s``) to show the controller's steady-state decisions.
-The acceptance bar is accounting, not speed: every issued request must
+server-side per-stage breakdown at the highest level.  The acceptance bar is accounting, not speed: every issued request must
 reach exactly one terminal state and none may fail.
 
 Worker count defaults to min(4, cores); override with
@@ -69,25 +66,6 @@ def _sweep(levels, n_workers):
                 pool=pool,
             )
             runs[concurrency] = (report, service.metrics())
-    # Latency-adaptive rerun of the highest load: same pool/spec, but
-    # the controller steers the effective batch size toward the target.
-    adaptive_config = ServiceConfig(
-        n_workers=n_workers,
-        max_batch_size=16,
-        max_wait_s=0.01,
-        p95_target_s=0.15,
-    )
-    with VerificationService(spec, adaptive_config) as service:
-        report = run_loadgen(
-            service,
-            LoadgenConfig(
-                n_requests=N_REQUESTS,
-                concurrency=max(levels),
-                seed=9203,
-            ),
-            pool=pool,
-        )
-        runs["adaptive"] = (report, service.metrics())
     return runs
 
 
@@ -133,14 +111,4 @@ def test_serving_throughput(benchmark):
     )
     body += "\n\nserver-side breakdown at the highest load:\n\n"
     body += format_service_metrics(runs[levels[-1]][1])
-
-    adaptive_report, adaptive_metrics = runs["adaptive"]
-    assert adaptive_report.n_served == N_REQUESTS
-    assert adaptive_report.n_failed == 0
-    assert adaptive_metrics.batch_controller is not None
-    body += (
-        f"\n\nlatency-adaptive rerun at {max(levels)} clients "
-        "(p95 target 150 ms, batch bound 16):\n\n"
-    )
-    body += format_service_metrics(adaptive_metrics)
     emit("serving_throughput", body)

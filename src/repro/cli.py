@@ -177,18 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         serving.add_argument(
             "--batch-size", type=int, default=8,
-            help=(
-                "largest micro-batch dispatched to one worker "
-                "(the upper bound with --p95-target-ms)"
-            ),
-        )
-        serving.add_argument(
-            "--p95-target-ms", type=float, default=None, metavar="MS",
-            help=(
-                "latency-adaptive batching: steer the effective "
-                "batch size toward this rolling end-to-end p95 "
-                "(default: fixed --batch-size)"
-            ),
+            help="largest micro-batch dispatched to one worker",
         )
         serving.add_argument(
             "--deadline", type=float, default=None, metavar="S",
@@ -575,11 +564,6 @@ def _resolve_service_config(args: argparse.Namespace):
             backpressure=args.policy,
             max_batch_size=args.batch_size,
             max_wait_s=args.max_wait,
-            p95_target_s=(
-                args.p95_target_ms / 1e3
-                if args.p95_target_ms is not None
-                else None
-            ),
             default_deadline_s=args.deadline,
         )
     except ConfigurationError as error:

@@ -175,16 +175,6 @@ def format_service_metrics(metrics) -> str:
             f"{metrics.throughput_rps:.2f} req/s"
         ),
     ]
-    controller = getattr(metrics, "batch_controller", None)
-    if controller is not None:
-        p95 = controller.rolling_p95_s
-        p95_text = f"{p95 * 1e3:.1f} ms" if p95 == p95 else "n/a"
-        lines.append(
-            f"adaptive batching: size {controller.batch_size}, "
-            f"{controller.n_grow} grows, {controller.n_shrink} shrinks "
-            f"({controller.n_decisions} decisions); "
-            f"rolling p95 {p95_text}"
-        )
     stage_fallbacks = getattr(metrics, "stage_fallbacks", None) or {}
     if stage_fallbacks:
         lines.append(

@@ -55,7 +55,6 @@ from repro.runtime import (
     THREAD,
     FallbackPolicy,
     Runtime,
-    ShmTransport,
     capture_stage_events,
     validate_kind,
 )
@@ -252,11 +251,6 @@ class CampaignRunner:
             fallback=FallbackPolicy(ladder=(PROCESS, INLINE)),
             initializer=_init_worker,
             initargs=(detectors, corpus),
-            # Campaign units are tiny specs, but sweeps that fan large
-            # payloads (pre-rendered recordings) through run_units ride
-            # shared memory automatically; small payloads pass through
-            # the encoder untouched.
-            transport=ShmTransport(),
         )
         start = time.perf_counter()
         try:

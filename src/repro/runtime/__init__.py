@@ -32,13 +32,6 @@ from repro.runtime.policies import (
     RetryPolicy,
     validate_kind,
 )
-from repro.runtime.shm import (
-    ShmLease,
-    ShmRef,
-    ShmTransport,
-    decode_payload,
-    shm_available,
-)
 
 __all__ = [
     "EXECUTOR_KINDS",
@@ -51,9 +44,6 @@ __all__ = [
     "ProcessPoolRuntime",
     "RetryPolicy",
     "Runtime",
-    "ShmLease",
-    "ShmRef",
-    "ShmTransport",
     "StageEvent",
     "StageEventAggregator",
     "StageEventSink",
@@ -62,8 +52,6 @@ __all__ = [
     "ThreadPoolRuntime",
     "active_sink",
     "capture_stage_events",
-    "decode_payload",
     "emit_event",
-    "shm_available",
     "validate_kind",
 ]

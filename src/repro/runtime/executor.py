@@ -98,22 +98,6 @@ def _run_unit_wrapped(
         raise WorkerError.from_exception(error) from None
 
 
-def _run_unit_shm(
-    fn: Callable[..., Any], retry: RetryPolicy, *args: Any
-) -> Any:
-    """:func:`_run_unit_wrapped` behind the shared-memory transport.
-
-    Materializes every :class:`~repro.runtime.shm.ShmRef` in the
-    arguments (attach → copy → close) before running the unit.  A
-    payload that crossed by plain pickle decodes as an identity walk.
-    """
-    from repro.runtime.shm import decode_payload
-
-    return _run_unit_wrapped(
-        fn, retry, *[decode_payload(arg) for arg in args]
-    )
-
-
 class InlineExecutor:
     """Runs every unit in the calling thread, serially.
 
@@ -298,7 +282,6 @@ class Runtime:
         probe: Optional[Tuple[Callable[..., Any], Tuple[Any, ...]]] = None,
         thread_name_prefix: str = "repro-runtime",
         sink: Optional[StageEventSink] = None,
-        transport: Optional[Any] = None,
     ) -> None:
         validate_kind(kind)
         if n_workers is not None and n_workers < 1:
@@ -314,11 +297,6 @@ class Runtime:
         self._probe = probe
         self._thread_name_prefix = thread_name_prefix
         self._sink = sink
-        #: Optional :class:`~repro.runtime.shm.ShmTransport` moving
-        #: large arrays to process workers via shared memory.  Only
-        #: consulted when the realized rung is a process pool; thread
-        #: and inline rungs share the parent's memory already.
-        self.transport = transport
         self._rungs = self.fallback.rungs(kind)
         self._rung_index = 0
         self._executor: Optional[Any] = None
@@ -406,43 +384,6 @@ class Runtime:
 
     # -- execution -------------------------------------------------------
 
-    def _transport_active(self) -> bool:
-        """Whether payloads should ride the shared-memory transport."""
-        return (
-            self.transport is not None
-            and self._executor is not None
-            and self._executor.kind == PROCESS
-            and self.transport.available
-        )
-
-    def _wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        if self._transport_active():
-            return functools.partial(_run_unit_shm, fn, self.retry)
-        assert self._executor is not None
-        return self._executor.wrap(fn, self.retry)
-
-    def _submit_encoded(
-        self, wrapped: Callable[..., Any], args: Tuple[Any, ...]
-    ) -> "Future[Any]":
-        """Submit with args parked in shared memory (creator cleans up).
-
-        The lease releases from the future's done-callback, which fires
-        on normal completion, cancellation, and pool breakage alike —
-        segments are reclaimed on every path.
-        """
-        assert self.transport is not None and self._executor is not None
-        encoded, lease = self.transport.encode(args)
-        try:
-            future = self._executor.submit(wrapped, *encoded)
-        except BaseException:
-            lease.release()
-            raise
-        if len(lease):
-            future.add_done_callback(
-                lambda _future, lease=lease: lease.release()
-            )
-        return future
-
     def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
         """Submit one unit to the active rung (starting it if needed).
 
@@ -453,10 +394,9 @@ class Runtime:
         if self._executor is None:
             self.start()
         assert self._executor is not None
-        wrapped = self._wrap(fn)
-        if self._transport_active():
-            return self._submit_encoded(wrapped, args)
-        return self._executor.submit(wrapped, *args)
+        return self._executor.submit(
+            self._executor.wrap(fn, self.retry), *args
+        )
 
     def map_units(
         self, fn: Callable[..., Any], units: Sequence[Any]
@@ -477,16 +417,11 @@ class Runtime:
                     self.start()
                 assert self._executor is not None
                 executor = self._executor
-                wrapped = self._wrap(fn)
-                use_transport = self._transport_active()
-                pending = []
-                for unit in units[len(results):]:
-                    if use_transport:
-                        pending.append(
-                            self._submit_encoded(wrapped, (unit,))
-                        )
-                    else:
-                        pending.append(executor.submit(wrapped, unit))
+                wrapped = executor.wrap(fn, self.retry)
+                pending = [
+                    executor.submit(wrapped, unit)
+                    for unit in units[len(results):]
+                ]
                 for future in pending:
                     results.append(future.result())
             except POOL_ERRORS as error:

@@ -10,8 +10,6 @@ startup.  See DESIGN.md § "Online serving architecture".
 
 from repro.serve.batching import (
     Batch,
-    BatchControllerStats,
-    BatchSizeController,
     BatchingConfig,
     MicroBatchScheduler,
 )
@@ -40,8 +38,6 @@ from repro.serve.workers import PipelineSpec, WarmWorkerPool
 __all__ = [
     "BackpressurePolicy",
     "Batch",
-    "BatchControllerStats",
-    "BatchSizeController",
     "BatchingConfig",
     "BoundedRequestQueue",
     "LatencySummary",

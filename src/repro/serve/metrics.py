@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.runtime import StageEvent
-from repro.serve.batching import BatchControllerStats
 from repro.utils.stats import (
     REPORTED_PERCENTILES as _REPORTED_PERCENTILES,
     percentile_values,
@@ -106,9 +105,6 @@ class ServiceMetrics:
     #: streams — deadline skips, full-recording degrades, and runtime
     #: ladder demotions, all through one protocol.
     stage_fallbacks: Mapping[str, int] = field(default_factory=dict)
-    #: Adaptive batch-size controller snapshot (``None`` when the
-    #: service runs with a fixed batch size).
-    batch_controller: Optional[BatchControllerStats] = None
 
     @property
     def n_resolved(self) -> int:
@@ -195,10 +191,7 @@ class MetricsCollector:
                 )
 
     def snapshot(
-        self,
-        queue_depth: int = 0,
-        n_pending: int = 0,
-        batch_controller: Optional[BatchControllerStats] = None,
+        self, queue_depth: int = 0, n_pending: int = 0
     ) -> ServiceMetrics:
         """Freeze the current counters into a :class:`ServiceMetrics`."""
         with self._lock:
@@ -235,5 +228,4 @@ class MetricsCollector:
                     if samples
                 },
                 stage_fallbacks=dict(self._stage_fallbacks),
-                batch_controller=batch_controller,
             )

@@ -74,12 +74,6 @@ class ServiceConfig:
         Longest a blocking ``submit`` waits for queue space.
     max_batch_size / max_wait_s:
         Micro-batch formation parameters.
-    p95_target_s:
-        When set, enables latency-adaptive batching: a
-        :class:`~repro.serve.batching.BatchSizeController` steers the
-        effective batch size toward this rolling end-to-end p95
-        (``max_batch_size`` becomes the upper bound).  ``None`` keeps
-        the fixed batch size.
     default_deadline_s:
         Deadline applied to requests that do not carry their own.
     """
@@ -93,7 +87,6 @@ class ServiceConfig:
     block_timeout_s: Optional[float] = None
     max_batch_size: int = 8
     max_wait_s: float = 0.02
-    p95_target_s: Optional[float] = None
     default_deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -122,7 +115,7 @@ class ServiceConfig:
                     f"unknown backpressure policy "
                     f"{self.backpressure!r}; choose one of: {choices}"
                 ) from None
-        if self.max_wait_s < 0:
+        if not self.max_wait_s >= 0:
             raise ConfigurationError(
                 f"max_wait_s must be >= 0, got {self.max_wait_s}"
             )
@@ -131,9 +124,6 @@ class ServiceConfig:
                 f"max_batch_size must be >= 1, "
                 f"got {self.max_batch_size}"
             )
-        _duration(
-            "p95_target_s", self.p95_target_s, allow_none=True
-        )
         _duration(
             "default_deadline_s", self.default_deadline_s, allow_none=True
         )
@@ -148,7 +138,6 @@ class ServiceConfig:
         return BatchingConfig(
             max_batch_size=self.max_batch_size,
             max_wait_s=self.max_wait_s,
-            p95_target_s=self.p95_target_s,
         )
 
 
@@ -380,11 +369,8 @@ class VerificationService:
         """Snapshot of counters, percentiles, and occupancy."""
         with self._scheduler_lock:
             n_pending = self._scheduler.n_pending
-            controller = self._scheduler.controller_stats()
         return self.metrics_collector.snapshot(
-            queue_depth=self._queue.depth,
-            n_pending=n_pending,
-            batch_controller=controller,
+            queue_depth=self._queue.depth, n_pending=n_pending
         )
 
     # ------------------------------------------------------------------
@@ -506,11 +492,6 @@ class VerificationService:
                     stage_timings_s=result.stage_timings_s,
                     degraded=result.degraded,
                 )
-                # Drive the adaptive batch-size controller (no-op in
-                # fixed mode).  Thread-safe without _scheduler_lock:
-                # observe_latency only touches the controller's own
-                # locked state.
-                self._scheduler.observe_latency(total_s)
                 entry.future.set_result(
                     VerificationResponse(
                         request_id=entry.request.request_id,

@@ -46,7 +46,6 @@ from repro.runtime import (
     THREAD,
     FallbackPolicy,
     Runtime,
-    ShmTransport,
     StageEvent,
     capture_stage_events,
 )
@@ -367,12 +366,6 @@ class WarmWorkerPool:
     mode:
         ``"thread"`` (default) or ``"process"``; process pools fall
         back to threads if spawning fails.
-    use_shm:
-        Move batch audio arrays to process workers via the
-        shared-memory transport (:class:`repro.runtime.ShmTransport`)
-        instead of pickling them through the pool pipe.  Ignored (the
-        arrays are already shared) in thread mode; falls back to pickle
-        transparently where ``/dev/shm`` is unavailable.
     """
 
     def __init__(
@@ -380,7 +373,6 @@ class WarmWorkerPool:
         spec: PipelineSpec,
         n_workers: int = 2,
         mode: str = "thread",
-        use_shm: bool = True,
     ) -> None:
         if int(n_workers) < 1:
             raise ConfigurationError(
@@ -393,7 +385,6 @@ class WarmWorkerPool:
         self.spec = spec
         self.n_workers = int(n_workers)
         self.mode = mode
-        self.use_shm = bool(use_shm)
         self.realized_mode: Optional[str] = None
         self._runtime: Optional[Runtime] = None
 
@@ -418,7 +409,6 @@ class WarmWorkerPool:
                 ((self.spec, (16_000.0, False), []),),
             ),
             thread_name_prefix="verify-worker",
-            transport=ShmTransport() if self.use_shm else None,
         )
         runtime.start()
         self._runtime = runtime

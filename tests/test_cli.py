@@ -101,6 +101,7 @@ def test_fleet_invalid_flags_exit_early():
         ["--batch-size", "0"],
         ["--deadline", "-1"],
         ["--policy", "block", "--max-wait", "-1"],
+        ["--max-wait", "nan"],
     ],
 )
 @pytest.mark.parametrize("command", ["serve", "loadgen"])

@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.attacks.base import AttackKind
@@ -82,6 +83,20 @@ class TestExecutorsBasic:
             assert not runtime.fell_back
         finally:
             runtime.shutdown()
+
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_array_payload_crosses_bitwise(self, kind):
+        """A batch-sized array (well over 64 KiB) survives the pool
+        boundary bit for bit, by plain pickle in process mode."""
+        audio = np.random.default_rng(0).standard_normal(48_397)
+        runtime = Runtime(kind, n_workers=1)
+        try:
+            [back] = runtime.map_units(_double, [audio])
+            assert runtime.realized_kind == kind
+        finally:
+            runtime.shutdown()
+        assert back.dtype == audio.dtype
+        assert back.tobytes() == (audio * 2).tobytes()
 
     def test_submit_returns_future(self):
         with Runtime("inline") as runtime:

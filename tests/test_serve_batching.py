@@ -15,6 +15,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             BatchingConfig(max_wait_s=-0.01)
 
+    def test_nan_max_wait_rejected(self):
+        # NaN compares false both ways; accepted, it would leave a
+        # partly filled batch waiting until shutdown.
+        with pytest.raises(ConfigurationError):
+            BatchingConfig(max_wait_s=float("nan"))
+
 
 class TestBatchFormation:
     def test_full_class_dispatches_immediately(self):

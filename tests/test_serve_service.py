@@ -331,6 +331,7 @@ class TestConfigValidation:
             {"block_timeout_s": -0.5},
             {"backpressure": "drop-newest"},
             {"worker_mode": "fork"},
+            {"max_wait_s": float("nan")},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
