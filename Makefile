@@ -29,11 +29,15 @@ smoke:
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 --workers 2
 
 # Serving smoke: a tiny closed-loop run against the warm-pool service.
-# The command exits non-zero on any failed request, and the metrics
-# table (latency percentiles per stage) prints on stdout.
+# Each command exits non-zero on any failed request, and the metrics
+# table (latency percentiles per stage) prints on stdout.  The second
+# run keeps 8 clients on one worker, so requests wait for the busy
+# worker and leave the queue as multi-request batches.
 serve-smoke:
 	$(PYTHON) -m repro loadgen --segmenter fast --workers 2 \
 		--requests 12 --concurrency 4 --seed 0
+	$(PYTHON) -m repro loadgen --segmenter none --workers 1 \
+		--requests 24 --concurrency 8 --seed 0
 
 # Store smoke: two serve-smoke runs against a persistent artifact
 # store.  The first run may train and publish; the second must load

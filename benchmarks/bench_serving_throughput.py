@@ -52,9 +52,7 @@ def _sweep(levels, n_workers):
     pool = build_recording_pool(seed=9201, pool_size=6)
     runs = {}
     for concurrency in levels:
-        config = ServiceConfig(
-            n_workers=n_workers, max_batch_size=8, max_wait_s=0.01
-        )
+        config = ServiceConfig(n_workers=n_workers, max_batch_size=8)
         with VerificationService(spec, config) as service:
             report = run_loadgen(
                 service,

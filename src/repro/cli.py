@@ -172,10 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="backpressure policy when the queue is full",
         )
         serving.add_argument(
-            "--max-wait", type=float, default=0.02, metavar="S",
-            help="micro-batch formation deadline in seconds",
-        )
-        serving.add_argument(
             "--batch-size", type=int, default=8,
             help="largest micro-batch dispatched to one worker",
         )
@@ -547,8 +543,8 @@ def _cmd_attack_study(args: argparse.Namespace) -> int:
 def _resolve_service_config(args: argparse.Namespace):
     """Validate serving arguments up front, before any worker warms.
 
-    Invalid durations and bounds (negative ``--max-wait``, zero
-    ``--queue-capacity``, non-positive ``--deadline``, ...) raise
+    Invalid durations and bounds (zero ``--queue-capacity``,
+    non-positive or NaN ``--deadline``, ...) raise
     :class:`repro.errors.ConfigurationError` inside
     ``ServiceConfig``; this maps them to the same ``SystemExit``
     shape as the negative ``--workers`` rejection.
@@ -563,7 +559,6 @@ def _resolve_service_config(args: argparse.Namespace):
             queue_capacity=args.queue_capacity,
             backpressure=args.policy,
             max_batch_size=args.batch_size,
-            max_wait_s=args.max_wait,
             default_deadline_s=args.deadline,
         )
     except ConfigurationError as error:

@@ -169,8 +169,7 @@ def format_service_metrics(metrics) -> str:
         (
             f"batches: {metrics.n_batches} "
             f"(mean size {metrics.mean_batch_size:.2f}); "
-            f"queue depth {metrics.queue_depth}, "
-            f"pending {metrics.n_pending}; "
+            f"queue depth {metrics.queue_depth}; "
             f"{metrics.wall_s:.2f}s wall, "
             f"{metrics.throughput_rps:.2f} req/s"
         ),

@@ -13,7 +13,8 @@ the orchestration logic is written once:
   warm-up probe per worker, so spawn and initializer failures surface
   at ``start()`` where the ladder can still demote cheaply.
 * :class:`ThreadPoolRuntime` — ``ThreadPoolExecutor``; workers spawn
-  lazily, matching the latency profile callers relied on before.
+  lazily unless a warm-up ``probe`` is given, which spawns them (and
+  runs their initializer) at ``start()``.
 * :class:`InlineExecutor` — runs units in the calling thread and
   returns already-completed futures; the ladder's floor and the
   ``n_workers <= 1`` fast path.
@@ -137,12 +138,38 @@ class InlineExecutor:
         pass
 
 
+def _run_probes(
+    pool: Any,
+    n_workers: int,
+    probe: Optional[Tuple[Callable[..., Any], Tuple[Any, ...]]],
+) -> None:
+    """Submit ``probe`` once per worker and wait for every result.
+
+    Forces worker spawn and the initializer to run now; on failure the
+    pool is torn down and the error propagates to the ladder.
+    """
+    if probe is None:
+        return
+    probe_fn, probe_args = probe
+    try:
+        futures = [
+            pool.submit(probe_fn, *probe_args) for _ in range(n_workers)
+        ]
+        for future in futures:
+            future.result()
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+
+
 class ThreadPoolRuntime:
     """Thread-pool executor rung.
 
-    Threads spawn lazily on first submission (the stdlib behavior),
-    which keeps warm-up cheap; the initializer runs once per spawned
-    thread, exactly as it would per process on the process rung.
+    Without a ``probe``, threads spawn lazily on first submission (the
+    stdlib behavior); the initializer runs once per spawned thread,
+    exactly as it would per process on the process rung.  With a
+    ``probe``, ``start()`` submits it once per worker and waits, so the
+    initializer's cost lands in ``start()`` instead of the first unit.
     """
 
     kind = THREAD
@@ -153,6 +180,7 @@ class ThreadPoolRuntime:
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple[Any, ...] = (),
         thread_name_prefix: str = "repro-runtime",
+        probe: Optional[Tuple[Callable[..., Any], Tuple[Any, ...]]] = None,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError(
@@ -162,15 +190,18 @@ class ThreadPoolRuntime:
         self._initializer = initializer
         self._initargs = initargs
         self._thread_name_prefix = thread_name_prefix
+        self._probe = probe
         self._pool: Optional[ThreadPoolExecutor] = None
 
     def start(self) -> None:
-        self._pool = ThreadPoolExecutor(
+        pool = ThreadPoolExecutor(
             max_workers=self._n_workers,
             initializer=self._initializer,
             initargs=self._initargs,
             thread_name_prefix=self._thread_name_prefix,
         )
+        _run_probes(pool, self._n_workers, self._probe)
+        self._pool = pool
 
     def wrap(
         self, fn: Callable[..., Any], retry: RetryPolicy
@@ -224,18 +255,7 @@ class ProcessPoolRuntime:
             initializer=self._initializer,
             initargs=self._initargs,
         )
-        if self._probe is not None:
-            probe_fn, probe_args = self._probe
-            try:
-                futures = [
-                    pool.submit(probe_fn, *probe_args)
-                    for _ in range(self._n_workers)
-                ]
-                for future in futures:
-                    future.result()
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
+        _run_probes(pool, self._n_workers, self._probe)
         self._pool = pool
 
     def wrap(
@@ -318,6 +338,7 @@ class Runtime:
                 initializer=self._initializer,
                 initargs=self._initargs,
                 thread_name_prefix=self._thread_name_prefix,
+                probe=self._probe,
             )
         return InlineExecutor(
             initializer=self._initializer, initargs=self._initargs

@@ -2,17 +2,13 @@
 
 Turns the batch-oriented defense pipeline into an online service that
 answers individual :class:`VerificationRequest`s with bounded latency:
-a bounded admission queue with configurable backpressure, a
-micro-batching scheduler that groups compatible requests, and a warm
-worker pool that trains the phoneme segmenter once per worker at
-startup.  See DESIGN.md § "Online serving architecture".
+a bounded admission queue with configurable backpressure, from which
+each free worker takes the oldest request plus the compatible requests
+queued behind it as one micro-batch, and a warm worker pool that trains
+the phoneme segmenter once per worker at startup.  See DESIGN.md
+§ "Online serving architecture".
 """
 
-from repro.serve.batching import (
-    Batch,
-    BatchingConfig,
-    MicroBatchScheduler,
-)
 from repro.serve.loadgen import (
     LoadgenConfig,
     LoadgenReport,
@@ -37,14 +33,11 @@ from repro.serve.workers import PipelineSpec, WarmWorkerPool
 
 __all__ = [
     "BackpressurePolicy",
-    "Batch",
-    "BatchingConfig",
     "BoundedRequestQueue",
     "LatencySummary",
     "LoadgenConfig",
     "LoadgenReport",
     "MetricsCollector",
-    "MicroBatchScheduler",
     "PipelineSpec",
     "RecordingPool",
     "RequestStatus",

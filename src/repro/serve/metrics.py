@@ -72,9 +72,9 @@ class ServiceMetrics:
         Micro-batching effectiveness.  Each batch is one
         ``DefensePipeline.analyze_batch`` call (one shared segmentation
         forward).
-    queue_depth / n_pending:
-        Requests currently queued / awaiting batch formation at
-        snapshot time.
+    queue_depth:
+        Requests queued (admitted, not yet dispatched) at snapshot
+        time.
     wall_s / throughput_rps:
         Time since service start and served requests per second.
     total_latency / queue_wait:
@@ -93,7 +93,6 @@ class ServiceMetrics:
     n_batches: int
     mean_batch_size: float
     queue_depth: int
-    n_pending: int
     wall_s: float
     throughput_rps: float
     total_latency: Optional[LatencySummary]
@@ -190,9 +189,7 @@ class MetricsCollector:
                     seconds
                 )
 
-    def snapshot(
-        self, queue_depth: int = 0, n_pending: int = 0
-    ) -> ServiceMetrics:
+    def snapshot(self, queue_depth: int = 0) -> ServiceMetrics:
         """Freeze the current counters into a :class:`ServiceMetrics`."""
         with self._lock:
             wall_s = time.monotonic() - self._started_at
@@ -211,7 +208,6 @@ class MetricsCollector:
                 n_batches=self.n_batches,
                 mean_batch_size=mean_batch,
                 queue_depth=queue_depth,
-                n_pending=n_pending,
                 wall_s=wall_s,
                 throughput_rps=(
                     self.n_served / wall_s if wall_s > 0 else 0.0

@@ -1,13 +1,15 @@
 """Bounded request queue with configurable backpressure.
 
-The queue is the service's admission-control point: when producers
-outrun the worker pool, the configured :class:`BackpressurePolicy`
-decides whether ``put`` blocks for space, rejects the newcomer with
-:class:`~repro.errors.ServiceOverloadError`, or sheds the oldest queued
-entry to make room.  Counters are maintained so the metrics snapshot
-can report exactly how much load was refused — the property suite pins
-``enqueued == admitted`` and ``shed`` arithmetic against the queue
-bound.
+The queue is the service's admission-control point and its only
+waiting room: when producers outrun the worker pool, the configured
+:class:`BackpressurePolicy` decides whether ``put`` blocks for space,
+rejects the newcomer with :class:`~repro.errors.ServiceOverloadError`,
+or sheds the oldest queued entry to make room.  A free worker takes
+its micro-batch straight from the queue (``take_batch``), so the
+capacity bounds every request not yet dispatched.  Counters are
+maintained so the metrics snapshot can report exactly how much load
+was refused — the property suite pins ``enqueued == admitted`` and
+``shed`` arithmetic against the queue bound.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ import enum
 import threading
 import time
 from collections import deque
-from typing import Deque, Generic, List, Optional, TypeVar
+from typing import (
+    Callable,
+    Deque,
+    Generic,
+    Hashable,
+    List,
+    Optional,
+    TypeVar,
+)
 
 from repro.errors import ConfigurationError, ServiceOverloadError
 
@@ -61,7 +71,7 @@ class BoundedRequestQueue(Generic[T]):
             raise ConfigurationError(
                 f"queue capacity must be >= 1, got {capacity}"
             )
-        if block_timeout_s is not None and block_timeout_s < 0:
+        if block_timeout_s is not None and not block_timeout_s >= 0:
             raise ConfigurationError(
                 f"block_timeout_s must be >= 0 (or None), "
                 f"got {block_timeout_s}"
@@ -145,26 +155,57 @@ class BoundedRequestQueue(Generic[T]):
         Returns ``None`` on timeout or when the queue is closed and
         drained.
         """
+        batch = self.take_batch(1, lambda entry: None, timeout_s)
+        return batch[0] if batch else None
+
+    def take_batch(
+        self,
+        max_size: int,
+        key_of: Callable[[T], Hashable],
+        timeout_s: Optional[float] = None,
+    ) -> List[T]:
+        """Pop the oldest entry plus up to ``max_size - 1`` compatible ones.
+
+        Waits up to ``timeout_s`` (``None``: forever) for the queue to
+        be non-empty, then takes the head entry and the later entries
+        whose ``key_of`` equals the head's, oldest first, until the
+        batch holds ``max_size``.  Entries of other keys keep their
+        places.  Returns ``[]`` on timeout or when the queue is closed
+        and drained.
+        """
+        if max_size < 1:
+            raise ConfigurationError(
+                f"max_size must be >= 1, got {max_size}"
+            )
         deadline = (
             None if timeout_s is None else time.monotonic() + timeout_s
         )
         with self._lock:
             while not self._entries:
                 if self._closed:
-                    return None
+                    return []
                 if deadline is None:
                     self._not_empty.wait()
                 else:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        return None
+                        return []
                     self._not_empty.wait(remaining)
-            entry = self._entries.popleft()
-            self._not_full.notify()
-            return entry
+            batch = [self._entries.popleft()]
+            if max_size > 1 and self._entries:
+                key = key_of(batch[0])
+                rest: Deque[T] = deque()
+                for entry in self._entries:
+                    if len(batch) < max_size and key_of(entry) == key:
+                        batch.append(entry)
+                    else:
+                        rest.append(entry)
+                self._entries = rest
+            self._not_full.notify(len(batch))
+            return batch
 
     def drain(self) -> List[T]:
-        """Pop every queued entry at once (shutdown path)."""
+        """Pop every queued entry at once."""
         with self._lock:
             entries = list(self._entries)
             self._entries.clear()

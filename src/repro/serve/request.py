@@ -116,7 +116,8 @@ class VerificationResponse:
         Per-pipeline-stage wall-clock seconds (see
         :data:`repro.core.pipeline.PIPELINE_STAGES`).
     queue_wait_s / total_s:
-        Time spent queued, and submission-to-response latency.
+        Time from submission to dispatch (queued, including any wait
+        for a free worker), and submission-to-response latency.
     error:
         Failure description for ``FAILED``/``SHED``/``REJECTED``.
     """

@@ -1,14 +1,17 @@
-"""Online verification service: queue → micro-batches → warm workers.
+"""Online verification service: queue → free worker, one batch at a time.
 
 :class:`VerificationService` is the in-process serving engine.
 ``submit`` admits a :class:`~repro.serve.request.VerificationRequest`
 into a bounded queue (applying the configured backpressure policy) and
-returns a future; a scheduler thread drains the queue, groups
-compatible requests into micro-batches under the ``max_wait_s``
-deadline, and dispatches them to a :class:`WarmWorkerPool` whose
-workers trained the segmenter once at startup.  Every submitted
-request reaches exactly one terminal status: served (possibly degraded
-past its deadline), rejected, shed, or failed.
+returns a future.  A dispatcher thread is work-conserving: as soon as a
+worker of the :class:`WarmWorkerPool` is free, it takes the oldest
+queued request plus up to ``max_batch_size - 1`` later requests with
+the same batch key and hands them to that worker as one micro-batch.
+While every worker is busy, requests wait in the queue, so batches form
+from the backlog alone and ``queue_capacity`` bounds every request not
+yet dispatched.  Every submitted request reaches exactly one terminal
+status: served (possibly degraded past its deadline), rejected, shed,
+or failed.
 
 Determinism contract
 --------------------
@@ -26,10 +29,9 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, Hashable, List, Optional, Set, Union
 
 from repro.errors import ConfigurationError, ServiceOverloadError
-from repro.serve.batching import Batch, BatchingConfig, MicroBatchScheduler
 from repro.serve.metrics import MetricsCollector, ServiceMetrics
 from repro.serve.queue import BackpressurePolicy, BoundedRequestQueue
 from repro.serve.request import (
@@ -38,9 +40,6 @@ from repro.serve.request import (
     VerificationResponse,
 )
 from repro.serve.workers import PipelineSpec, WarmWorkerPool, WorkerResult
-
-#: Scheduler wake-up interval while the queue is idle.
-_IDLE_POLL_S = 0.05
 
 
 def _duration(name: str, value: Optional[float], allow_none: bool) -> None:
@@ -72,8 +71,8 @@ class ServiceConfig:
         (enum or its string value).
     block_timeout_s:
         Longest a blocking ``submit`` waits for queue space.
-    max_batch_size / max_wait_s:
-        Micro-batch formation parameters.
+    max_batch_size:
+        Most requests a free worker takes from the queue at once.
     default_deadline_s:
         Deadline applied to requests that do not carry their own.
     """
@@ -86,7 +85,6 @@ class ServiceConfig:
     )
     block_timeout_s: Optional[float] = None
     max_batch_size: int = 8
-    max_wait_s: float = 0.02
     default_deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -115,10 +113,6 @@ class ServiceConfig:
                     f"unknown backpressure policy "
                     f"{self.backpressure!r}; choose one of: {choices}"
                 ) from None
-        if not self.max_wait_s >= 0:
-            raise ConfigurationError(
-                f"max_wait_s must be >= 0, got {self.max_wait_s}"
-            )
         if self.max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, "
@@ -127,18 +121,11 @@ class ServiceConfig:
         _duration(
             "default_deadline_s", self.default_deadline_s, allow_none=True
         )
-        if self.block_timeout_s is not None and self.block_timeout_s < 0:
+        if self.block_timeout_s is not None and not self.block_timeout_s >= 0:
             raise ConfigurationError(
                 f"block_timeout_s must be >= 0 (or None), "
                 f"got {self.block_timeout_s}"
             )
-
-    def batching(self) -> BatchingConfig:
-        """The scheduler's view of this configuration."""
-        return BatchingConfig(
-            max_batch_size=self.max_batch_size,
-            max_wait_s=self.max_wait_s,
-        )
 
 
 @dataclass
@@ -149,6 +136,10 @@ class _Entry:
     future: "Future[VerificationResponse]"
     submitted_at: float
     dispatched_at: float = 0.0
+
+
+def _batch_key(entry: _Entry) -> Hashable:
+    return entry.request.batch_key
 
 
 class VerificationService:
@@ -182,18 +173,16 @@ class VerificationService:
             policy=self.config.backpressure,
             block_timeout_s=self.config.block_timeout_s,
         )
-        self._scheduler: "MicroBatchScheduler[_Entry]" = (
-            MicroBatchScheduler(self.config.batching())
-        )
-        self._scheduler_lock = threading.Lock()
         self._pool = WarmWorkerPool(
             self.spec,
             n_workers=self.config.n_workers,
             mode=self.config.worker_mode,
         )
+        # Batches handed to the pool and not yet resolved.  The
+        # dispatcher waits on the condition for a free worker; stop()
+        # waits on it for the set to empty.
         self._inflight: Set[Future] = set()
-        self._inflight_lock = threading.Lock()
-        self._inflight_drained = threading.Condition(self._inflight_lock)
+        self._inflight_drained = threading.Condition()
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._started = False
@@ -213,7 +202,7 @@ class VerificationService:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Warm the worker pool and start the batching scheduler."""
+        """Warm the worker pool and start the dispatcher."""
         with self._lifecycle_lock:
             if self._started:
                 return
@@ -221,8 +210,8 @@ class VerificationService:
             self._pool.start()
             self.warmup_s = time.monotonic() - warmup_start
             self._thread = threading.Thread(
-                target=self._scheduler_loop,
-                name="verify-scheduler",
+                target=self._dispatch_loop,
+                name="verify-dispatcher",
                 daemon=True,
             )
             self._thread.start()
@@ -234,14 +223,18 @@ class VerificationService:
         Idempotent and safe to call concurrently: every caller returns
         only after the drain completed (the first caller performs it,
         the rest wait on the lifecycle lock), and a stop racing the
-        draining scheduler loop can no longer observe a half-torn-down
-        ``_thread``/``_pool`` pair.
+        draining dispatcher can no longer observe a half-torn-down
+        ``_thread``/``_pool`` pair.  Everything still queued is
+        dispatched in batches of at most ``max_batch_size``, whether or
+        not a worker is free.
         """
         with self._lifecycle_lock:
             if not self._started:
                 return
-            self._stop_event.set()
             self._queue.close()
+            with self._inflight_drained:
+                self._stop_event.set()
+                self._inflight_drained.notify_all()
             if self._thread is not None:
                 self._thread.join()
                 self._thread = None
@@ -255,10 +248,12 @@ class VerificationService:
         """Swap in a pool of ``n_workers`` without dropping requests.
 
         The replacement pool is warmed and started *before* the swap,
-        so new batches dispatch to it immediately; the old pool drains
-        its in-flight batches on a background thread (their futures —
-        and therefore their requests' responses — still resolve).  The
-        fleet tier's shard autoscaler calls this to track load.
+        so new batches dispatch to it as soon as fewer than
+        ``n_workers`` batches are in flight (the old pool's batches
+        still count); the old pool drains them on a background thread
+        (their futures — and therefore their requests' responses —
+        still resolve).  The fleet tier's shard autoscaler calls this
+        to track load.
 
         No-op when ``n_workers`` equals the current pool size.  Raises
         :class:`ConfigurationError` when the service is not running or
@@ -283,8 +278,10 @@ class VerificationService:
                 mode=self.config.worker_mode,
             )
             new_pool.start()
-            old_pool, self._pool = self._pool, new_pool
-            self.config.n_workers = n_workers
+            with self._inflight_drained:
+                old_pool, self._pool = self._pool, new_pool
+                self.config.n_workers = n_workers
+                self._inflight_drained.notify_all()
         threading.Thread(
             target=lambda: old_pool.shutdown(wait=True),
             name="verify-pool-retire",
@@ -367,77 +364,56 @@ class VerificationService:
 
     def metrics(self) -> ServiceMetrics:
         """Snapshot of counters, percentiles, and occupancy."""
-        with self._scheduler_lock:
-            n_pending = self._scheduler.n_pending
         return self.metrics_collector.snapshot(
-            queue_depth=self._queue.depth, n_pending=n_pending
+            queue_depth=self._queue.depth
         )
 
     # ------------------------------------------------------------------
-    # Scheduler internals
+    # Dispatcher internals
     # ------------------------------------------------------------------
 
-    def _scheduler_loop(self) -> None:
+    def _dispatch_loop(self) -> None:
+        """Hand each free worker the oldest request and its batch-mates.
+
+        Batch completion, :meth:`resize_workers` and :meth:`stop` wake
+        the wait for a free worker; a ``put`` or ``close`` wakes the
+        wait for a request.  After :meth:`stop` the loop stops waiting
+        for workers and returns once the closed queue is empty.
+        """
         while True:
-            with self._scheduler_lock:
-                deadline = self._scheduler.next_deadline(time.monotonic())
-            timeout = _IDLE_POLL_S if deadline is None else deadline
-            entry = self._queue.get(timeout_s=min(timeout, _IDLE_POLL_S))
-            now = time.monotonic()
-            with self._scheduler_lock:
-                if entry is not None:
-                    self._scheduler.offer(
-                        entry, entry.request.batch_key, now
-                    )
-                    # Opportunistically drain whatever else is queued so
-                    # batches actually fill under load.
-                    while True:
-                        extra = self._queue.get(timeout_s=0)
-                        if extra is None:
-                            break
-                        self._scheduler.offer(
-                            extra, extra.request.batch_key, now
-                        )
-                batches = self._scheduler.ready_batches(now)
-            for batch in batches:
-                self._dispatch(batch, now)
-            if self._stop_event.is_set():
-                self._drain_on_stop()
+            with self._inflight_drained:
+                while (
+                    len(self._inflight) >= self._pool.n_workers
+                    and not self._stop_event.is_set()
+                ):
+                    self._inflight_drained.wait()
+            entries = self._queue.take_batch(
+                self.config.max_batch_size, _batch_key
+            )
+            if not entries:
                 return
+            self._dispatch(entries)
 
-    def _drain_on_stop(self) -> None:
-        """Flush everything still queued or pending at shutdown."""
+    def _dispatch(self, entries: List[_Entry]) -> None:
         now = time.monotonic()
-        with self._scheduler_lock:
-            for entry in self._queue.drain():
-                self._scheduler.offer(entry, entry.request.batch_key, now)
-            batches = self._scheduler.flush()
-        for batch in batches:
-            self._dispatch(batch, now)
-
-    def _dispatch(self, batch: "Batch[_Entry]", now: float) -> None:
-        entries = batch.entries
         for entry in entries:
             entry.dispatched_at = now
+        key = entries[0].request.batch_key
+        requests = [entry.request for entry in entries]
         ages = [now - entry.submitted_at for entry in entries]
-        payload = Batch(
-            key=batch.key,
-            entries=[entry.request for entry in entries],
-            formed_reason=batch.formed_reason,
-        )
         self.metrics_collector.record_batch(len(entries))
         try:
-            pool_future = self._pool.submit(payload, ages)
+            pool_future = self._pool.submit(key, requests, ages)
         except Exception:
             # The pool may have been swapped by resize_workers between
             # the read and the submit; one retry lands on the current
             # pool.  A second failure means the pool really died.
             try:
-                pool_future = self._pool.submit(payload, ages)
+                pool_future = self._pool.submit(key, requests, ages)
             except Exception as error:
                 self._fail_batch(entries, error)
                 return
-        with self._inflight_lock:
+        with self._inflight_drained:
             self._inflight.add(pool_future)
         pool_future.add_done_callback(
             lambda future, entries=entries: self._on_batch_done(
@@ -506,8 +482,7 @@ class VerificationService:
         finally:
             with self._inflight_drained:
                 self._inflight.discard(pool_future)
-                if not self._inflight:
-                    self._inflight_drained.notify_all()
+                self._inflight_drained.notify_all()
 
     def _fail_batch(
         self, entries: List[_Entry], error: BaseException
@@ -520,6 +495,7 @@ class VerificationService:
                     request_id=entry.request.request_id,
                     status=RequestStatus.FAILED,
                     total_s=now - entry.submitted_at,
+                    queue_wait_s=entry.dispatched_at - entry.submitted_at,
                     error=f"{type(error).__name__}: {error}",
                 )
             )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.detector import DetectorConfig
 from repro.core.hardening import HardeningConfig
@@ -49,7 +49,6 @@ from repro.runtime import (
     StageEvent,
     capture_stage_events,
 )
-from repro.serve.batching import Batch
 from repro.serve.request import VerificationRequest
 from repro.utils.rng import stable_fingerprint
 
@@ -391,10 +390,11 @@ class WarmWorkerPool:
     def start(self) -> None:
         """Spawn the executor and warm every worker.
 
-        In process mode the runtime probes every worker with one empty
-        batch, forcing spawn and initializer failures to surface here —
-        where the ladder can still demote to threads — instead of
-        mid-traffic.
+        The runtime probes every worker with one empty batch, so each
+        worker's initializer (segmenter training or store load) runs
+        here rather than on the first request.  In process mode this
+        also surfaces spawn and initializer failures while the ladder
+        can still demote to threads, instead of mid-traffic.
         """
         if self._runtime is not None:
             return
@@ -414,14 +414,17 @@ class WarmWorkerPool:
         self._runtime = runtime
         self.realized_mode = runtime.realized_kind
 
-    def submit(self, batch: Batch, ages_s: List[float]):
+    def submit(
+        self,
+        key: Hashable,
+        requests: List[VerificationRequest],
+        ages_s: List[float],
+    ):
         """Dispatch one micro-batch; returns the executor future."""
         if self._runtime is None:
             raise ConfigurationError("pool not started; call start()")
-        items = list(zip(batch.entries, ages_s))
-        return self._runtime.submit(
-            execute_batch, (self.spec, batch.key, items)
-        )
+        items = list(zip(requests, ages_s))
+        return self._runtime.submit(execute_batch, (self.spec, key, items))
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the executor (idempotent)."""

@@ -1,12 +1,12 @@
-"""Property-based tests on serving-layer scheduling invariants.
+"""Property-based tests on serving-layer dispatch invariants.
 
-The micro-batch scheduler and bounded queue are modelled with plain
-data (integers as requests), driven by hypothesis-generated traces:
+The bounded queue is modelled with plain data (integers as requests),
+driven by hypothesis-generated traces:
 
-* FIFO order is preserved within every batch-compatibility class, for
-  any interleaving of offers and dispatch opportunities.
-* A request is dispatched exactly once — never duplicated across
-  batches, never both refused and dispatched.
+* ``take_batch`` dispatches every request exactly once, FIFO within
+  its batch-compatibility class, for any interleaving of arrivals and
+  dispatch opportunities.
+* A request is never both refused and dispatched.
 * Shed counts match the queue-bound arithmetic of the offered trace.
 """
 
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ServiceOverloadError
-from repro.serve.batching import BatchingConfig, MicroBatchScheduler
 from repro.serve.queue import BackpressurePolicy, BoundedRequestQueue
 
 # One trace event: which compatibility class the next request belongs
@@ -26,53 +25,37 @@ trace_events = st.lists(
 )
 
 
-@given(
-    trace_events,
-    st.integers(min_value=1, max_value=7),
-    st.floats(min_value=0.0, max_value=0.5),
-)
-@settings(max_examples=80, deadline=None)
-def test_scheduler_fifo_and_exactly_once(events, batch_size, max_wait):
-    scheduler = MicroBatchScheduler(
-        BatchingConfig(max_batch_size=batch_size, max_wait_s=max_wait)
-    )
-    offered = {"a": [], "b": [], "c": []}
-    dispatched = {"a": [], "b": [], "c": []}
-    now = 0.0
-    next_id = 0
-    for event in events:
-        now += 0.1
-        if event is None:
-            for batch in scheduler.ready_batches(now):
-                assert len(batch) <= batch_size
-                dispatched[batch.key].extend(batch.entries)
-        else:
-            scheduler.offer(next_id, key=event, now=now)
-            offered[event].append(next_id)
-            next_id += 1
-    for batch in scheduler.flush():
-        assert len(batch) <= batch_size
-        dispatched[batch.key].extend(batch.entries)
-    # Exactly-once, FIFO within class: the dispatch order per class is
-    # literally the offer order, with nothing lost or duplicated.
-    assert dispatched == offered
-
-
 @given(trace_events, st.integers(min_value=1, max_value=7))
 @settings(max_examples=80, deadline=None)
-def test_scheduler_max_wait_zero_never_leaves_backlog(events, batch_size):
-    scheduler = MicroBatchScheduler(
-        BatchingConfig(max_batch_size=batch_size, max_wait_s=0.0)
-    )
-    now = 0.0
+def test_take_batch_fifo_and_exactly_once(events, batch_size):
+    queue = BoundedRequestQueue(capacity=len(events))
+    keys = {}
+    offered = {"a": [], "b": [], "c": []}
+    dispatched = {"a": [], "b": [], "c": []}
+
+    def take():
+        batch = queue.take_batch(batch_size, keys.__getitem__, timeout_s=0)
+        assert len(batch) <= batch_size
+        if batch:
+            key = keys[batch[0]]
+            assert all(keys[entry] == key for entry in batch)
+            dispatched[key].extend(batch)
+        return batch
+
     for event in events:
-        now += 0.1
-        if event is not None:
-            scheduler.offer(object(), key=event, now=now)
-        scheduler.ready_batches(now)
-        # With a zero formation deadline every dispatch opportunity
-        # clears the backlog completely.
-        assert scheduler.n_pending == 0
+        if event is None:
+            take()
+        else:
+            request = len(keys)
+            keys[request] = event
+            queue.put(request)
+            offered[event].append(request)
+    queue.close()
+    while take():
+        pass
+    # Exactly-once, FIFO within class: the dispatch order per class is
+    # literally the arrival order, with nothing lost or duplicated.
+    assert dispatched == offered
 
 
 # One queue op: True = put, False = get.

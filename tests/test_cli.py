@@ -97,11 +97,11 @@ def test_fleet_invalid_flags_exit_early():
     [
         ["--workers", "0"],
         ["--queue-capacity", "0"],
-        ["--max-wait", "-0.5"],
+        ["--deadline", "nan"],
         ["--batch-size", "0"],
         ["--deadline", "-1"],
-        ["--policy", "block", "--max-wait", "-1"],
-        ["--max-wait", "nan"],
+        ["--policy", "block", "--deadline", "0"],
+        ["--batch-size", "-1"],
     ],
 )
 @pytest.mark.parametrize("command", ["serve", "loadgen"])

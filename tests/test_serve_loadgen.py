@@ -46,7 +46,7 @@ class TestClosedLoop:
         self, fast_spec, recording_pool
     ):
         """The acceptance-criteria run: >= 50 requests at 4 workers."""
-        config = ServiceConfig(n_workers=4, max_wait_s=0.005)
+        config = ServiceConfig(n_workers=4)
         with VerificationService(fast_spec, config) as service:
             report = run_loadgen(
                 service,
@@ -76,7 +76,6 @@ class TestClosedLoop:
             n_workers=1,
             queue_capacity=2,
             backpressure="shed-oldest",
-            max_wait_s=0.1,
             max_batch_size=16,
         )
         with VerificationService(fast_spec, config) as service:
@@ -98,7 +97,7 @@ class TestClosedLoop:
 
 class TestOpenLoop:
     def test_open_loop_issues_at_rate(self, fast_spec, recording_pool):
-        config = ServiceConfig(n_workers=2, max_wait_s=0.005)
+        config = ServiceConfig(n_workers=2)
         with VerificationService(fast_spec, config) as service:
             report = run_loadgen(
                 service,
@@ -122,7 +121,7 @@ class TestReproducibility:
         identically regardless of thread scheduling."""
 
         def scores():
-            config = ServiceConfig(n_workers=2, max_wait_s=0.005)
+            config = ServiceConfig(n_workers=2)
             with VerificationService(fast_spec, config) as service:
                 futures = []
                 from repro.serve.loadgen import _make_request

@@ -18,6 +18,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             BoundedRequestQueue(capacity=1, block_timeout_s=-0.1)
 
+    def test_nan_block_timeout_rejected(self):
+        # NaN compares false both ways; accepted, a blocked put would
+        # fail at once with "queue full after blocking nans".
+        with pytest.raises(ConfigurationError):
+            BoundedRequestQueue(capacity=1, block_timeout_s=float("nan"))
+
 
 class TestFifo:
     def test_entries_pop_in_arrival_order(self):
@@ -150,3 +156,69 @@ class TestClose:
         queue.close()
         assert queue.get(timeout_s=0.01) == "a"
         assert queue.get(timeout_s=0.01) is None
+
+
+class TestTakeBatch:
+    @staticmethod
+    def key_of(entry):
+        return entry[0]
+
+    def test_take_batch_times_out_empty(self):
+        queue = BoundedRequestQueue(capacity=2)
+        assert queue.take_batch(4, self.key_of, timeout_s=0.01) == []
+
+    def test_close_wakes_blocked_take_batch(self):
+        queue = BoundedRequestQueue(capacity=2)
+        taken = []
+
+        def consumer():
+            taken.append(queue.take_batch(4, self.key_of))
+
+        thread = threading.Thread(target=consumer)
+        thread.start()
+        time.sleep(0.05)
+        assert thread.is_alive()
+        queue.close()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert taken == [[]]
+
+    def test_put_wakes_blocked_take_batch(self):
+        queue = BoundedRequestQueue(capacity=2)
+        taken = []
+        thread = threading.Thread(
+            target=lambda: taken.append(queue.take_batch(4, self.key_of))
+        )
+        thread.start()
+        time.sleep(0.05)
+        queue.put(("a", 0))
+        thread.join(timeout=2.0)
+        assert taken == [[("a", 0)]]
+
+    def test_take_batch_frees_room_for_blocked_puts(self):
+        queue = BoundedRequestQueue(
+            capacity=2, policy=BackpressurePolicy.BLOCK
+        )
+        queue.put(("a", 0))
+        queue.put(("a", 1))
+        thread = threading.Thread(
+            target=lambda: [queue.put(("a", i)) for i in (2, 3)]
+        )
+        thread.start()
+        time.sleep(0.05)
+        assert queue.take_batch(2, self.key_of) == [("a", 0), ("a", 1)]
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert queue.drain() == [("a", 2), ("a", 3)]
+
+    def test_shed_oldest_evicts_the_oldest_waiting_entry(self):
+        queue = BoundedRequestQueue(
+            capacity=2, policy=BackpressurePolicy.SHED_OLDEST
+        )
+        queue.put(("a", 0))
+        queue.put(("b", 1))
+        assert queue.take_batch(4, self.key_of) == [("a", 0)]
+        queue.put(("b", 2))
+        # ("a", 0) left the queue; the oldest still waiting is shed.
+        assert queue.put(("b", 3)) == ("b", 1)
+        assert queue.drain() == [("b", 2), ("b", 3)]

@@ -1,9 +1,14 @@
 """Verification service: determinism, deadlines, backpressure, metrics."""
 
+import statistics
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.pipeline import PIPELINE_STAGES, DefensePipeline
+from repro.core.segmentation import training_run_count
 from repro.errors import ConfigurationError, ServiceOverloadError
 from repro.serve import (
     PipelineSpec,
@@ -11,6 +16,8 @@ from repro.serve import (
     ServiceConfig,
     VerificationRequest,
     VerificationService,
+    WarmWorkerPool,
+    workers,
 )
 
 AUDIO_RATE = 16_000.0
@@ -54,18 +61,36 @@ class TestLifecycle:
         # A second start/stop cycle is a no-op-safe sequence.
         service.stop()
 
-    def test_stop_drains_pending_requests(self, fast_spec):
+    def test_stop_drains_pending_requests(self, fast_spec, monkeypatch):
+        release = threading.Event()
+        busy = threading.Event()
+        real_execute = workers.execute_batch
+
+        def gated_execute(payload):
+            if payload[2]:  # the warm-up probe carries no requests
+                busy.set()
+                release.wait(timeout=30.0)
+            return real_execute(payload)
+
+        monkeypatch.setattr(workers, "execute_batch", gated_execute)
         service = VerificationService(
-            fast_spec,
-            ServiceConfig(n_workers=1, max_wait_s=5.0, max_batch_size=64),
+            fast_spec, ServiceConfig(n_workers=1, max_batch_size=2)
         )
         service.start()
         futures = [service.submit(make_request(seed)) for seed in range(6)]
-        # Stop before the 5 s batch deadline: the drain path must still
-        # answer every admitted request.
-        service.stop()
+        # Stop while the lone worker is busy and the rest still queue:
+        # the drain must dispatch and answer every admitted request.
+        assert busy.wait(timeout=30.0)
+        stopper = threading.Thread(target=service.stop)
+        stopper.start()
+        while not service._queue.closed:
+            time.sleep(0.001)
+        release.set()
+        stopper.join(timeout=30.0)
+        assert not stopper.is_alive()
         statuses = {future.result().status for future in futures}
         assert statuses == {RequestStatus.SERVED}
+        assert service.metrics().n_batches >= 3
 
     def test_stop_is_idempotent(self, fast_spec):
         service = VerificationService(fast_spec)
@@ -78,10 +103,8 @@ class TestLifecycle:
             service.submit(make_request(2))
 
     def test_stop_is_concurrent_safe(self, fast_spec):
-        import threading
-
         service = VerificationService(
-            fast_spec, ServiceConfig(n_workers=1, max_wait_s=0.5)
+            fast_spec, ServiceConfig(n_workers=1)
         )
         service.start()
         futures = [service.submit(make_request(seed)) for seed in range(4)]
@@ -106,10 +129,88 @@ class TestLifecycle:
         assert statuses == {RequestStatus.SERVED}
 
 
+class TestWorkConservingDispatch:
+    def test_lone_request_dispatches_without_holding(self, fast_spec):
+        with VerificationService(
+            fast_spec, ServiceConfig(n_workers=1)
+        ) as service:
+            waits = [
+                service.verify(make_request(seed)).queue_wait_s
+                for seed in range(20)
+            ]
+        assert statistics.median(waits) < 0.005
+
+    def test_busy_worker_batches_the_backlog(self, fast_spec, monkeypatch):
+        lock = threading.Lock()
+        in_flight = [0]
+        peak = [0]
+        real_submit = WarmWorkerPool.submit
+
+        def spy_submit(pool, key, requests, ages_s):
+            future = real_submit(pool, key, requests, ages_s)
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+
+            def finished(_):
+                with lock:
+                    in_flight[0] -= 1
+
+            future.add_done_callback(finished)
+            return future
+
+        monkeypatch.setattr(WarmWorkerPool, "submit", spy_submit)
+        with VerificationService(
+            fast_spec, ServiceConfig(n_workers=1)
+        ) as service:
+            futures = [service.submit(make_request(seed)) for seed in range(9)]
+            responses = [future.result() for future in futures]
+            metrics = service.metrics()
+        assert all(r.status is RequestStatus.SERVED for r in responses)
+        assert metrics.n_batches <= 3
+        assert peak[0] <= service.n_workers
+
+    def test_failed_batch_carries_queue_wait(self, fast_spec):
+        def broken_submit(key, requests, ages_s):
+            raise RuntimeError("pool died")
+
+        with VerificationService(
+            fast_spec, ServiceConfig(n_workers=1)
+        ) as service:
+            service._pool.submit = broken_submit
+            responses = [
+                service.submit(make_request(seed)).result()
+                for seed in range(3)
+            ]
+        for response in responses:
+            assert response.status is RequestStatus.FAILED
+            assert "pool died" in response.error
+            # Every failed entry was dispatched, so its wait is known.
+            assert 0.0 < response.queue_wait_s <= response.total_s
+
+
+class TestThreadModeWarmup:
+    def test_start_trains_so_first_verify_does_not(self):
+        # A recipe no other test uses, so the memo cannot be warm.
+        spec = PipelineSpec(
+            segmenter_seed=4242, n_speakers=2, n_per_phoneme=2, epochs=1
+        )
+        service = VerificationService(
+            spec, ServiceConfig(n_workers=2, worker_mode="thread")
+        )
+        before = training_run_count()
+        with service:
+            assert training_run_count() == before + 1
+            assert service.warmup_s > 0
+            response = service.verify(make_request(3))
+            assert training_run_count() == before + 1
+        assert response.status is RequestStatus.SERVED
+
+
 class TestResizeWorkers:
     def test_resize_swaps_pool_without_dropping(self, fast_spec):
         with VerificationService(
-            fast_spec, ServiceConfig(n_workers=1, max_wait_s=0.005)
+            fast_spec, ServiceConfig(n_workers=1)
         ) as service:
             before = service.verify(make_request(1))
             service.resize_workers(3)
@@ -141,7 +242,7 @@ class TestDeterminismContract:
         pipeline = fast_spec.build_pipeline(AUDIO_RATE, False)
         seeds = [11, 22, 33, 44, 55, 66, 77, 88]
         with VerificationService(
-            fast_spec, ServiceConfig(n_workers=4, max_wait_s=0.005)
+            fast_spec, ServiceConfig(n_workers=4)
         ) as service:
             futures = [
                 service.submit(make_request(seed)) for seed in seeds
@@ -157,11 +258,7 @@ class TestDeterminismContract:
         seeds = [5, 6, 7, 8]
 
         def serve_all(max_batch):
-            config = ServiceConfig(
-                n_workers=2,
-                max_batch_size=max_batch,
-                max_wait_s=0.005,
-            )
+            config = ServiceConfig(n_workers=2, max_batch_size=max_batch)
             with VerificationService(fast_spec, config) as service:
                 futures = [
                     service.submit(make_request(seed)) for seed in seeds
@@ -175,9 +272,7 @@ class TestDeadlines:
     def test_expired_deadline_degrades_not_drops(self, fast_spec):
         # A deadline far smaller than the queue wait forces every
         # request onto the full-recording fallback path.
-        config = ServiceConfig(
-            n_workers=1, max_wait_s=0.2, max_batch_size=64
-        )
+        config = ServiceConfig(n_workers=1, max_batch_size=64)
         with VerificationService(fast_spec, config) as service:
             futures = [
                 service.submit(
@@ -222,7 +317,6 @@ class TestBackpressure:
             n_workers=1,
             queue_capacity=1,
             backpressure="reject",
-            max_wait_s=0.5,
             max_batch_size=64,
         )
         with VerificationService(fast_spec, config) as service:
@@ -248,7 +342,6 @@ class TestBackpressure:
             n_workers=1,
             queue_capacity=1,
             backpressure="shed-oldest",
-            max_wait_s=0.5,
             max_batch_size=64,
         )
         with VerificationService(fast_spec, config) as service:
@@ -324,14 +417,14 @@ class TestConfigValidation:
         [
             {"n_workers": 0},
             {"queue_capacity": 0},
-            {"max_wait_s": -0.01},
+            {"block_timeout_s": float("nan")},
             {"max_batch_size": 0},
             {"default_deadline_s": 0.0},
             {"default_deadline_s": -1.0},
             {"block_timeout_s": -0.5},
             {"backpressure": "drop-newest"},
             {"worker_mode": "fork"},
-            {"max_wait_s": float("nan")},
+            {"default_deadline_s": float("nan")},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
