@@ -106,13 +106,16 @@ class RateDistortionConfig:
             raise ConfigurationError(
                 "decision_threshold must lie in (0, 1)"
             )
-        if self.target_segment_s <= 0:
+        # Written as ``not x > 0`` / ``not x >= 0`` so NaN is rejected.
+        if not (self.frame_length_s > 0 and self.hop_length_s > 0):
+            raise ConfigurationError("frame and hop lengths must be > 0")
+        if not self.target_segment_s > 0:
             raise ConfigurationError("target_segment_s must be > 0")
-        if self.covariance_ridge < 0:
+        if not self.covariance_ridge >= 0:
             raise ConfigurationError("covariance_ridge must be >= 0")
-        if self.min_segment_s < 0 or self.merge_gap_s < 0:
+        if not (self.min_segment_s >= 0 and self.merge_gap_s >= 0):
             raise ConfigurationError("durations must be >= 0")
-        if self.activity_range_db <= 0 or self.activity_softness_db <= 0:
+        if not (self.activity_range_db > 0 and self.activity_softness_db > 0):
             raise ConfigurationError("activity gate widths must be > 0")
 
 

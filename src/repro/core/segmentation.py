@@ -93,7 +93,10 @@ class SegmenterConfig:
             raise ConfigurationError(
                 "decision_threshold must lie in (0, 1)"
             )
-        if self.min_segment_s < 0 or self.merge_gap_s < 0:
+        # Written as ``not x > 0`` / ``not x >= 0`` so NaN is rejected.
+        if not (self.frame_length_s > 0 and self.hop_length_s > 0):
+            raise ConfigurationError("frame and hop lengths must be > 0")
+        if not (self.min_segment_s >= 0 and self.merge_gap_s >= 0):
             raise ConfigurationError("durations must be >= 0")
 
 
@@ -454,6 +457,9 @@ class PhonemeSegmenter:
         ``(batch, time, features)`` tensor with a frame-validity mask
         and scored by a **single** masked BLSTM forward pass — the
         vectorized fast path the serving layer's micro-batches ride.
+        Both LSTM directions run in one time loop
+        (:func:`repro.nn.lstm.stacked_inference`); when every row has
+        the same length the all-valid mask is dropped.
 
         Parity contract: element ``i`` of the result is bitwise equal
         to ``frame_probabilities(audios[i])`` for any batch size and any

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import ModelError
-from repro.nn.lstm import LSTMLayer
+from repro.nn.lstm import LSTMLayer, stacked_inference
 from repro.utils.rng import SeedLike, as_generator, child_rng
 
 
@@ -44,31 +44,26 @@ class BidirectionalLSTM:
     ) -> np.ndarray:
         """Sum of forward-pass and time-reversed-pass hidden states.
 
-        ``training=False`` selects both layers' inference fast path
-        (no BPTT caches, no instance-state writes).  ``mask`` marks
-        valid frames of right-padded sequences: the backward layer
-        sees the reversed mask, so its recurrence stays at the initial
-        state across the (now leading) padding and enters the last
-        valid frame with exactly the state an unpadded run would have.
+        ``training=False`` runs :func:`~repro.nn.lstm.stacked_inference`:
+        both directions in one time loop, with no BPTT caches and no
+        instance-state writes.  ``mask`` marks valid frames of
+        right-padded sequences: the backward direction sees the
+        reversed mask, so its recurrence stays at the initial state
+        across the (now leading) padding and enters the last valid
+        frame with exactly the state an unpadded run would have.
         """
-        if training:
-            if mask is not None:
-                raise ModelError(
-                    "mask is an inference-only option; call "
-                    "forward with training=False"
-                )
-            inputs = np.asarray(inputs, dtype=np.float64)
-            h_forward = self.forward_layer.forward(inputs)
-            h_backward = self.backward_layer.forward(inputs[:, ::-1])
-            return h_forward + h_backward[:, ::-1]
-        inputs = np.asarray(inputs)
-        reversed_mask = None
+        if not training:
+            return stacked_inference(
+                self.forward_layer, self.backward_layer, inputs, mask
+            )
         if mask is not None:
-            reversed_mask = np.asarray(mask, dtype=bool)[:, ::-1]
-        h_forward = self.forward_layer.forward_inference(inputs, mask=mask)
-        h_backward = self.backward_layer.forward_inference(
-            inputs[:, ::-1], mask=reversed_mask
-        )
+            raise ModelError(
+                "mask is an inference-only option; call "
+                "forward with training=False"
+            )
+        inputs = np.asarray(inputs, dtype=np.float64)
+        h_forward = self.forward_layer.forward(inputs)
+        h_backward = self.backward_layer.forward(inputs[:, ::-1])
         return h_forward + h_backward[:, ::-1]
 
     def backward(self, grad_hs: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """LSTM layer with full backpropagation through time (numpy).
 
 Implements the standard LSTM cell (gates i, f, o and candidate g) over
-batch-first sequences of shape ``(batch, time, features)``.  The layer
-caches forward activations so :meth:`backward` can compute exact BPTT
-gradients; parameters are exposed as a flat dict for the optimizer.
+batch-first sequences of shape ``(batch, time, features)``.  The layer's
+training forward caches activations so :meth:`backward` can compute
+exact BPTT gradients; parameters are exposed as a flat dict for the
+optimizer.  Inference has one recurrence, :func:`stacked_inference`,
+which runs a forward and a backward layer in a single time loop.
 """
 
 from __future__ import annotations
@@ -19,6 +21,42 @@ from repro.utils.rng import SeedLike, as_generator, child_rng
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
+#: Rows per block of the hoisted input projection ``x @ W`` in
+#: :func:`stacked_inference`.  A default OpenBLAS build hands a gemm of
+#: more than 4 * 65536 multiply-adds to its other threads; waking them
+#: from sleep costs milliseconds, far more than the multiply.  A block
+#: of 64 rows of the paper's model (64 * 14 * 256, about 2.3e5) stays
+#: in the calling thread.  Every gemm row is computed alone, so the
+#: blocks are bitwise equal to one flat projection.
+PROJECTION_BLOCK_ROWS = 64
+
+
+def _gate_activations(gates: np.ndarray, hidden: int):
+    """``(i, f, g, o)`` from a ``(..., 4 * hidden)`` gate block.
+
+    One sigmoid covers the whole block and i/f/o are sliced out of it
+    (elementwise, so bitwise equal to one sigmoid per gate); the
+    candidate ``g`` is ``tanh`` of the raw ``[2H:3H]`` slice.
+    """
+    sigmoid = _sigmoid(gates)
+    return (
+        sigmoid[..., :hidden],
+        sigmoid[..., hidden : 2 * hidden],
+        np.tanh(gates[..., 2 * hidden : 3 * hidden]),
+        sigmoid[..., 3 * hidden :],
+    )
+
+
+def _check_inputs(inputs: np.ndarray, input_dim: int) -> np.ndarray:
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 3 or inputs.shape[2] != input_dim:
+        raise ModelError(
+            f"expected (batch, time, {input_dim}) input, got "
+            f"{inputs.shape}"
+        )
+    return inputs
 
 
 class LSTMLayer:
@@ -72,32 +110,16 @@ class LSTMLayer:
         }
         self._cache: Optional[dict] = None
 
-    def forward(
-        self,
-        inputs: np.ndarray,
-        training: bool = True,
-        mask: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Run the LSTM over ``inputs`` of shape (batch, time, input_dim).
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        """Training forward over ``inputs`` of shape (batch, time, input_dim).
 
-        Returns hidden states of shape (batch, time, hidden_dim).  With
-        ``training=True`` (the default) activations are cached for
-        :meth:`backward`; ``training=False`` selects the inference fast
-        path (:meth:`forward_inference`), which supports ``mask``.
+        Returns hidden states of shape (batch, time, hidden_dim) and
+        caches the activations :meth:`backward` needs.  Inference goes
+        through :func:`stacked_inference` instead, which runs both
+        directions of a :class:`~repro.nn.bidirectional.BidirectionalLSTM`
+        in one time loop.
         """
-        if not training:
-            return self.forward_inference(inputs, mask=mask)
-        if mask is not None:
-            raise ModelError(
-                "mask is an inference-only option; call forward "
-                "with training=False"
-            )
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 3 or inputs.shape[2] != self.input_dim:
-            raise ModelError(
-                f"expected (batch, time, {self.input_dim}) input, got "
-                f"{inputs.shape}"
-            )
+        inputs = _check_inputs(inputs, self.input_dim)
         batch, time, _ = inputs.shape
         hidden = self.hidden_dim
         h = np.zeros((batch, hidden))
@@ -119,10 +141,7 @@ class LSTMLayer:
             cache["h_prev"][:, t] = h
             cache["c_prev"][:, t] = c
             gates = inputs[:, t] @ W + h @ U + b
-            i = _sigmoid(gates[:, :hidden])
-            f = _sigmoid(gates[:, hidden : 2 * hidden])
-            g = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-            o = _sigmoid(gates[:, 3 * hidden :])
+            i, f, g, o = _gate_activations(gates, hidden)
             c = f * c + i * g
             tanh_c = np.tanh(c)
             h = o * tanh_c
@@ -134,71 +153,6 @@ class LSTMLayer:
             cache["c"][:, t] = c
             cache["tanh_c"][:, t] = tanh_c
         self._cache = cache
-        return hs
-
-    def forward_inference(
-        self,
-        inputs: np.ndarray,
-        mask: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Inference-only forward: no BPTT caches, optional masking.
-
-        Differences from the training forward:
-
-        * none of the ~9 per-timestep ``(batch, time, hidden)`` BPTT
-          cache arrays are allocated, and no instance state is written
-          — concurrent calls on a shared layer are safe;
-        * the input projection ``x @ W`` is hoisted out of the time
-          loop into one flat ``(batch * time, input_dim)`` matmul;
-        * ``mask`` (shape ``(batch, time)``, truthy = valid frame)
-          freezes the hidden and cell state across padded frames via
-          exact ``np.where`` selection, so right-padded batch members
-          produce the same hidden states at their valid frames as an
-          unpadded run.
-
-        The inference path keeps the training forward's operation order
-        (``(x @ W + h @ U) + b`` and identical gate nonlinearities), so
-        for a given matmul kernel the numbers match the training
-        forward bitwise.
-        """
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 3 or inputs.shape[2] != self.input_dim:
-            raise ModelError(
-                f"expected (batch, time, {self.input_dim}) input, got "
-                f"{inputs.shape}"
-            )
-        batch, time, _ = inputs.shape
-        hidden = self.hidden_dim
-        W, U, b = self.params["W"], self.params["U"], self.params["b"]
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (batch, time):
-                raise ModelError(
-                    f"mask shape {mask.shape} does not match "
-                    f"({batch}, {time})"
-                )
-        # One flat input projection for every (batch, frame) pair.
-        x_proj = (
-            inputs.reshape(batch * time, self.input_dim) @ W
-        ).reshape(batch, time, 4 * hidden)
-        h = np.zeros((batch, hidden))
-        c = np.zeros((batch, hidden))
-        hs = np.empty((batch, time, hidden))
-        for t in range(time):
-            gates = x_proj[:, t] + h @ U + b
-            i = _sigmoid(gates[:, :hidden])
-            f = _sigmoid(gates[:, hidden : 2 * hidden])
-            g = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-            o = _sigmoid(gates[:, 3 * hidden :])
-            c_new = f * c + i * g
-            h_new = o * np.tanh(c_new)
-            if mask is None:
-                c, h = c_new, h_new
-            else:
-                valid = mask[:, t, np.newaxis]
-                c = np.where(valid, c_new, c)
-                h = np.where(valid, h_new, h)
-            hs[:, t] = h
         return hs
 
     def backward(self, grad_hs: np.ndarray) -> np.ndarray:
@@ -267,3 +221,74 @@ class LSTMLayer:
         """Reset accumulated gradients to zero."""
         for key in self.grads:
             self.grads[key][...] = 0.0
+
+
+def stacked_inference(
+    forward_layer: LSTMLayer,
+    backward_layer: LSTMLayer,
+    inputs: np.ndarray,
+    mask: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Bidirectional inference: both recurrences in one time loop.
+
+    Returns ``h_forward + h_backward`` per frame, shape (batch, time,
+    hidden_dim).  The directions' state is stacked (``h``, ``c``:
+    ``(2, batch, hidden)``; ``U``: ``(2, hidden, 4 * hidden)``) and the
+    backward direction reads the time-reversed input and mask.  No BPTT
+    caches and no instance state, so concurrent calls are safe.  The
+    input projection ``x @ W`` is hoisted out of the loop.  ``mask``
+    (``(batch, time)``, truthy = valid frame) freezes the state across
+    padded frames by exact ``np.where`` selection, so a right-padded
+    row matches an unpadded run; an all-valid mask is dropped.  The
+    step keeps the training forward's operation order, so for a given
+    matmul kernel the numbers match it bitwise.
+    """
+    inputs = _check_inputs(inputs, forward_layer.input_dim)
+    batch, time, input_dim = inputs.shape
+    hidden = forward_layer.hidden_dim
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (batch, time):
+            raise ModelError(
+                f"mask shape {mask.shape} does not match "
+                f"({batch}, {time})"
+            )
+        if mask.all():
+            mask = None
+    layers = (forward_layer, backward_layer)
+    rows = batch * time
+    sequences = np.stack([inputs, inputs[:, ::-1]]).reshape(
+        2, rows, input_dim
+    )
+    # Near-equal blocks: none holds a single row (M=1 takes another
+    # BLAS kernel) unless the whole projection is one row.
+    n_blocks = max(1, -(-rows // PROJECTION_BLOCK_ROWS))
+    bounds = [rows * k // n_blocks for k in range(n_blocks + 1)]
+    x_proj = np.empty((2, rows, 4 * hidden))
+    for direction, layer in enumerate(layers):
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            np.matmul(
+                sequences[direction, lo:hi],
+                layer.params["W"],
+                out=x_proj[direction, lo:hi],
+            )
+    x_proj = x_proj.reshape(2, batch, time, 4 * hidden)
+    U = np.stack([layer.params["U"] for layer in layers])
+    b = np.stack([layer.params["b"] for layer in layers])[:, np.newaxis]
+    if mask is not None:
+        valid = np.stack([mask, mask[:, ::-1]])[..., np.newaxis]
+    h = np.zeros((2, batch, hidden))
+    c = np.zeros((2, batch, hidden))
+    hs = np.empty((2, batch, time, hidden))
+    for t in range(time):
+        gates = x_proj[:, :, t] + h @ U + b
+        i, f, g, o = _gate_activations(gates, hidden)
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
+        if mask is None:
+            c, h = c_new, h_new
+        else:
+            c = np.where(valid[:, :, t], c_new, c)
+            h = np.where(valid[:, :, t], h_new, h)
+        hs[:, :, t] = h
+    return hs[0] + hs[1][:, ::-1]

@@ -150,16 +150,17 @@ class SequenceClassifier:
     ) -> np.ndarray:
         """Per-frame logits, shape ``(batch, time, n_classes)``.
 
-        ``training=False`` runs the allocation-light inference path:
-        no BPTT caches, no instance-state writes (safe to share the
-        model across threads) and an optional frame-validity ``mask``
-        for right-padded batches.
+        ``training=False`` runs the allocation-light inference path
+        (:func:`~repro.nn.lstm.stacked_inference`): no BPTT caches, no
+        instance-state writes (safe to share the model across threads)
+        and an optional frame-validity ``mask`` of shape
+        ``(batch, time)`` for right-padded batches.
 
         Batch-size-independence: OpenBLAS dispatches single-row
         matmuls to a different kernel than multi-row ones, whose
         results can differ in the last ulp.  The inference path
         therefore mirrors a singleton batch to two identical rows (and
-        flattens every matmul over the batch*time axis), so a sequence
+        runs every other matmul on at least two rows), so a sequence
         scored alone produces bitwise the same frames as the same
         sequence scored inside any larger batch.
         """
@@ -179,6 +180,13 @@ class SequenceClassifier:
                 f"expected (batch, time, features) input, got "
                 f"{inputs.shape}"
             )
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != inputs.shape[:2]:
+                raise ModelError(
+                    f"mask shape {mask.shape} does not match "
+                    f"{inputs.shape[:2]}"
+                )
         mirrored = inputs.shape[0] == 1
         if mirrored:
             inputs = np.concatenate([inputs, inputs], axis=0)

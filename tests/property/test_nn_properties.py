@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.nn.losses import softmax, softmax_cross_entropy
 from repro.nn.lstm import LSTMLayer
+from repro.nn.model import SequenceClassifier
 
 logits_arrays = arrays(
     np.float64,
@@ -63,3 +64,27 @@ def test_lstm_output_bounded(batch, time, dim, seed):
     hidden = layer.forward(x)
     assert np.all(np.abs(hidden) <= 1.0 + 1e-12)
     assert np.all(np.isfinite(hidden))
+
+
+_CLASSIFIER = SequenceClassifier(input_dim=5, hidden_dim=8, rng=0)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=2,
+             max_size=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=25, deadline=None)
+def test_row_scored_alone_equals_row_in_ragged_batch(lengths, seed):
+    # Batch-composition invariance of the inference forward, bitwise:
+    # a right-padded, masked row gives the frames it gives alone.
+    time = max(lengths)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((len(lengths), time, 5))
+    mask = np.arange(time) < np.array(lengths)[:, np.newaxis]
+    batched = _CLASSIFIER.forward(x, training=False, mask=mask)
+    for row, length in enumerate(lengths):
+        alone = _CLASSIFIER.forward(
+            x[row : row + 1, :length], training=False
+        )
+        np.testing.assert_array_equal(alone[0], batched[row, :length])

@@ -105,6 +105,107 @@ class TestInferenceForward:
         actual = model.forward(padded, training=False, mask=mask)
         np.testing.assert_array_equal(actual[:, :7], expected)
 
+    def test_singleton_mask_error_names_caller_shapes(self, model):
+        # Validated before the batch-of-one mirror doubles the rows.
+        with pytest.raises(ModelError, match=r"\(1, 6\).*\(1, 5\)"):
+            model.forward(
+                np.zeros((1, 5, 6)),
+                training=False,
+                mask=np.ones((1, 6), dtype=bool),
+            )
+
+
+def _reference_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
+def _reference_direction(params, inputs, mask):
+    """One LSTM direction, computed the plain way: one flat hoisted
+    input projection, a sigmoid per gate and ``np.where`` masking."""
+    W, U, b = params["W"], params["U"], params["b"]
+    batch, time, dim = inputs.shape
+    hidden = U.shape[0]
+    x_proj = (inputs.reshape(batch * time, dim) @ W).reshape(
+        batch, time, 4 * hidden
+    )
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    hs = np.empty((batch, time, hidden))
+    for t in range(time):
+        gates = x_proj[:, t] + h @ U + b
+        i = _reference_sigmoid(gates[:, :hidden])
+        f = _reference_sigmoid(gates[:, hidden : 2 * hidden])
+        g = np.tanh(gates[:, 2 * hidden : 3 * hidden])
+        o = _reference_sigmoid(gates[:, 3 * hidden :])
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
+        if mask is None:
+            c, h = c_new, h_new
+        else:
+            valid = mask[:, t, np.newaxis]
+            c = np.where(valid, c_new, c)
+            h = np.where(valid, h_new, h)
+        hs[:, t] = h
+    return hs
+
+
+def reference_logits(model, inputs, mask=None):
+    """Inference logits from one direction at a time, with the
+    batch-of-one mirror, for comparison with the stacked recurrence."""
+    mirrored = inputs.shape[0] == 1
+    if mirrored:
+        inputs = np.concatenate([inputs, inputs])
+        if mask is not None:
+            mask = np.concatenate([mask, mask])
+    reversed_mask = None if mask is None else mask[:, ::-1]
+    h_forward = _reference_direction(
+        model.brnn.forward_layer.params, inputs, mask
+    )
+    h_backward = _reference_direction(
+        model.brnn.backward_layer.params, inputs[:, ::-1], reversed_mask
+    )
+    hidden = h_forward + h_backward[:, ::-1]
+    logits = model.head.forward(hidden, training=False)
+    return logits[:1] if mirrored else logits
+
+
+class TestStackedRecurrenceMatchesReference:
+    """The two-direction, one-loop recurrence against a plain
+    per-direction loop, bitwise, on this machine's BLAS."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return SequenceClassifier(input_dim=14, hidden_dim=64, rng=7)
+
+    @staticmethod
+    def check(model, inputs, mask):
+        actual = model.forward(inputs, training=False, mask=mask)
+        np.testing.assert_array_equal(
+            actual, reference_logits(model, inputs, mask)
+        )
+
+    def test_batch_of_one(self, model):
+        inputs = np.random.default_rng(1).normal(size=(1, 290, 14))
+        self.check(model, inputs, np.ones((1, 290), dtype=bool))
+
+    def test_equal_length_batch(self, model):
+        inputs = np.random.default_rng(2).normal(size=(8, 60, 14))
+        self.check(model, inputs, np.ones((8, 60), dtype=bool))
+
+    def test_ragged_batch_spans_projection_blocks(self, model):
+        # 8 * 41 = 328 rows: several input-projection blocks
+        # (repro.nn.lstm.PROJECTION_BLOCK_ROWS), the last one short.
+        lengths = [41, 17, 33, 5, 41, 28, 9, 36]
+        time = max(lengths)
+        inputs = np.random.default_rng(3).normal(size=(8, time, 14))
+        mask = np.arange(time) < np.array(lengths)[:, np.newaxis]
+        inputs[~mask] = 0.0
+        self.check(model, inputs, mask)
+
+    def test_without_mask(self, model):
+        inputs = np.random.default_rng(4).normal(size=(3, 25, 14))
+        self.check(model, inputs, None)
+
 
 class TestSegmenterBatchParity:
     def test_batch_matches_single_bitwise(

@@ -35,9 +35,22 @@ class TestConfigAndSetup:
         with pytest.raises(ConfigurationError):
             PhonemeSegmenter(sensitive_phonemes=["nope"], rng=0)
 
-    def test_invalid_config(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"decision_threshold": 1.5},
+            {"min_segment_s": float("nan")},
+            {"merge_gap_s": float("nan")},
+            {"min_segment_s": -0.01},
+            {"hop_length_s": 0.0},
+            {"hop_length_s": float("nan")},
+            {"frame_length_s": -1.0},
+            {"frame_length_s": float("nan")},
+        ],
+    )
+    def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigurationError):
-            SegmenterConfig(decision_threshold=1.5)
+            SegmenterConfig(**kwargs)
 
     def test_untrained_inference_raises(self, corpus):
         segmenter = PhonemeSegmenter(rng=1)

@@ -110,6 +110,12 @@ class TestBidirectional:
         modified = brnn.forward(x_mod)[0, 0]
         assert not np.allclose(base, modified)
 
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (0, 5, 3)])
+    def test_inference_on_empty_batch_or_sequence(self, shape):
+        brnn = BidirectionalLSTM(3, 4, rng=0)
+        out = brnn.forward(np.zeros(shape), training=False)
+        assert out.shape == shape[:2] + (4,)
+
     def test_param_keys_prefixed(self):
         brnn = BidirectionalLSTM(2, 3, rng=2)
         keys = set(brnn.params)

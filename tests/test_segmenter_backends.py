@@ -73,13 +73,24 @@ class TestProtocolConformance:
         assert isinstance(blstm_segmenter, PersistentSegmenter)
         assert not isinstance(rd_segmenter, PersistentSegmenter)
 
-    def test_rd_config_validation(self):
+    @pytest.mark.parametrize(
+        "build, kwargs",
+        [
+            (RateDistortionConfig, {"target_segment_s": 0.0}),
+            (RateDistortionConfig, {"decision_threshold": 1.5}),
+            (RateDistortionSegmenter, {"sample_rate": 0.0}),
+            (RateDistortionConfig, {"target_segment_s": float("nan")}),
+            (RateDistortionConfig, {"covariance_ridge": float("nan")}),
+            (RateDistortionConfig, {"min_segment_s": float("nan")}),
+            (RateDistortionConfig, {"merge_gap_s": float("nan")}),
+            (RateDistortionConfig, {"hop_length_s": 0.0}),
+            (RateDistortionConfig, {"frame_length_s": -1.0}),
+            (RateDistortionConfig, {"activity_range_db": float("nan")}),
+        ],
+    )
+    def test_rd_config_validation(self, build, kwargs):
         with pytest.raises(ConfigurationError):
-            RateDistortionConfig(target_segment_s=0.0)
-        with pytest.raises(ConfigurationError):
-            RateDistortionConfig(decision_threshold=1.5)
-        with pytest.raises(ConfigurationError):
-            RateDistortionSegmenter(sample_rate=0.0)
+            build(**kwargs)
 
 
 class TestMaskToSegments:
