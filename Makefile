@@ -3,8 +3,8 @@
 PYTHON ?= python
 
 .PHONY: install test test-fast smoke serve-smoke store-smoke \
-	perf-smoke sense-smoke runtime-smoke segmenter-smoke fleet-smoke \
-	redteam-smoke scenario-smoke bench examples clean
+	runtime-smoke segmenter-smoke fleet-smoke redteam-smoke \
+	scenario-smoke bench examples clean
 
 # Artifact-store directory for store-smoke.  Deliberately NOT removed
 # by the target: CI restores it via actions/cache so the second run —
@@ -116,17 +116,6 @@ scenario-smoke:
 		--segmenter rd --commands 1 --attacks 1 --workers 2
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest \
 		benchmarks/bench_scenario_matrix.py --benchmark-only -q
-
-# Perf smoke: the vectorized micro-batch path must beat the
-# sequential loop at batch 8 (exits non-zero otherwise).
-perf-smoke:
-	$(PYTHON) benchmarks/bench_batched_inference.py --quick
-
-# Sensing smoke: the vectorized cross-domain sensing chain.  The
-# throughput bench re-checks parity on every measured batch and gates
-# batched >= sequential at batch 8.
-sense-smoke:
-	$(PYTHON) benchmarks/bench_sense_throughput.py --quick
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -29,7 +29,9 @@ from repro.phonemes.commands import VA_COMMANDS, phonemize
 from repro.phonemes.corpus import SyntheticCorpus
 
 N_UTTERANCES = 6
-#: Same training-recipe sizing as bench_cold_start, for comparability.
+#: A reduced training recipe (the default is 8 speakers x 12 segments
+#: per phoneme x 12 epochs): training still dominates the BLSTM's cold
+#: time-to-first-verdict, but the cold row takes seconds, not minutes.
 BLSTM_RECIPE = dict(n_speakers=4, n_per_phoneme=8, epochs=12)
 
 

@@ -16,6 +16,7 @@ instances stay observable without mutable per-call state.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -80,8 +81,10 @@ class DefenseConfig:
     hardening: Optional[HardeningConfig] = None
 
     def __post_init__(self) -> None:
-        if self.audio_rate <= 0:
-            raise ConfigurationError("audio_rate must be > 0")
+        if not 0 < self.audio_rate < math.inf:
+            raise ConfigurationError(
+                f"audio_rate must be finite and > 0, got {self.audio_rate}"
+            )
         if self.min_audio_s < 0:
             raise ConfigurationError("min_audio_s must be >= 0")
         if (
@@ -645,6 +648,11 @@ class DefensePipeline:
         if segmenter is None:
             return []
         if oracle_utterance is not None:
+            if not hasattr(segmenter, "oracle_segments"):
+                raise ConfigurationError(
+                    f"{type(segmenter).__name__} has no oracle_segments, "
+                    "which oracle segmentation needs"
+                )
             # Oracle segments are timed relative to the utterance start;
             # locate that start inside the (synced) VA recording first.
             offset_s = self._locate_utterance(va_audio, oracle_utterance)

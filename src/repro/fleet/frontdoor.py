@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import threading
 import time
 from concurrent.futures import Future
@@ -102,7 +103,7 @@ class FleetConfig:
             )
         if (
             self.default_deadline_s is not None
-            and self.default_deadline_s <= 0
+            and not self.default_deadline_s > 0
         ):
             raise ConfigurationError(
                 f"default_deadline_s must be > 0 (or None), "
@@ -143,7 +144,11 @@ class FleetRequest:
     def __post_init__(self) -> None:
         if not self.user_id:
             raise ConfigurationError("user_id must be non-empty")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if not 0 < self.audio_rate < math.inf:
+            raise ConfigurationError(
+                f"audio_rate must be finite and > 0, got {self.audio_rate}"
+            )
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigurationError(
                 f"deadline_s must be > 0 (or None), got {self.deadline_s}"
             )

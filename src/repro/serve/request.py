@@ -12,6 +12,7 @@ are executed by the same warm pipeline instance.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -72,11 +73,11 @@ class VerificationRequest:
     oracle_utterance: Optional[Utterance] = None
 
     def __post_init__(self) -> None:
-        if self.audio_rate <= 0:
+        if not 0 < self.audio_rate < math.inf:
             raise ConfigurationError(
-                f"audio_rate must be > 0, got {self.audio_rate}"
+                f"audio_rate must be finite and > 0, got {self.audio_rate}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigurationError(
                 f"deadline_s must be > 0 (or None), got {self.deadline_s}"
             )

@@ -10,12 +10,13 @@ from repro.core.pipeline import (
     DefenseConfig,
     DefensePipeline,
 )
-from repro.core.segmentation import PhonemeSegmenter
+from repro.core.segmentation import PhonemeSegmenter, default_segmenter
 from repro.errors import ModelError
 from repro.nn.model import SequenceClassifier
 from repro.runtime import capture_stage_events
 from repro.serve.request import VerificationRequest
 from repro.serve.workers import PipelineSpec, execute_batch
+from tests.timing import median_speedup
 
 RATE = 16_000.0
 
@@ -249,6 +250,30 @@ class TestSegmenterBatchParity:
             PhonemeSegmenter(rng=1).frame_probabilities_batch(
                 [np.zeros(4_000)]
             )
+
+
+class TestSegmentationSpeedGate:
+    """One masked BLSTM forward over a batch of 8 must be at least
+    twice as fast as 8 single-recording forwards: the batch amortizes
+    the per-frame Python recurrence overhead."""
+
+    def test_batch_of_eight_twice_as_fast_as_loop(self):
+        segmenter = default_segmenter(
+            seed=9300, n_speakers=2, n_per_phoneme=3, epochs=3
+        )
+        generator = np.random.default_rng(9301)
+        audios = [
+            generator.normal(0.0, 0.1, 6_000 + 500 * (index % 5))
+            for index in range(8)
+        ]
+        speedup = median_speedup(
+            lambda: [segmenter.segments(audio) for audio in audios],
+            lambda: segmenter.segments_batch(audios),
+        )
+        assert speedup >= 2.0, (
+            f"batched segmentation at batch 8 is {speedup:.2f}x "
+            f"the sequential loop (bar 2.0x)"
+        )
 
 
 def make_pair(seed, n_samples=8_000):

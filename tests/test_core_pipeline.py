@@ -105,8 +105,9 @@ class TestPipeline:
         assert a == b
 
     def test_invalid_config(self):
-        with pytest.raises(ConfigurationError):
-            DefenseConfig(audio_rate=0.0)
+        for audio_rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                DefenseConfig(audio_rate=audio_rate)
 
 
 class TestBaselines:

@@ -255,6 +255,7 @@ class TestValidation:
             {"n_shards": 0},
             {"failover": -1},
             {"default_deadline_s": 0.0},
+            {"default_deadline_s": float("nan")},
             {"deadline_grace_s": -0.1},
             {"autoscale_interval_s": -1.0},
         ):
@@ -266,13 +267,16 @@ class TestValidation:
             FleetRequest(
                 user_id="", va_audio=AUDIO, wearable_audio=AUDIO
             )
-        with pytest.raises(ConfigurationError):
-            FleetRequest(
-                user_id="u",
-                va_audio=AUDIO,
-                wearable_audio=AUDIO,
-                deadline_s=0.0,
-            )
+        for kwargs in (
+            {"deadline_s": 0.0},
+            {"deadline_s": float("nan")},
+            {"audio_rate": 0.0},
+            {"audio_rate": -1.0},
+            {"audio_rate": float("nan")},
+            {"audio_rate": float("inf")},
+        ):
+            with pytest.raises(ConfigurationError):
+                request("u", **kwargs)
 
     def test_request_seed_defaults_deterministically(self):
         a = request("user-1", "r1").resolved_seed()

@@ -20,6 +20,7 @@ from repro.core.rate_distortion import (
     RateDistortionSegmenter,
 )
 from repro.core import segmentation as segmentation_module
+from repro.core.pipeline import DefensePipeline
 from repro.core.segmentation import (
     PhonemeSegmenter,
     default_segmenter,
@@ -242,6 +243,19 @@ class TestRateDistortionBehaviour:
         segmenter.segments(utterance_waveforms[0])
         segmenter.frame_probabilities_batch(utterance_waveforms)
         assert training_run_count() == before
+
+    def test_oracle_segmentation_rejected(self, rd_segmenter, corpus):
+        utterance = corpus.utterance(phonemize("call mom"), rng=33)
+        pipeline = DefensePipeline(segmenter=rd_segmenter)
+        with pytest.raises(
+            ConfigurationError, match="RateDistortionSegmenter.*oracle"
+        ):
+            pipeline.analyze(
+                utterance.waveform,
+                utterance.waveform,
+                rng=0,
+                oracle_utterance=utterance,
+            )
 
 
 class TestServingSpec:

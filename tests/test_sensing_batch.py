@@ -16,6 +16,7 @@ from repro.dsp.resample import alias_decimate
 from repro.sensing.accelerometer import Accelerometer, AccelerometerSpec
 from repro.sensing.conduction import ConductionPath
 from repro.sensing.cross_domain import CrossDomainSensor
+from tests.timing import median_speedup
 
 AUDIO_RATE = 16_000.0
 
@@ -138,6 +139,31 @@ class TestConvertBatchParity:
         audios = make_audios(2)
         with pytest.raises(ValueError):
             sensor.convert_batch(audios, AUDIO_RATE, rngs=[1])
+
+
+class TestSensingSpeedGate:
+    """Replaying 8 recordings as one ``(batch, time)`` chain must be at
+    least 1.1x as fast as 8 ``convert`` calls (still wearer)."""
+
+    def test_batch_of_eight_beats_loop(self):
+        sensor = CrossDomainSensor()
+        generator = np.random.default_rng(9400)
+        audios = [
+            generator.normal(0.0, 0.1, 16_000 + 800 * (index % 4))
+            for index in range(8)
+        ]
+        seeds = list(range(len(audios)))
+        speedup = median_speedup(
+            lambda: [
+                sensor.convert(audio, AUDIO_RATE, rng=seed)
+                for audio, seed in zip(audios, seeds)
+            ],
+            lambda: sensor.convert_batch(audios, AUDIO_RATE, rngs=seeds),
+        )
+        assert speedup >= 1.1, (
+            f"batched sensing at batch 8 is {speedup:.2f}x "
+            f"the sequential loop (bar 1.1x)"
+        )
 
 
 class TestFastLengthReplay:

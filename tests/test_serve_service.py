@@ -430,3 +430,20 @@ class TestConfigValidation:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ServiceConfig(**kwargs)
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"audio_rate": 0.0},
+            {"audio_rate": -1.0},
+            {"audio_rate": float("nan")},
+            {"audio_rate": float("inf")},
+            {"deadline_s": 0.0},
+            {"deadline_s": float("nan")},
+        ],
+    )
+    def test_invalid_request_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            make_request(0, **kwargs)
