@@ -38,11 +38,11 @@ class LoudspeakerSpec:
     harmonic_distortion: float = 0.03
 
     def __post_init__(self) -> None:
-        if self.low_cut_hz <= 0 or self.high_cut_hz <= self.low_cut_hz:
+        if not 0 < self.low_cut_hz < self.high_cut_hz:
             raise ConfigurationError(
                 f"{self.name}: need 0 < low_cut_hz < high_cut_hz"
             )
-        if self.harmonic_distortion < 0:
+        if not self.harmonic_distortion >= 0:
             raise ConfigurationError(
                 f"{self.name}: harmonic_distortion must be >= 0"
             )

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.dsp.correlate import align_by_cross_correlation
 from repro.errors import ConfigurationError
+from repro.utils.validation import ensure_positive
 
 
 @dataclass
@@ -38,10 +39,12 @@ class SyncConfig:
     min_overlap_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.max_delay_s <= 0:
-            raise ConfigurationError("max_delay_s must be > 0")
-        if self.min_overlap_s < 0:
-            raise ConfigurationError("min_overlap_s must be >= 0")
+        ensure_positive(self.max_delay_s, "max_delay_s")
+        if not 0 <= self.min_overlap_s < np.inf:
+            raise ConfigurationError(
+                f"min_overlap_s must be finite and >= 0, got "
+                f"{self.min_overlap_s}"
+            )
 
 
 def synchronize_recordings(

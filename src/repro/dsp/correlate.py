@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from repro.errors import SignalError
 from repro.utils.validation import ensure_1d, ensure_2d
@@ -29,12 +30,18 @@ def normalized_cross_correlation(
 
     Returns ``(lags, values)`` where
     ``values[k] = sum_n reference(n + lags[k]) * other(n)``, normalized
-    by the geometric mean of the two signals' energies.  Computed with
-    one FFT convolution (O(N log N)) rather than a per-lag loop —
-    synchronization runs on every detection, so this is a hot path.
-    """
-    from scipy.signal import fftconvolve
+    by the geometric mean of the two signals' energies.  ``max_lag`` is
+    clipped to ``min(len(reference), len(other)) - 1``.
 
+    Synchronization runs on every detection, so this is a hot path.
+    Only the wanted lags are computed: one ``rfft``/``irfft`` pair gives
+    the circular correlation at ``next_fast_len(max(len) + max_lag)``
+    points, a length at which no lag in the window wraps onto another,
+    instead of a full linear convolution at about twice the recording
+    length.  It uses ``scipy.fft``, as that convolution did: numpy's FFT
+    plan cache serves the replay's speaker and conduction stages, and
+    the correlation's lengths would evict their plans.
+    """
     ref = ensure_1d(reference, "reference")
     sig = ensure_1d(other, "other")
     if ref.size == 0:
@@ -47,11 +54,16 @@ def normalized_cross_correlation(
         raise SignalError(f"max_lag must be >= 0, got {max_lag}")
     max_lag = min(max_lag, ref.size - 1, sig.size - 1)
     lags = np.arange(-max_lag, max_lag + 1)
-    # full convolution of ref with time-reversed sig gives every lag's
-    # dot product: conv[k + sig.size - 1] = c[k] where
-    # c[k] = sum_j ref[j + k] sig[j].
-    convolution = fftconvolve(ref, sig[::-1], mode="full")
-    values = convolution[lags + (sig.size - 1)]
+    # circular[k mod n] = sum_j ref[j + k] sig[j]; with both signals
+    # zero-padded to n >= max(len) + max_lag, no product in the window
+    # wraps, and a negative lag indexes from the end.
+    n_fft = sp_fft.next_fast_len(
+        max(ref.size, sig.size) + max_lag, real=True
+    )
+    circular = sp_fft.irfft(
+        sp_fft.rfft(ref, n_fft) * np.conj(sp_fft.rfft(sig, n_fft)), n_fft
+    )
+    values = circular[lags]
     denominator = (
         np.sqrt(float(np.dot(ref, ref)) * float(np.dot(sig, sig)))
         + 1e-12

@@ -6,9 +6,11 @@ anti-aliased decimation path (the accelerometer path deliberately skips it).
 
 Filter *designs* are memoized: a Butterworth design depends only on
 ``(order, cutoff, btype, rate)``, yet the sensing hot path used to
-redesign it on every call.  :func:`butter_sos` caches the section
-matrices (read-only, like ``get_window``/``mel_filterbank``), so
-repeated filtering pays only the ``sosfiltfilt`` cost.
+redesign it on every call.  :func:`butter_design` caches the section
+matrices together with their ``sosfilt_zi`` steady state (read-only,
+like ``get_window``/``mel_filterbank``), and every ``butter_*`` helper
+filters through the one kernel :func:`zero_phase`, which is bitwise
+``scipy.signal.sosfiltfilt`` without scipy's fixed per-call cost.
 
 :func:`butter_lowpass` filters a ``(..., time)`` stack of equal-length
 signals along the last axis (a 1-D signal is a stack of one).  scipy
@@ -20,7 +22,7 @@ path builds on.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -44,13 +46,26 @@ def _validate_cutoff(cutoff_hz: float, sample_rate: float, name: str) -> float:
     return cutoff_hz
 
 
+class ButterDesign(NamedTuple):
+    """A memoized Butterworth design and its zero-phase filtering state.
+
+    ``sos`` and ``zi`` (``scipy.signal.sosfilt_zi(sos)``) are read-only;
+    ``edge`` is the pad length ``scipy.signal.sosfiltfilt`` uses by
+    default.
+    """
+
+    sos: np.ndarray
+    zi: np.ndarray
+    edge: int
+
+
 @lru_cache(maxsize=128)
-def _butter_sos_cached(
+def _butter_design_cached(
     order: int,
     cutoff: Union[float, Tuple[float, float]],
     btype: str,
     sample_rate: float,
-) -> np.ndarray:
+) -> ButterDesign:
     sos = sp_signal.butter(
         order,
         list(cutoff) if isinstance(cutoff, tuple) else cutoff,
@@ -58,30 +73,88 @@ def _butter_sos_cached(
         fs=sample_rate,
         output="sos",
     )
+    zi = sp_signal.sosfilt_zi(sos)
+    taps = 2 * sos.shape[0] + 1 - min(
+        int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum())
+    )
     sos.setflags(write=False)
-    return sos
+    zi.setflags(write=False)
+    return ButterDesign(sos, zi, 3 * taps)
 
 
-def butter_sos(
+def butter_design(
     order: int,
     cutoff: Union[float, Tuple[float, float]],
     btype: str,
     sample_rate: float,
-) -> np.ndarray:
-    """Memoized Butterworth second-order-section design.
+) -> ButterDesign:
+    """Memoized Butterworth second-order sections plus their ``zi``.
 
-    The design is a pure function of its arguments, so the cached matrix
-    is bitwise identical to a fresh ``scipy.signal.butter`` call.
-    Returns a writable copy (a few dozen floats) because scipy's sosfilt
-    kernels reject read-only buffers; the cached master stays frozen.
+    The design is a pure function of its arguments, so the cached
+    matrices are bitwise identical to fresh ``scipy.signal.butter`` and
+    ``sosfilt_zi`` calls; the per-call cost of designing the filter and
+    solving for its steady state is paid once per design.
     """
     if isinstance(cutoff, (tuple, list)):
         cutoff = tuple(float(edge) for edge in cutoff)
     else:
         cutoff = float(cutoff)
-    return _butter_sos_cached(
+    return _butter_design_cached(
         int(order), cutoff, btype, float(sample_rate)
-    ).copy()
+    )
+
+
+def zero_phase(
+    design: ButterDesign,
+    samples: np.ndarray,
+    start: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Forward-backward (zero-phase) filtering along the last axis.
+
+    With ``start=None`` this is ``scipy.signal.sosfiltfilt(sos,
+    samples)`` with its default odd extension of ``design.edge``
+    samples, bitwise: the same extension, the same steady-state seeds
+    ``zi * x[0]`` and ``zi * y[-1]``, and the same two public
+    ``sosfilt`` passes, minus scipy's per-call design validation and
+    ``sosfilt_zi`` solve.  ``samples`` is one signal or a
+    ``(..., time)`` stack; ``sosfilt`` applies the identical per-row
+    arithmetic, so each row equals filtering it alone.
+
+    ``start`` (shape ``(..., 1)``) replaces the extension: the forward
+    pass starts in the steady state of ``start`` at the first sample
+    and the backward pass in that of the forward pass's last output.
+
+    Rows no longer than ``design.edge`` cannot be extended; they take a
+    single ``sosfilt`` pass from rest instead, decided on the row length
+    so a stack of short rows takes the same path as each row alone.
+    """
+    sos = design.sos.copy()  # scipy's kernel rejects read-only buffers
+    if samples.shape[-1] <= design.edge:
+        return sp_signal.sosfilt(sos, samples)
+    zi = design.zi.reshape(
+        (sos.shape[0],) + (1,) * (samples.ndim - 1) + (2,)
+    )
+    edge = 0 if start is not None else design.edge
+    if edge:
+        left = samples[..., :1]
+        right = samples[..., -1:]
+        samples = np.concatenate(
+            (
+                2 * left - samples[..., edge:0:-1],
+                samples,
+                2 * right - samples[..., -2 : -(edge + 2) : -1],
+            ),
+            axis=-1,
+        )
+        start = samples[..., :1]
+    forward, _ = sp_signal.sosfilt(sos, samples, zi=zi * start)
+    backward, _ = sp_signal.sosfilt(
+        sos, forward[..., ::-1], zi=zi * forward[..., -1:]
+    )
+    backward = backward[..., ::-1]
+    if edge:
+        backward = backward[..., edge:-edge]
+    return backward
 
 
 def butter_highpass(
@@ -93,8 +166,8 @@ def butter_highpass(
     """Zero-phase Butterworth high-pass filter."""
     samples = ensure_1d(signal)
     cutoff_hz = _validate_cutoff(cutoff_hz, sample_rate, "cutoff_hz")
-    sos = butter_sos(order, cutoff_hz, "highpass", sample_rate)
-    return _sosfiltfilt_safe(sos, samples)
+    design = butter_design(order, cutoff_hz, "highpass", sample_rate)
+    return zero_phase(design, samples)
 
 
 def butter_lowpass(
@@ -110,8 +183,8 @@ def butter_lowpass(
     """
     samples = ensure_signals(signal, "signal")
     cutoff_hz = _validate_cutoff(cutoff_hz, sample_rate, "cutoff_hz")
-    sos = butter_sos(order, cutoff_hz, "lowpass", sample_rate)
-    return _sosfiltfilt_safe(sos, samples)
+    design = butter_design(order, cutoff_hz, "lowpass", sample_rate)
+    return zero_phase(design, samples)
 
 
 def butter_bandpass(
@@ -129,8 +202,10 @@ def butter_bandpass(
         raise ConfigurationError(
             f"low_hz ({low_hz}) must be < high_hz ({high_hz})"
         )
-    sos = butter_sos(order, (low_hz, high_hz), "bandpass", sample_rate)
-    return _sosfiltfilt_safe(sos, samples)
+    design = butter_design(
+        order, (low_hz, high_hz), "bandpass", sample_rate
+    )
+    return zero_phase(design, samples)
 
 
 def fir_lowpass(
@@ -149,18 +224,3 @@ def fir_lowpass(
     taps = sp_signal.firwin(n_taps, cutoff_hz, fs=sample_rate)
     filtered = np.convolve(samples, taps, mode="same")
     return filtered
-
-
-def _sosfiltfilt_safe(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Apply sosfiltfilt along the last axis, falling back to sosfilt
-    for very short signals.
-
-    ``sosfiltfilt`` needs a minimum pad length; short vibration snippets
-    (a handful of accelerometer samples) would otherwise raise.  The
-    decision uses the row length, so a stack of short rows takes the
-    same path as each row alone.
-    """
-    pad_needed = 3 * (2 * sos.shape[0] + 1)
-    if samples.shape[-1] <= pad_needed:
-        return sp_signal.sosfilt(sos, samples)
-    return sp_signal.sosfiltfilt(sos, samples)

@@ -7,12 +7,20 @@ Four phenomena of commercial wearable accelerometers are reproduced:
    0–100 Hz (paper § IV-B, "ambiguous signal conversion").
 2. **DC sensitivity artifact** — the sensor is designed for body motion
    and responds strongly below 5 Hz; audio stimulation produces a strong
-   envelope-following near-DC component (paper Fig. 7).
+   envelope-following near-DC component (paper Fig. 7): the 5 Hz
+   envelope of the rectified drive.
 3. **Low-frequency amplifier noise injection** — when the drive sound is
    dominated by low frequencies, the readout amplifier injects extra
    random noise [Wu et al., APCCAS 2016]; the detector exploits the
-   resulting decorrelation (paper § VI-C).
+   resulting decorrelation (paper § VI-C).  The noise level follows the
+   8 Hz envelope of the rectified sub-800 Hz drive band.
 4. **Quantization** — the digital output has a finite LSB.
+
+Both envelopes lie far below the sensor's 100 Hz Nyquist, so they are
+computed at the 200 Hz sensor rate: each rectified audio-rate row is
+reduced to one value per sensor sample by a centred triangular
+anti-alias kernel, then filtered zero-phase at 200 Hz.  Only the 800 Hz
+band split runs at the audio rate.
 """
 
 from __future__ import annotations
@@ -22,7 +30,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.dsp.filters import butter_lowpass
+from repro.dsp.filters import (
+    ButterDesign,
+    butter_design,
+    butter_lowpass,
+    zero_phase,
+)
 from repro.dsp.resample import alias_decimate
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
@@ -68,12 +81,27 @@ class AccelerometerSpec:
 
     def __post_init__(self) -> None:
         ensure_positive(self.sample_rate, "sample_rate")
-        if self.base_noise_rms < 0 or self.low_freq_noise_coeff < 0:
-            raise ConfigurationError("noise parameters must be >= 0")
+        for name in (
+            "base_noise_rms",
+            "low_freq_noise_coeff",
+            "dc_sensitivity",
+            "noise_envelope_exponent",
+            "lsb",
+        ):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
         ensure_positive(self.low_freq_cutoff_hz, "low_freq_cutoff_hz")
+        ensure_positive(
+            self.noise_envelope_reference, "noise_envelope_reference"
+        )
         ensure_positive(self.dc_bandwidth_hz, "dc_bandwidth_hz")
-        if self.lsb < 0:
-            raise ConfigurationError("lsb must be >= 0")
+        if not self.dc_bandwidth_hz < self.sample_rate / 2:
+            raise ConfigurationError(
+                "dc_bandwidth_hz must lie below the sensor's Nyquist "
+                f"({self.sample_rate / 2}), got {self.dc_bandwidth_hz}"
+            )
 
 
 class Accelerometer:
@@ -153,31 +181,36 @@ class Accelerometer:
             )
         spec = self.spec
 
+        # Phenomenon 1: raw decimation — content above Nyquist folds in.
+        sampled = alias_decimate(fields, field_rate, spec.sample_rate)
+        step = round(field_rate / spec.sample_rate)
+
         # Phenomenon 2: envelope-following near-DC response.  The sensor's
         # DC sensitivity is sharply confined below ~5 Hz (Fig. 7), so a
-        # steep filter keeps the artifact out of the analysis band.
-        envelope = butter_lowpass(
-            np.abs(drives), field_rate, spec.dc_bandwidth_hz, order=6
+        # steep filter keeps the artifact out of the analysis band.  The
+        # envelope lives far below the sensor's Nyquist, so it is
+        # filtered at the sensor rate and added to the sampled field.
+        dc_design = butter_design(
+            6, spec.dc_bandwidth_hz, "lowpass", spec.sample_rate
         )
-        analog = fields + spec.dc_sensitivity * envelope
-
-        # Phenomenon 1: raw decimation — content above Nyquist folds in.
-        sampled = alias_decimate(analog, field_rate, spec.sample_rate)
+        sampled = sampled + spec.dc_sensitivity * _sensor_rate_envelope(
+            np.abs(drives), step, dc_design
+        )
 
         # Phenomenon 3: low-frequency drive content injects amplifier
         # noise.  The injection tracks the *instantaneous* low-frequency
         # envelope (the amplifier misbehaves while the low-frequency
         # sound is present, not on average), so the noise power follows
-        # the syllabic envelope of the replayed command.
+        # the syllabic envelope of the replayed command.  Only the
+        # 800 Hz band split needs the audio rate.
         low_content = butter_lowpass(
             drives, field_rate, spec.low_freq_cutoff_hz, order=4
         )
-        envelope_lf = butter_lowpass(
-            np.abs(low_content), field_rate, 8.0, order=2
-        )
-        envelope_lf = np.clip(envelope_lf, 0.0, None)
-        envelope_sampled = alias_decimate(
-            envelope_lf, field_rate, spec.sample_rate
+        noise_design = butter_design(2, 8.0, "lowpass", spec.sample_rate)
+        envelope_sampled = np.clip(
+            _sensor_rate_envelope(np.abs(low_content), step, noise_design),
+            0.0,
+            None,
         )
         # |lowpassed(|x|)| underestimates the RMS envelope by the
         # rectified-Gaussian factor sqrt(pi / 2).  The injected noise
@@ -204,3 +237,38 @@ class Accelerometer:
         if spec.lsb > 0:
             sampled = np.round(sampled / spec.lsb) * spec.lsb
         return sampled
+
+
+def _sensor_rate_envelope(
+    rectified: np.ndarray, step: int, design: ButterDesign
+) -> np.ndarray:
+    """Zero-phase low-pass of rectified field-rate rows, at the sensor rate.
+
+    Each row is first reduced to one value per kept sample
+    (``rectified[..., ::step]``'s positions) by a centred triangular
+    kernel of ``2 * step - 1`` taps, built from elementwise sums over
+    one zero-padded ``(..., blocks, step)`` reshape (no BLAS call, so a
+    row's bits never depend on its batch-mates).  The triangle's nulls
+    sit on the sensor rate's multiples, so drive content near them
+    cannot fold onto DC.  ``design`` (a sensor-rate low-pass) then
+    filters the reduced row with no edge extension; its forward pass
+    starts from the value a field-rate ``sosfiltfilt`` starts from
+    (``2 * x[0] - x[edge]``), so the envelope's onset matches the
+    field-rate filter it replaces.  Rows reduced to ``design.edge``
+    samples or fewer take the kernel's short-row pass.
+    """
+    n_kept = -(-rectified.shape[-1] // step)
+    padded = np.zeros(rectified.shape[:-1] + (n_kept * step,))
+    padded[..., : rectified.shape[-1]] = rectified
+    blocks = padded.reshape(rectified.shape[:-1] + (n_kept, step))
+    # Weights (step - m) / step**2 on block k and m / step**2 on block
+    # k - 1: the block mean minus the rising-ramp sum, plus the previous
+    # block's rising-ramp sum.
+    ramp = (blocks * (np.arange(step) / float(step * step))).sum(axis=-1)
+    reduced = blocks.sum(axis=-1) / step - ramp
+    reduced[..., 1:] += ramp[..., :-1]
+    # A row of at most ``edge`` field samples gives an empty ``start``;
+    # it reduces to at most ``edge`` samples, so the kernel ignores it.
+    edge = design.edge
+    start = 2 * rectified[..., :1] - rectified[..., edge : edge + 1]
+    return zero_phase(design, reduced, start=start)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import ensure_1d, ensure_2d
+from repro.utils.validation import ensure_1d, ensure_2d, ensure_positive
 
 
 @dataclass(frozen=True)
@@ -49,18 +49,17 @@ class ConductionPath:
     response_jitter_db: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.response_jitter_db < 0:
+        if not self.response_jitter_db >= 0:
             raise ConfigurationError("response_jitter_db must be >= 0")
         if not 0 < self.low_corner_hz < self.resonance_hz:
             raise ConfigurationError(
                 "need 0 < low_corner_hz < resonance_hz"
             )
-        if self.high_corner_hz <= self.resonance_hz:
+        if not self.high_corner_hz > self.resonance_hz:
             raise ConfigurationError(
                 "high_corner_hz must exceed resonance_hz"
             )
-        if self.gain <= 0:
-            raise ConfigurationError("gain must be > 0")
+        ensure_positive(self.gain, "gain")
 
     def response(self, frequencies: np.ndarray) -> np.ndarray:
         """Linear coupling gain at each frequency."""

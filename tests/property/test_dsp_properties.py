@@ -14,6 +14,7 @@ from repro.dsp.mel import hz_to_mel, mel_to_hz
 from repro.dsp.resample import folded_frequency
 from repro.dsp.spectrum import fft_magnitude
 from repro.dsp.windows import frame_signal
+from tests.test_dsp_correlate import reference_cross_correlation
 
 finite_1d = arrays(
     np.float64,
@@ -98,6 +99,25 @@ def test_delay_of_signal_with_itself_is_zero_unless_periodic(signal):
     delay = cross_correlation_delay(signal, signal.copy(), max_lag=5)
     # For generic (non-periodic) content the best lag is 0.
     assert -5 <= delay <= 5
+
+
+@given(
+    finite_1d,
+    finite_1d,
+    st.integers(min_value=0, max_value=250),
+)
+@settings(max_examples=60, deadline=None)
+def test_delay_matches_full_convolution_reference(va, wearable, max_lag):
+    """The lag-window delay is the full convolution's delay.
+
+    Where the reference's best lag ties another within rounding, either
+    maximizer is a valid delay.
+    """
+    lags, expected = reference_cross_correlation(va, wearable, max_lag)
+    delay = cross_correlation_delay(va, wearable, max_lag)
+    best = int(np.argmax(expected))
+    if delay != lags[best]:
+        assert expected[best] - expected[lags == delay][0] <= 1e-12
 
 
 @given(

@@ -107,3 +107,6 @@ class TestLoudspeaker:
     def test_invalid_spec(self):
         with pytest.raises(ConfigurationError):
             LoudspeakerSpec(name="bad", low_cut_hz=0.0)
+        for field in ("low_cut_hz", "harmonic_distortion"):
+            with pytest.raises(ConfigurationError):
+                LoudspeakerSpec(name="bad", **{field: float("nan")})

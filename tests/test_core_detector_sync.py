@@ -79,6 +79,14 @@ class TestSync:
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             SyncConfig(max_delay_s=0.0)
+        # Non-finite delays used to fail later, inside
+        # synchronize_recordings, with ValueError or OverflowError; a
+        # NaN overlap silently disabled the guard.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                SyncConfig(max_delay_s=value)
+            with pytest.raises(ConfigurationError):
+                SyncConfig(min_overlap_s=value)
 
 
 class TestDetectorDecide:

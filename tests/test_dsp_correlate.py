@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from repro.dsp.correlate import (
     align_by_cross_correlation,
@@ -10,6 +11,21 @@ from repro.dsp.correlate import (
     normalized_cross_correlation,
 )
 from repro.errors import SignalError
+
+
+def reference_cross_correlation(reference, other, max_lag):
+    """The full linear-convolution formula the lag window replaced."""
+    max_lag = min(max_lag, reference.size - 1, other.size - 1)
+    lags = np.arange(-max_lag, max_lag + 1)
+    convolution = fftconvolve(reference, other[::-1], mode="full")
+    values = convolution[lags + (other.size - 1)]
+    denominator = (
+        np.sqrt(
+            float(np.dot(reference, reference)) * float(np.dot(other, other))
+        )
+        + 1e-12
+    )
+    return lags, values / denominator
 
 
 def _burst(rng, n=400, offset=100):
@@ -138,3 +154,43 @@ def test_align_single_sample_against_long_signal(rng):
         long_signal, np.array([0.5]), max_lag=10
     )
     assert va_a.size == wearable_a.size == 1
+
+
+@pytest.mark.parametrize(
+    "n_reference, n_other, max_lag",
+    [
+        (400, 400, 80),
+        (4_001, 3_500, 800),  # unequal lengths
+        (3_500, 4_001, 800),
+        (120, 90, 500),  # max_lag above either length
+        (90, 120, 500),
+        (257, 257, 0),
+        (1, 1, 4),
+        (1, 64, 10),
+    ],
+)
+def test_lag_window_matches_full_convolution(
+    rng, n_reference, n_other, max_lag
+):
+    reference = rng.standard_normal(n_reference)
+    other = rng.standard_normal(n_other)
+    lags, values = normalized_cross_correlation(reference, other, max_lag)
+    expected_lags, expected = reference_cross_correlation(
+        reference, other, max_lag
+    )
+    np.testing.assert_array_equal(lags, expected_lags)
+    np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shift", [-700, -1, 0, 1, 333, 799])
+def test_lag_window_delay_matches_full_convolution(rng, shift):
+    # A tonal recording and its shifted noisy copy: the peak the lag
+    # window finds is the one the full convolution finds.
+    t = np.arange(6_000) / 16_000.0
+    tonal = np.sin(2 * np.pi * 440.0 * t) * np.hanning(t.size)
+    tonal += 0.3 * rng.standard_normal(t.size)
+    other = tonal[shift:] if shift >= 0 else np.pad(tonal, (-shift, 0))
+    other = other + 0.05 * rng.standard_normal(other.size)
+    lags, expected = reference_cross_correlation(tonal, other, 800)
+    delay = cross_correlation_delay(tonal, other, 800)
+    assert delay == lags[int(np.argmax(expected))] == shift

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
 from repro.dsp.filters import (
     butter_bandpass,
+    butter_design,
     butter_highpass,
     butter_lowpass,
     fir_lowpass,
+    zero_phase,
 )
 from repro.dsp.generators import tone
 from repro.errors import ConfigurationError
@@ -96,3 +99,72 @@ def test_fir_lowpass_attenuates_high():
 def test_fir_rejects_even_taps():
     with pytest.raises(ConfigurationError):
         fir_lowpass(tone(100.0, 0.1, RATE), RATE, 50.0, n_taps=10)
+
+
+#: Every ``(order, cutoff, btype, rate)`` design the library filters
+#: with: the accelerometer's DC envelope, noise envelope and 800 Hz band
+#: split, the feature high-pass, the demodulation low-pass at the 3x
+#: ultrasound rate and the hidden-voice envelope.
+LIBRARY_DESIGNS = [
+    (6, 5.0, "lowpass", 200.0),
+    (2, 8.0, "lowpass", 200.0),
+    (4, 800.0, "lowpass", 16_000.0),
+    (4, 5.0, "highpass", 200.0),
+    (6, 7_000.0, "lowpass", 48_000.0),
+    (2, 30.0, "lowpass", 16_000.0),
+]
+
+
+def _scipy_sos(order, cutoff, btype, rate):
+    return sp_signal.butter(
+        order, cutoff, btype=btype, fs=rate, output="sos"
+    )
+
+
+@pytest.mark.parametrize("design_args", LIBRARY_DESIGNS)
+@pytest.mark.parametrize("extra", [1, 2, 517])
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_zero_phase_is_bitwise_sosfiltfilt(design_args, extra, shape):
+    design = butter_design(*design_args)
+    samples = np.random.default_rng(extra).normal(
+        size=shape + (design.edge + extra,)
+    )
+    np.testing.assert_array_equal(
+        zero_phase(design, samples),
+        sp_signal.sosfiltfilt(_scipy_sos(*design_args), samples),
+    )
+
+
+@pytest.mark.parametrize("design_args", LIBRARY_DESIGNS)
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_zero_phase_short_rows_take_one_sosfilt_pass(design_args, shape):
+    # At the pad length sosfiltfilt cannot extend the row.
+    design = butter_design(*design_args)
+    samples = np.random.default_rng(5).normal(size=shape + (design.edge,))
+    np.testing.assert_array_equal(
+        zero_phase(design, samples),
+        sp_signal.sosfilt(_scipy_sos(*design_args), samples),
+    )
+
+
+@pytest.mark.parametrize("design_args", LIBRARY_DESIGNS[:2])
+def test_zero_phase_start_replaces_the_extension(design_args):
+    # Seeding from the first sample with no extension is scipy's
+    # ``padtype=None``.
+    design = butter_design(*design_args)
+    samples = np.random.default_rng(6).normal(size=(3, 530))
+    np.testing.assert_array_equal(
+        zero_phase(design, samples, start=samples[:, :1]),
+        sp_signal.sosfiltfilt(
+            _scipy_sos(*design_args), samples, padtype=None
+        ),
+    )
+
+
+def test_butter_design_is_memoized_and_read_only():
+    design = butter_design(6, 5.0, "lowpass", 200.0)
+    assert butter_design(6, 5, "lowpass", 200) is design
+    assert not design.sos.flags.writeable
+    assert not design.zi.flags.writeable
+    expected = sp_signal.sosfilt_zi(_scipy_sos(6, 5.0, "lowpass", 200.0))
+    np.testing.assert_array_equal(design.zi, expected)

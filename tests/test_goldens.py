@@ -7,14 +7,22 @@ matches when every float is bitwise identical, so these tests pin the
 refactor to "no numeric change at all", not to a tolerance.
 
 The replay later began padding each recording to a fast FFT length.
-Recordings already at a fast length (12 000 and 16 000 samples) keep
+Recordings already at a fast length (12 000 and 16 000 samples) kept
 their digests; the 4 001-sample conversions, the mixed-length batch and
 the pipeline scores were re-recorded, and tolerance tests bound how far
 they moved from the unpadded replay.
 
+A third re-recording followed when the accelerometer's DC and noise
+envelopes moved from the audio rate to the 200 Hz sensor rate: all six
+conversions, the mixed-length batch and the four pipeline score sets.
+The attack-channel transmit digests do not pass through the
+accelerometer and are unchanged; the score tolerance tests against the
+unpadded replay hold unedited.
+
 The file also pins the precondition that refactor rests on: numpy's
-``rfft``/``irfft`` and scipy's ``sosfiltfilt`` along ``axis=-1`` give
-rows bitwise equal to the 1-D calls.
+``rfft``/``irfft``, scipy's ``sosfiltfilt`` and the library's cached
+zero-phase kernel along ``axis=-1`` give rows bitwise equal to the 1-D
+calls.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from repro.acoustics.materials import GLASS_WINDOW
 from repro.attacks import ReplayAttack
 from repro.attacks.scenario import ThruBarrierChannel
 from repro.core.segmentation import PhonemeSegmenter
+from repro.dsp.filters import butter_design, zero_phase
 from repro.eval.rooms import ROOM_A
 from repro.phonemes import SyntheticCorpus, phonemize
 from repro.scenarios import get_scenario
@@ -59,22 +68,22 @@ def _speech_like(n: int, seed: int) -> np.ndarray:
 
 CONVERT_GOLDENS = {
     (4_001, False): (
-        "3625a3b692811b0873bb24ed0affc5f717b46e45b0b4637d7242a14f5251baf0"
+        "cbc2e5091e9071b0027ca85d4b84c24077bbb4b6e893be8eda34500ff4df7c23"
     ),
     (4_001, True): (
-        "21ad29bb9712f084f2eceef0841563fee102a8b9144513e18395d938b758e2b3"
+        "e34b991cf75b600b74a195baf7ccf74c34c9ac94d1e882dc0765596f1cdc65ed"
     ),
     (12_000, False): (
-        "b4beceddfdf0d45bb206aa885b555b109d986e96b2f5c50cc37bcd54bf54d2f6"
+        "503a6ef2d69dd9046d5789a87f128712cb7493de00a79c5522ba190f8a98c9e1"
     ),
     (12_000, True): (
-        "534f783252d9df8728d1b9e232a84580e9b763b991d30d8d1e04d4afce8585f1"
+        "b6e0625b5643d555d5de64e2034c0bf7c88e05784f61cc951cb8b815983bb3d1"
     ),
     (16_000, False): (
-        "526f223fe79f9671e032b00c903d63abc76e473f825b101563bad720e50ed29c"
+        "d198ba50f8578014cad4f4453211007c2234a8c6f88d4df96ba029a9ee97d2e5"
     ),
     (16_000, True): (
-        "f985cc2970e2311aea6febaed21e3aaf8c5514061200dfe2304bb3b8d6c9ff8f"
+        "f3cdf168eb869341c00f6d10126ab9d1ae5b029f7730d4fe8a9dc4c7395b5638"
     ),
 }
 
@@ -116,7 +125,7 @@ def test_convert_batch_mixed_lengths_golden():
         include_body_motion=True,
     )
     assert _digest(*vibrations) == (
-        "0b384f35b10e0430828db4f0119473c3145834f2d9b11f105c0edf6d0b2caf9d"
+        "a0c9dfbcf04d89c5dc81064975c08dfa530058ba3e6d5d1960996ee56bde2d9e"
     )
 
 
@@ -179,16 +188,16 @@ def recordings():
 
 SCORE_GOLDENS = {
     ("baseline-glass", "oracle"): (
-        "5c64be8155260263099033dfdab7c0447a9109d2dcb68b9bb5025a10ff41ddb3"
+        "d23aa2c6968312d445b691e4d510e61df3427ca7e01dcbf005b4be5a3d7af517"
     ),
     ("baseline-glass", "none"): (
-        "4f4bc5da67c4e1570eebaba8a97130f351ca9de5406df17e878d23b059f6c391"
+        "db9c6eca54b512a1deba4f01c1ef3c807517c0994e3be3c2e293476c05dbbb71"
     ),
     ("ultrasound-solid", "oracle"): (
-        "9f7fbc8d5f8100ef9a969b3fc192235063aee0993e4a1312b5151e53c60ddc8c"
+        "f97428a0339dc13e27e92c86b8bb0658cbd101044597166e0bef266b50f354f0"
     ),
     ("ultrasound-solid", "none"): (
-        "38787a0d4f6f7d17f398565c9e6758ce1768859d562f6acb75390a604e65e76e"
+        "b4ca7083c6912db6c81a0499d59072125e8a79dc659c0f43db494214a35f9d8e"
     ),
 }
 
@@ -296,4 +305,23 @@ def test_sosfiltfilt_rows_match_1d(order, cutoff):
     for row in range(stack.shape[0]):
         np.testing.assert_array_equal(
             filtered[row], sp_signal.sosfiltfilt(sos, stack[row])
+        )
+
+
+@pytest.mark.parametrize(
+    "order, cutoff, rate",
+    [(2, 8.0, 200.0), (6, 5.0, 200.0), (4, 800.0, RATE)],
+)
+def test_zero_phase_rows_match_1d(order, cutoff, rate):
+    design = butter_design(order, cutoff, "lowpass", rate)
+    stack = np.random.default_rng(order).normal(size=(3, 2_000))
+    filtered = zero_phase(design, stack)
+    seeded = zero_phase(design, stack, start=stack[:, 5:6])
+    for row in range(stack.shape[0]):
+        np.testing.assert_array_equal(
+            filtered[row], zero_phase(design, stack[row])
+        )
+        np.testing.assert_array_equal(
+            seeded[row],
+            zero_phase(design, stack[row], start=stack[row, 5:6]),
         )

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
 from repro.dsp.generators import silence, tone
 from repro.dsp.spectrum import fft_magnitude
 from repro.errors import ConfigurationError
+from repro.phonemes import phonemize
 from repro.sensing.accelerometer import (
     Accelerometer,
     AccelerometerSpec,
@@ -105,3 +107,99 @@ def test_invalid_spec_rejected():
         AccelerometerSpec(base_noise_rms=-1.0)
     with pytest.raises(ConfigurationError):
         AccelerometerSpec(sample_rate=0.0)
+    # A zero or negative reference made ``sense`` return NaN vibration.
+    for reference in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            AccelerometerSpec(noise_envelope_reference=reference)
+    # NaN passed every ``x < 0`` check; a NaN lsb skipped quantization.
+    for name in (
+        "base_noise_rms",
+        "low_freq_noise_coeff",
+        "dc_sensitivity",
+        "noise_envelope_exponent",
+        "lsb",
+        "dc_bandwidth_hz",
+    ):
+        with pytest.raises(ConfigurationError, match=name):
+            AccelerometerSpec(**{name: float("nan")})
+    # The DC envelope is filtered at the sensor rate.
+    with pytest.raises(ConfigurationError, match="Nyquist"):
+        AccelerometerSpec(dc_bandwidth_hz=100.0)
+
+
+def _full_rate_envelopes(drive):
+    """The audio-rate envelope formula the sensor-rate one replaced.
+
+    Returns the DC envelope (order 6, 5 Hz, of ``|drive|``) and the
+    noise envelope (order 2, 8 Hz, of the rectified 800 Hz low band),
+    both filtered at the audio rate and then decimated.
+    """
+
+    def lowpass(order, cutoff, samples):
+        sos = sp_signal.butter(
+            order, cutoff, btype="lowpass", fs=AUDIO_RATE, output="sos"
+        )
+        return sp_signal.sosfiltfilt(sos, samples)
+
+    dc = lowpass(6, 5.0, np.abs(drive))[::80]
+    low = lowpass(4, 800.0, drive)
+    noise = np.clip(lowpass(2, 8.0, np.abs(low)), 0.0, None)[::80]
+    return dc, noise
+
+
+def _sensed_envelopes(drive, seed=3):
+    """Both envelopes read back through :meth:`Accelerometer.sense`."""
+    field = np.zeros(drive.size)
+    dc_only = AccelerometerSpec(
+        base_noise_rms=0.0, low_freq_noise_coeff=0.0,
+        dc_sensitivity=1.0, lsb=0.0,
+    )
+    dc = _sense(Accelerometer(dc_only), field, drive, rng=seed)
+    # With unit coefficient, exponent and reference, the noise RMS is
+    # sqrt(pi / 2) times the envelope; divide out the row's draws.
+    noise_only = AccelerometerSpec(
+        base_noise_rms=0.0, low_freq_noise_coeff=1.0, dc_sensitivity=0.0,
+        lsb=0.0, noise_envelope_exponent=1.0, noise_envelope_reference=1.0,
+    )
+    noise = _sense(Accelerometer(noise_only), field, drive, rng=seed)
+    draws = np.random.default_rng(seed).standard_normal(noise.size)
+    return dc, noise / (np.sqrt(np.pi / 2.0) * draws)
+
+
+def _speech_drives(corpus):
+    commands = (
+        "ok google open the garage door",
+        "hey siri call mom",
+        "alexa unlock the back door",
+    )
+    return [
+        corpus.utterance(phonemize(command), text=command, rng=index)
+        .waveform
+        for index, command in enumerate(commands)
+    ]
+
+
+def test_sensor_rate_envelopes_match_full_rate_formula(corpus):
+    """Away from 0.5 s at each edge, the envelopes computed at 200 Hz
+    stay close to the audio-rate formula: the DC term and the noise
+    envelope to a small fraction of their peaks, and the DC term's
+    content above the feature high-pass (5 Hz, the part that reaches
+    the analysis band) to a few percent of its own peak."""
+    highpass = sp_signal.butter(
+        4, 5.0, btype="highpass", fs=200.0, output="sos"
+    )
+    interior = slice(100, -100)
+
+    def peak_error(actual, expected):
+        actual, expected = actual[interior], expected[interior]
+        return np.abs(actual - expected).max() / np.abs(expected).max()
+
+    for drive in _speech_drives(corpus):
+        expected_dc, expected_noise = _full_rate_envelopes(drive)
+        dc, noise = _sensed_envelopes(drive)
+        assert dc.shape == expected_dc.shape
+        assert peak_error(dc, expected_dc) < 2e-3
+        assert peak_error(noise, expected_noise) < 1e-2
+        in_band = sp_signal.sosfiltfilt(highpass, dc)
+        expected_in_band = sp_signal.sosfiltfilt(highpass, expected_dc)
+        assert peak_error(in_band, expected_in_band) < 5e-2

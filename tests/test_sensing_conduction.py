@@ -71,6 +71,10 @@ def test_jitter_varies_per_call():
         {"high_corner_hz": 1000.0},  # below resonance
         {"gain": 0.0},
         {"response_jitter_db": -1.0},
+        # NaN passed the ordered comparisons; a NaN gain gave NaN output.
+        {"gain": float("nan")},
+        {"high_corner_hz": float("nan")},
+        {"response_jitter_db": float("nan")},
     ],
 )
 def test_invalid_configs(kwargs):

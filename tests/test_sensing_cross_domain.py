@@ -77,6 +77,13 @@ def test_chirp_response_shape(sensor):
     vibration = sensor.chirp_response(500.0, 2500.0, 2.0, rng=4)
     assert vibration.size == 400
     assert np.all(np.isfinite(vibration))
+    # Fig. 7 (the bench_fig7_chirp_response setup): the DC artifact's
+    # 0-5 Hz peak dominates every other band by more than 3x.
+    vibration = sensor.chirp_response(
+        500.0, 2500.0, 3.0, amplitude=0.3, rng=7000
+    )
+    freqs, mags = fft_magnitude(vibration, 200.0, n_fft=256)
+    assert mags[freqs <= 5.0].max() > 3.0 * mags[freqs > 5.0].max()
 
 
 class TestBodyMotion:
