@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.acoustics.materials import BarrierMaterial
+from repro.dsp.filters import spectral_filter
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ensure_1d, ensure_positive
 
@@ -75,12 +76,14 @@ class Barrier:
         """
         samples = ensure_1d(signal)
         ensure_positive(sample_rate, "sample_rate")
-        spectrum = np.fft.rfft(samples)
-        frequencies = np.fft.rfftfreq(samples.size, d=1.0 / sample_rate)
-        gain = self.transmission_gain(frequencies)
-        if self.resonance_db > 0:
-            gain = gain * self._resonance_ripple(frequencies, rng)
-        return np.fft.irfft(spectrum * gain, n=samples.size)
+
+        def gain_of(frequencies: np.ndarray) -> np.ndarray:
+            gain = self.transmission_gain(frequencies)
+            if self.resonance_db > 0:
+                gain = gain * self._resonance_ripple(frequencies, rng)
+            return gain
+
+        return spectral_filter(samples, sample_rate, gain_of)
 
     def _resonance_ripple(
         self,

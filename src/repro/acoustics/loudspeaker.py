@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dsp.filters import spectral_filter
 from repro.errors import ConfigurationError
 from repro.utils.validation import ensure_1d, ensure_2d, ensure_positive
 
@@ -88,14 +89,8 @@ class Loudspeaker:
         """
         samples = ensure_2d(signals, "signals")
         ensure_positive(sample_rate, "sample_rate")
-        spectrum = np.fft.rfft(samples, axis=-1)
-        frequencies = np.fft.rfftfreq(
-            samples.shape[-1], d=1.0 / sample_rate
-        )
-        shaped = np.fft.irfft(
-            spectrum * self.frequency_response(frequencies),
-            n=samples.shape[-1],
-            axis=-1,
+        shaped = spectral_filter(
+            samples, sample_rate, self.frequency_response
         )
         if self.spec.harmonic_distortion > 0:
             peaks = np.max(np.abs(shaped), axis=-1, keepdims=True) + 1e-12

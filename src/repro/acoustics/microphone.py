@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.acoustics.spl import REFERENCE_RMS_AT_65_DB, db_to_gain
+from repro.dsp.filters import spectral_filter
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ensure_1d, ensure_positive
@@ -102,10 +103,8 @@ class Microphone:
         samples = ensure_1d(sound_field)
         ensure_positive(sample_rate, "sample_rate")
         generator = as_generator(rng)
-        spectrum = np.fft.rfft(samples)
-        frequencies = np.fft.rfftfreq(samples.size, d=1.0 / sample_rate)
-        shaped = np.fft.irfft(
-            spectrum * self.frequency_response(frequencies), n=samples.size
+        shaped = spectral_filter(
+            samples, sample_rate, self.frequency_response
         )
         noise_rms = REFERENCE_RMS_AT_65_DB * db_to_gain(
             self.spec.noise_floor_db - 65.0

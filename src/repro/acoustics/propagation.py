@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dsp.filters import spectral_filter
 from repro.utils.validation import ensure_1d, ensure_positive
 
 #: Reference distance (m) at which source SPL is specified.
@@ -58,10 +59,10 @@ def propagate(
     """
     samples = ensure_1d(signal)
     ensure_positive(sample_rate, "sample_rate")
-    spectrum = np.fft.rfft(samples)
-    frequencies = np.fft.rfftfreq(samples.size, d=1.0 / sample_rate)
-    shaped = np.fft.irfft(
-        spectrum * air_absorption(frequencies, distance_m), n=samples.size
+    shaped = spectral_filter(
+        samples,
+        sample_rate,
+        lambda frequencies: air_absorption(frequencies, distance_m),
     )
     shaped *= spreading_gain(distance_m)
     if include_delay:

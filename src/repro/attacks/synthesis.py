@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.attacks.base import AttackKind, AttackSound, IndexedAttackMixin
+from repro.dsp.filters import spectral_filter
 from repro.errors import ConfigurationError
 from repro.phonemes.commands import VA_COMMANDS, phonemize
 from repro.phonemes.corpus import SyntheticCorpus, Utterance
@@ -148,7 +149,8 @@ class VoiceSynthesisAttack(IndexedAttackMixin):
         waveform: np.ndarray, sample_rate: float
     ) -> np.ndarray:
         """Mild high-frequency loss typical of neural vocoders."""
-        spectrum = np.fft.rfft(waveform)
-        frequencies = np.fft.rfftfreq(waveform.size, d=1.0 / sample_rate)
-        rolloff = 1.0 / (1.0 + (frequencies / 6500.0) ** 6)
-        return np.fft.irfft(spectrum * rolloff, n=waveform.size)
+        return spectral_filter(
+            waveform,
+            sample_rate,
+            lambda frequencies: 1.0 / (1.0 + (frequencies / 6500.0) ** 6),
+        )

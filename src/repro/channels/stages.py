@@ -44,6 +44,7 @@ from repro.acoustics.barrier import Barrier
 from repro.acoustics.loudspeaker import Loudspeaker, LoudspeakerSpec
 from repro.acoustics.materials import BarrierMaterial
 from repro.acoustics.propagation import propagate
+from repro.dsp.filters import spectral_filter
 from repro.errors import ConfigurationError, SignalError
 from repro.sensing.accelerometer import Accelerometer, AccelerometerSpec
 from repro.sensing.conduction import ConductionPath
@@ -338,11 +339,7 @@ class SolidConductionStage(StageBase):
     def apply(self, signal, rate, rng=None, chain_input=None):
         samples = ensure_1d(signal)
         ensure_positive(rate, "rate")
-        spectrum = np.fft.rfft(samples)
-        frequencies = np.fft.rfftfreq(samples.size, d=1.0 / rate)
-        return np.fft.irfft(
-            spectrum * self.gain(frequencies), n=samples.size
-        )
+        return spectral_filter(samples, rate, self.gain)
 
 
 @dataclass(frozen=True)

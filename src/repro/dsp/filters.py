@@ -1,8 +1,14 @@
-"""IIR and FIR filtering helpers built on scipy.signal.
+"""Filtering helpers: IIR/FIR on scipy.signal and one FFT filter kernel.
 
 Used for: the wearable's high-pass preprocessing that removes body-motion
 interference, barrier/microphone/loudspeaker frequency shaping, and the
 anti-aliased decimation path (the accelerometer path deliberately skips it).
+
+Every frequency-domain filter in the library — device responses, air
+and barrier transmission, the conduction paths and the spectrally
+shaped noise generators — runs through :func:`spectral_filter`, which
+takes its FFT at :func:`fast_length` of the signal rather than at the
+raw length, where numpy's FFT falls back to Bluestein's algorithm.
 
 Filter *designs* are memoized: a Butterworth design depends only on
 ``(order, cutoff, btype, rate)``, yet the sensing hot path used to
@@ -22,10 +28,11 @@ path builds on.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy import signal as sp_signal
+from scipy.fft import next_fast_len
 
 from repro.errors import ConfigurationError
 from repro.utils.validation import (
@@ -155,6 +162,42 @@ def zero_phase(
     if edge:
         backward = backward[..., edge:-edge]
     return backward
+
+
+def fast_length(n: int) -> int:
+    """The FFT length a spectral filter runs an ``n``-sample signal at.
+
+    ``scipy.fft.next_fast_len(n)``: the smallest length ``>= n`` whose
+    prime factors are all at most 11.  A length with a large prime
+    factor sends numpy's FFT to Bluestein's algorithm, several times
+    slower than at the next fast length.
+    """
+    return next_fast_len(n)
+
+
+def spectral_filter(
+    samples: np.ndarray,
+    rate: float,
+    gain_of: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Multiply the spectrum of each row by a real gain, along the last axis.
+
+    The last axis is zero-padded to ``n_fft = fast_length(n)`` and
+    transformed; ``gain_of(rfftfreq(n_fft, 1 / rate))`` returns a
+    ``(bins,)`` gain shared by every row or a ``(rows, bins)`` gain, one
+    per row.  The inverse transform at ``n_fft`` is trimmed back to the
+    ``n`` input samples.  At a length that is already fast this is
+    bitwise ``irfft(rfft(x) * gain, n)``; elsewhere the zero pad takes
+    the start of the filter's tail, which the raw-length formula wraps
+    circularly onto the signal's first samples.  ``samples`` is one
+    signal or a ``(..., time)`` stack, and each row of a stack is
+    bitwise the 1-D call (with its row of the gain).
+    """
+    n = samples.shape[-1]
+    n_fft = fast_length(n)
+    spectrum = np.fft.rfft(samples, n=n_fft, axis=-1)
+    spectrum *= gain_of(np.fft.rfftfreq(n_fft, d=1.0 / rate))
+    return np.fft.irfft(spectrum, n=n_fft, axis=-1)[..., :n]
 
 
 def butter_highpass(

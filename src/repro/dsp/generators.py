@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dsp.filters import spectral_filter
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ensure_positive
@@ -90,11 +91,13 @@ def pink_noise(
     generator = as_generator(rng)
     count = _n_samples(duration_s, sample_rate)
     white = generator.standard_normal(count)
-    spectrum = np.fft.rfft(white)
-    frequencies = np.fft.rfftfreq(count, d=1.0 / sample_rate)
-    shaping = np.ones_like(frequencies)
-    nonzero = frequencies > 0
-    shaping[nonzero] = 1.0 / np.sqrt(frequencies[nonzero])
-    shaped = np.fft.irfft(spectrum * shaping, n=count)
+
+    def shaping_of(frequencies: np.ndarray) -> np.ndarray:
+        shaping = np.ones_like(frequencies)
+        nonzero = frequencies > 0
+        shaping[nonzero] = 1.0 / np.sqrt(frequencies[nonzero])
+        return shaping
+
+    shaped = spectral_filter(white, sample_rate, shaping_of)
     rms = float(np.sqrt(np.mean(shaped**2))) + 1e-12
     return amplitude * shaped / rms

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.dsp.filters import spectral_filter
 from repro.errors import ConfigurationError, SynthesisError
 from repro.phonemes.inventory import Phoneme, PhonemeClass, get_phoneme
 from repro.phonemes.speaker import SpeakerProfile
@@ -221,13 +222,15 @@ class PhonemeSynthesizer:
         low_hz = min(low_hz, nyquist * 0.95)
         high_hz = min(high_hz, nyquist * 0.999)
         white = generator.standard_normal(n_samples)
-        spectrum = np.fft.rfft(white)
-        frequencies = np.fft.rfftfreq(n_samples, d=1.0 / self.sample_rate)
         # Raised-cosine band edges avoid ringing from brick-wall masks.
         width = max((high_hz - low_hz) * 0.15, 50.0)
-        gain = np.clip((frequencies - (low_hz - width)) / width, 0.0, 1.0)
-        gain *= np.clip(((high_hz + width) - frequencies) / width, 0.0, 1.0)
-        shaped = np.fft.irfft(spectrum * gain, n=n_samples)
+
+        def gain_of(frequencies: np.ndarray) -> np.ndarray:
+            rise = (frequencies - (low_hz - width)) / width
+            fall = ((high_hz + width) - frequencies) / width
+            return np.clip(rise, 0.0, 1.0) * np.clip(fall, 0.0, 1.0)
+
+        shaped = spectral_filter(white, self.sample_rate, gain_of)
         rms = float(np.sqrt(np.mean(shaped**2))) + 1e-12
         return shaped / rms
 
@@ -240,10 +243,13 @@ class PhonemeSynthesizer:
     ) -> np.ndarray:
         """Breathy noise colored by the phoneme's formants."""
         white = generator.standard_normal(n_samples)
-        spectrum = np.fft.rfft(white)
-        frequencies = np.fft.rfftfreq(n_samples, d=1.0 / self.sample_rate)
-        envelope = spectral_envelope(phoneme, speaker, frequencies)
-        shaped = np.fft.irfft(spectrum * envelope, n=n_samples)
+        shaped = spectral_filter(
+            white,
+            self.sample_rate,
+            lambda frequencies: spectral_envelope(
+                phoneme, speaker, frequencies
+            ),
+        )
         rms = float(np.sqrt(np.mean(shaped**2))) + 1e-12
         return shaped / rms
 

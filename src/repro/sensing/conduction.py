@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.dsp.filters import spectral_filter
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ensure_1d, ensure_2d, ensure_positive
@@ -114,22 +115,17 @@ class ConductionPath:
                 f"need one rng per signal: got {len(rngs)} rngs for "
                 f"{n_items} signals"
             )
-        spectrum = np.fft.rfft(samples, axis=-1)
-        frequencies = np.fft.rfftfreq(
-            samples.shape[-1], d=1.0 / sample_rate
-        )
-        gain = self.response(frequencies)
-        if self.response_jitter_db > 0:
-            gains = np.empty((n_items, frequencies.size))
-            for index, rng in enumerate(rngs):
-                gains[index] = gain * self._response_ripple(
-                    frequencies, rng
-                )
-        else:
-            gains = gain[np.newaxis, :]
-        return np.fft.irfft(
-            spectrum * gains, n=samples.shape[-1], axis=-1
-        )
+
+        def gains_of(frequencies: np.ndarray) -> np.ndarray:
+            gain = self.response(frequencies)
+            if self.response_jitter_db <= 0:
+                return gain
+            return np.stack([
+                gain * self._response_ripple(frequencies, rng)
+                for rng in rngs
+            ])
+
+        return spectral_filter(samples, sample_rate, gains_of)
 
     def _response_ripple(
         self,

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from repro.acoustics.loudspeaker import LoudspeakerSpec, WEARABLE_SPEAKER
+from repro.dsp.filters import fast_length
 from repro.sensing.accelerometer import AccelerometerSpec
 from repro.sensing.body_motion import body_motion_interference
 from repro.sensing.conduction import ConductionPath
@@ -153,14 +153,14 @@ class CrossDomainSensor:
         identical** whatever else shares the batch.
 
         Each recording is replayed zero-padded to
-        ``scipy.fft.next_fast_len`` of its length: the wearable plays the
-        clip, then a few ms of silence.  At a length with a large prime
-        factor numpy's FFT falls back to Bluestein's algorithm, 7-10×
-        slower than at the next fast length; the silence also keeps the
-        speaker and conduction filters from wrapping the clip's end onto
-        its start.  The vibration is then trimmed to the
-        ``ceil(n / step)`` samples the unpadded recording decimates to.
-        A recording already at a fast length is replayed unpadded.
+        :func:`~repro.dsp.filters.fast_length` of its length, the length
+        every spectral filter runs at: the wearable plays the clip, then
+        a few ms of silence.  The speaker and conduction filters thus
+        see a fast length, where they are the plain ``rfft``/``irfft``
+        pair, and the accelerometer sees the same padded drive.  The
+        vibration is then trimmed to the ``ceil(n / step)`` samples the
+        unpadded recording decimates to.  A recording already at a fast
+        length is replayed unpadded.
 
         The channel groups padded recordings of equal length into dense
         ``(batch, time)`` stacks and pushes them through each stage's
@@ -195,7 +195,7 @@ class CrossDomainSensor:
         step = round(audio_rate / vibration_rate)
         replayed = self.channel.apply_batch(
             [
-                np.pad(audio, (0, next_fast_len(audio.size) - audio.size))
+                np.pad(audio, (0, fast_length(audio.size) - audio.size))
                 for audio in items
             ],
             audio_rate,

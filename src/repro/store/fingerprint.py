@@ -25,7 +25,9 @@ from repro.errors import StoreError
 
 #: Version of the on-disk artifact schema.  Part of every fingerprint
 #: and of the store's directory layout (``<root>/v<SCHEMA_VERSION>/``).
-SCHEMA_VERSION = 1
+#: Version 2: phoneme synthesis filters at fast FFT lengths, which
+#: changes the segmenter's training corpus and so its trained weights.
+SCHEMA_VERSION = 2
 
 #: Hex digest length used for entry directory names.  32 hex chars of
 #: SHA-256 (128 bits) keeps paths short while making collisions

@@ -1,4 +1,4 @@
-"""IIR/FIR filter behaviour."""
+"""IIR/FIR filter behaviour and the FFT filter kernel."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,9 @@ from repro.dsp.filters import (
     butter_design,
     butter_highpass,
     butter_lowpass,
+    fast_length,
     fir_lowpass,
+    spectral_filter,
     zero_phase,
 )
 from repro.dsp.generators import tone
@@ -168,3 +170,85 @@ def test_butter_design_is_memoized_and_read_only():
     assert not design.zi.flags.writeable
     expected = sp_signal.sosfilt_zi(_scipy_sos(6, 5.0, "lowpass", 200.0))
     np.testing.assert_array_equal(design.zi, expected)
+
+
+# ----------------------------------------------------------------------
+# The FFT filter kernel
+# ----------------------------------------------------------------------
+
+AUDIO_RATE = 16_000.0
+
+
+def _smooth_gain(frequencies):
+    """A gentle low-pass with a short impulse response."""
+    return 1.0 / (1.0 + (frequencies / 2_000.0) ** 2)
+
+
+def _per_row_gains(rows):
+    def gains_of(frequencies):
+        return np.stack([
+            _smooth_gain(frequencies) * (1.0 + 0.1 * row)
+            for row in range(rows)
+        ])
+
+    return gains_of
+
+
+def _raw_filter(samples, gain):
+    """``irfft(rfft(x) * gain, n)`` at the signal's own length."""
+    n = samples.shape[-1]
+    return np.fft.irfft(np.fft.rfft(samples, axis=-1) * gain, n=n, axis=-1)
+
+
+@pytest.mark.parametrize("n", [12_000, 16_000, 4_032])
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_spectral_filter_is_the_raw_formula_at_a_fast_length(n, shape):
+    assert fast_length(n) == n
+    samples = np.random.default_rng(n).normal(size=shape + (n,))
+    frequencies = np.fft.rfftfreq(n, d=1.0 / AUDIO_RATE)
+    np.testing.assert_array_equal(
+        spectral_filter(samples, AUDIO_RATE, _smooth_gain),
+        _raw_filter(samples, _smooth_gain(frequencies)),
+    )
+    if shape:
+        gains_of = _per_row_gains(shape[0])
+        np.testing.assert_array_equal(
+            spectral_filter(samples, AUDIO_RATE, gains_of),
+            _raw_filter(samples, gains_of(frequencies)),
+        )
+
+
+@pytest.mark.parametrize("n", [4_001, 12_000, 12_345])
+def test_spectral_filter_rows_match_1d(n):
+    stack = np.random.default_rng(n).normal(size=(3, n))
+    shared = spectral_filter(stack, AUDIO_RATE, _smooth_gain)
+    per_row = spectral_filter(stack, AUDIO_RATE, _per_row_gains(3))
+    for row in range(stack.shape[0]):
+        assert shared.shape == stack.shape
+        np.testing.assert_array_equal(
+            shared[row],
+            spectral_filter(stack[row], AUDIO_RATE, _smooth_gain),
+        )
+        np.testing.assert_array_equal(
+            per_row[row],
+            spectral_filter(
+                stack[row],
+                AUDIO_RATE,
+                lambda frequencies: _per_row_gains(3)(frequencies)[row],
+            ),
+        )
+
+
+def test_spectral_filter_does_not_wrap_the_tail_onto_the_start():
+    # 4 001 = 4 001 (prime): the kernel pads to 4 032, the raw formula
+    # wraps the impulse's right half onto samples 0, 1, 2, ...
+    n = 4_001
+    assert fast_length(n) == 4_032
+    impulse = np.zeros(n)
+    impulse[-1] = 1.0
+    filtered = spectral_filter(impulse, AUDIO_RATE, _smooth_gain)
+    frequencies = np.fft.rfftfreq(n, d=1.0 / AUDIO_RATE)
+    wrapped = _raw_filter(impulse, _smooth_gain(frequencies))
+    peak = np.abs(filtered).max()
+    assert np.abs(wrapped[:8]).max() > 0.1 * peak
+    assert np.abs(filtered[:8]).max() < 1e-3 * peak

@@ -19,6 +19,18 @@ The attack-channel transmit digests do not pass through the
 accelerometer and are unchanged; the score tolerance tests against the
 unpadded replay hold unedited.
 
+A fourth re-recording followed when every spectral filter in the
+library (device responses, air and barrier transmission, the conduction
+paths and the shaped noise generators) moved to fast FFT lengths.
+Replay inputs already arrive at a fast length, so the six conversions,
+the mixed-length batch and the 12 000-sample thru-barrier transmit keep
+their digests.  The 12 345-sample ultrasound injection and the four
+pipeline score sets were re-recorded: their recordings are synthesized,
+captured and transmitted through the new filters.  The unpadded
+reference is now the test-side :func:`_unpadded_replay`, since
+``sensor.channel.apply`` pads its filters too; its score tuples were
+recomputed on the new recordings, and the tolerances are unchanged.
+
 The file also pins the precondition that refactor rests on: numpy's
 ``rfft``/``irfft``, scipy's ``sosfiltfilt`` and the library's cached
 zero-phase kernel along ``axis=-1`` give rows bitwise equal to the 1-D
@@ -34,6 +46,7 @@ import pytest
 from scipy import signal as sp_signal
 
 from repro.acoustics.barrier import Barrier
+from repro.acoustics.loudspeaker import Loudspeaker
 from repro.acoustics.materials import GLASS_WINDOW
 from repro.attacks import ReplayAttack
 from repro.attacks.scenario import ThruBarrierChannel
@@ -43,6 +56,7 @@ from repro.eval.rooms import ROOM_A
 from repro.phonemes import SyntheticCorpus, phonemize
 from repro.scenarios import get_scenario
 from repro.sensing.cross_domain import CrossDomainSensor
+from repro.utils.rng import as_generator
 
 RATE = 16_000.0
 
@@ -96,6 +110,49 @@ def test_convert_golden(n, body):
     assert _digest(vibration) == CONVERT_GOLDENS[(n, body)]
 
 
+def _unpadded_replay(sensor, audio, rng):
+    """The replay with raw-length speaker and conduction filters.
+
+    Before the library's spectral filters moved to fast FFT lengths,
+    ``sensor.channel.apply`` was exactly this at every length: both
+    filters take ``rfft``/``irfft`` at the recording's own length, so
+    each wraps its tail circularly onto the clip's start.  ``rng`` is
+    consumed as the channel consumes it (one stream per stage, derived
+    up front), and the accelerometer stage runs as in the library.
+    """
+    speaker, conduction, accelerometer = sensor.channel.stages
+    streams = sensor.channel.derive_streams(as_generator(rng))
+    n = audio.size
+    frequencies = np.fft.rfftfreq(n, d=1.0 / RATE)
+    played = np.fft.irfft(
+        np.fft.rfft(audio)
+        * Loudspeaker(speaker.spec).frequency_response(frequencies),
+        n=n,
+    )
+    distortion = speaker.spec.harmonic_distortion
+    if distortion > 0:
+        peak = np.max(np.abs(played)) + 1e-12
+        played = peak * (played / peak + distortion * (played / peak) ** 2)
+    path = conduction.path
+    gain = path.response(frequencies)
+    if path.response_jitter_db > 0:
+        gain = gain * path._response_ripple(frequencies, streams[1])
+    coupled = np.fft.irfft(np.fft.rfft(played) * gain, n=n)
+    return accelerometer.apply(
+        coupled, RATE, rng=streams[2], chain_input=audio
+    )
+
+
+@pytest.mark.parametrize("n", [12_000, 16_000])
+def test_unpadded_replay_is_the_channel_at_a_fast_length(n):
+    sensor = CrossDomainSensor()
+    audio = _speech_like(n, seed=n)
+    np.testing.assert_array_equal(
+        _unpadded_replay(sensor, audio, rng=n + 1),
+        sensor.channel.apply(audio, RATE, rng=n + 1),
+    )
+
+
 @pytest.mark.parametrize("n, bound", [(4_001, 5e-3), (48_397, 1e-3)])
 def test_convert_close_to_unpadded_replay(n, bound):
     """The fast-length replay stays close to the unpadded channel.
@@ -109,7 +166,7 @@ def test_convert_close_to_unpadded_replay(n, bound):
     sensor = CrossDomainSensor()
     audio = _speech_like(n, seed=n)
     padded = sensor.convert(audio, RATE, rng=n + 1)
-    unpadded = sensor.channel.apply(audio, RATE, rng=n + 1)
+    unpadded = _unpadded_replay(sensor, audio, rng=n + 1)
     assert padded.shape == unpadded.shape
     error = np.abs(padded - unpadded)[1:-3]
     assert error.max() <= bound * np.abs(unpadded).max()
@@ -145,7 +202,7 @@ def test_ultrasound_injection_transmit_golden():
         _speech_like(12_345, seed=6), RATE, spl_db=75.0, rng=7
     )
     assert _digest(field) == (
-        "835709eaef794a1d1080b2fd2c17f0684fb421ef75c5aecd7ab084112971e46e"
+        "c06f740705868e3e6f8bee9d8406b316b6f86867b26e975eb526596ccc1a8742"
     )
 
 
@@ -188,46 +245,47 @@ def recordings():
 
 SCORE_GOLDENS = {
     ("baseline-glass", "oracle"): (
-        "d23aa2c6968312d445b691e4d510e61df3427ca7e01dcbf005b4be5a3d7af517"
+        "18913034fa734e7e665e7d668d0f71409682c4fd47be9e86826df97719856691"
     ),
     ("baseline-glass", "none"): (
-        "db9c6eca54b512a1deba4f01c1ef3c807517c0994e3be3c2e293476c05dbbb71"
+        "9ccc2eea4b0572377b51b58dbd0fba3126cd281ad00ba84b5fb31d8eef8d01dc"
     ),
     ("ultrasound-solid", "oracle"): (
-        "f97428a0339dc13e27e92c86b8bb0658cbd101044597166e0bef266b50f354f0"
+        "71eb009252de335e81359e40f30b8b2c0ec17f4bea133c71a32380e76d9d0560"
     ),
     ("ultrasound-solid", "none"): (
-        "b4ca7083c6912db6c81a0499d59072125e8a79dc659c0f43db494214a35f9d8e"
+        "402bfb587c5e26eba6c1e553ef579ca26fa51ff2cbbf694d6b21243807037f0e"
     ),
 }
 
 
-#: The same scores before the replay padded recordings to a fast FFT
-#: length.
+#: The same scores with the raw-length replay :func:`_unpadded_replay`
+#: in place of ``CrossDomainSensor.convert_batch``, on the same
+#: recordings.
 UNPADDED_SCORES = {
     ("baseline-glass", "oracle"): (
-        0.597836696390431,
-        0.19206297151500973,
-        0.7190327823317999,
-        0.0727852021928288,
+        0.5971905637763143,
+        0.19156602741651824,
+        0.7180669838223465,
+        0.07201430895635043,
     ),
     ("baseline-glass", "none"): (
-        0.6524915137140852,
-        0.23019249409885356,
-        0.7603349766639101,
-        0.1693527418431228,
+        0.6527924926634948,
+        0.22984288544021214,
+        0.7603009954782444,
+        0.168654528688156,
     ),
     ("ultrasound-solid", "oracle"): (
-        0.6709590480443378,
-        0.6751830152896029,
-        0.6435262476860274,
-        0.692027525342261,
+        0.6693887404524852,
+        0.6746550015990759,
+        0.6408706071956527,
+        0.6760182251552064,
     ),
     ("ultrasound-solid", "none"): (
-        0.7650176509041335,
-        0.7495250105184527,
-        0.7442394745620159,
-        0.7751737403347357,
+        0.7643487361811404,
+        0.7496361861490061,
+        0.7446895265604393,
+        0.7700162630254115,
     ),
 }
 

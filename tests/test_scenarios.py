@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from repro.acoustics.materials import (
     GLASS_WINDOW,
@@ -20,12 +21,17 @@ from repro.acoustics.materials import (
     get_material,
     list_materials,
 )
-from repro.attacks import ReplayAttack
+from repro.attacks import (
+    HiddenVoiceAttack,
+    RandomAttack,
+    ReplayAttack,
+    VoiceSynthesisAttack,
+)
 from repro.attacks.base import AttackKind
 from repro.errors import ConfigurationError
 from repro.eval.campaign import CampaignConfig
 from repro.eval.rooms import ROOM_A
-from repro.phonemes import SyntheticCorpus
+from repro.phonemes import SyntheticCorpus, phonemize
 from repro.scenarios import (
     ScenarioSpec,
     get_scenario,
@@ -123,6 +129,88 @@ class TestEveryScenarioRuns:
         )
         assert np.isfinite(verdict.score)
         assert -1.0 <= verdict.score <= 1.0
+
+
+class TestFastFftLengths:
+    """Generating and replaying recordings never runs an FFT at a slow
+    length.
+
+    Every ``np.fft.rfft``/``irfft`` call made while synthesizing an
+    utterance, generating an attack, recording both through a pack's
+    scenario and replaying the wearable recording is logged with its
+    transform length; each must be a fast length, where numpy's FFT
+    does not fall back to Bluestein's algorithm.
+    """
+
+    COMMAND = "ok google open the garage door"
+
+    @pytest.fixture()
+    def fft_lengths(self, monkeypatch):
+        lengths = []
+
+        def logged(transform, inverse):
+            def call(a, n=None, axis=-1, *args, **kwargs):
+                if n is None:
+                    bins = np.shape(a)[axis]
+                    n = 2 * (bins - 1) if inverse else bins
+                lengths.append(n)
+                return transform(a, n, axis, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np.fft, "rfft", logged(np.fft.rfft, False))
+        monkeypatch.setattr(np.fft, "irfft", logged(np.fft.irfft, True))
+        return lengths
+
+    @staticmethod
+    def _record_and_replay(spec, utterance, attack, seed):
+        scenario = spec.build_attack_scenario(ROOM_A)
+        sensor = spec.build_sensor()
+        legit = scenario.legitimate_recordings(
+            utterance, spl_db=70.0, rng=seed
+        )
+        spoofed = scenario.attack_recordings(
+            attack, spl_db=spec.attack_spl_db, rng=seed + 1
+        )
+        for _, wearable in (legit, spoofed):
+            sensor.convert(wearable, 16_000.0, rng=seed + 2)
+
+    @staticmethod
+    def _slow(lengths):
+        assert lengths
+        return sorted({n for n in lengths if next_fast_len(n) != n})
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
+    def test_each_pack(self, name, fft_lengths):
+        corpus = SyntheticCorpus(n_speakers=2, seed=1)
+        user = corpus.speakers[0]
+        utterance = corpus.utterance(
+            phonemize(self.COMMAND), speaker=user, text=self.COMMAND, rng=2
+        )
+        attack = ReplayAttack(corpus, user).generate(
+            command=self.COMMAND, rng=3
+        )
+        self._record_and_replay(get_scenario(name), utterance, attack, 4)
+        assert self._slow(fft_lengths) == []
+
+    def test_each_attack_family(self, fft_lengths):
+        corpus = SyntheticCorpus(n_speakers=2, seed=1)
+        user, adversary = corpus.speakers
+        generators = {
+            AttackKind.RANDOM: RandomAttack(corpus, adversary),
+            AttackKind.REPLAY: ReplayAttack(corpus, user),
+            AttackKind.SYNTHESIS: VoiceSynthesisAttack(corpus, user, rng=5),
+            AttackKind.HIDDEN_VOICE: HiddenVoiceAttack(corpus),
+        }
+        assert set(generators) == set(AttackKind)
+        spec = get_scenario("baseline-glass")
+        utterance = corpus.utterance(
+            phonemize(self.COMMAND), speaker=user, text=self.COMMAND, rng=2
+        )
+        for seed, generator in enumerate(generators.values()):
+            attack = generator.generate(command=self.COMMAND, rng=seed)
+            self._record_and_replay(spec, utterance, attack, 10 * seed)
+        assert self._slow(fft_lengths) == []
 
 
 class TestCampaignAndServingWiring:
