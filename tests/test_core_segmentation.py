@@ -7,9 +7,10 @@ from repro.core.segmentation import (
     PhonemeSegmenter,
     SegmenterConfig,
     concatenate_segments,
+    default_segmenter,
 )
 from repro.errors import ConfigurationError, ModelError
-from repro.phonemes.commands import phonemize
+from repro.phonemes.commands import VA_COMMANDS, phonemize
 
 RATE = 16_000.0
 
@@ -99,6 +100,30 @@ class TestOracleSegments:
         utterance = corpus.utterance(["ae", "ih", "er"], rng=7)
         segments = segmenter.oracle_segments(utterance)
         assert len(segments) == 1
+
+
+class TestDefaultSegmenterQuality:
+    """The serving default (paper recipe, seed 0) segments utterances.
+
+    A recipe that sees only isolated phoneme segments can learn to mark
+    every frame of a whole utterance effective, which scores exactly the
+    label rate and hands the whole recording to cross-domain sensing.
+    """
+
+    def test_held_out_utterances_are_segmented(self, corpus):
+        segmenter = default_segmenter(seed=0)
+        accuracies = []
+        for index, command in enumerate(VA_COMMANDS[:6]):
+            utterance = corpus.utterance(
+                phonemize(command), rng=900 + index
+            )
+            predicted = segmenter.frame_probabilities(
+                utterance.waveform
+            ) >= segmenter.config.decision_threshold
+            labels = segmenter.frame_labels(utterance).astype(bool)
+            assert not predicted.all(), command
+            accuracies.append(float((predicted == labels).mean()))
+        assert np.mean(accuracies) >= 0.85
 
 
 class TestTrainedSegmenter:
