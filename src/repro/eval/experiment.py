@@ -25,6 +25,11 @@ from repro.eval.rooms import ROOMS
 from repro.eval.runner import CampaignRunner, CampaignStats
 from repro.phonemes.corpus import SyntheticCorpus
 
+#: Utterance cache of a factor sweep's corpus.  Every sweep value
+#: replays the same commands, so one value's utterances must stay
+#: cached until the next value asks for them again.
+SWEEP_UTTERANCE_CACHE = 128
+
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -185,7 +190,9 @@ def run_factor_sweep(
     detectors = detectors or DetectorBank(segmenter=segmenter)
     runner = _make_runner(runner, n_workers)
     corpus = SyntheticCorpus(
-        speakers=pool.speakers, seed=base_config.seed
+        speakers=pool.speakers,
+        seed=base_config.seed,
+        utterance_cache_size=SWEEP_UTTERANCE_CACHE,
     )
 
     # Outer fan-out: expand every sweep value into units up front, run

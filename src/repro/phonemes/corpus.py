@@ -106,7 +106,10 @@ class SyntheticCorpus:
         which case re-synthesis is a pure recomputation.  Campaigns and
         factor sweeps repeat exactly such (phonemes, speaker, seed)
         triples, so the cache removes redundant synthesis without ever
-        changing a result.  ``0`` disables caching.
+        changing a result.  ``0`` disables caching.  A campaign unit
+        reuses its utterances within the unit, which the default
+        covers; a factor sweep reuses them one sweep value later and
+        sizes its own cache (:func:`repro.eval.experiment.run_factor_sweep`).
 
     Examples
     --------
@@ -122,7 +125,7 @@ class SyntheticCorpus:
         synthesizer: Optional[PhonemeSynthesizer] = None,
         n_speakers: int = 10,
         seed: SeedLike = None,
-        utterance_cache_size: int = 128,
+        utterance_cache_size: int = 16,
     ) -> None:
         self._rng = as_generator(seed)
         if speakers is None:
