@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-fast smoke serve-smoke store-smoke \
-	runtime-smoke segmenter-smoke fleet-smoke redteam-smoke \
+	runtime-smoke fleet-smoke redteam-smoke \
 	scenario-smoke bench examples clean
 
 # Artifact-store directory for store-smoke.  Deliberately NOT removed
@@ -28,14 +28,17 @@ test-fast:
 smoke:
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 --workers 2
 
-# Serving smoke: a tiny closed-loop run against the warm-pool service.
+# Serving smoke: tiny closed-loop runs against the warm-pool service.
 # Each command exits non-zero on any failed request, and the metrics
-# table (latency percentiles per stage) prints on stdout.  The second
-# run keeps 8 clients on one worker, so requests wait for the busy
-# worker and leave the queue as multi-request batches.
+# table (latency percentiles per stage) prints on stdout.  The first
+# two warm the BLSTM segmenter under the fast and the paper recipe;
+# the last keeps 8 clients on one worker, so requests wait for the
+# busy worker and leave the queue as multi-request batches.
 serve-smoke:
 	$(PYTHON) -m repro loadgen --segmenter fast --workers 2 \
 		--requests 12 --concurrency 4 --seed 0
+	$(PYTHON) -m repro loadgen --segmenter paper --workers 2 \
+		--requests 8 --concurrency 4 --seed 0
 	$(PYTHON) -m repro loadgen --segmenter none --workers 1 \
 		--requests 24 --concurrency 8 --seed 0
 
@@ -65,20 +68,6 @@ runtime-smoke:
 		--worker-mode thread --requests 8 --concurrency 4 --seed 0
 	$(PYTHON) -m repro loadgen --segmenter none --workers 2 \
 		--worker-mode process --requests 8 --concurrency 4 --seed 0
-
-# Segmenter smoke: both segmentation backends through the full stack.
-# A 2-worker serve run and a small campaign must succeed under the
-# trained BLSTM (--segmenter paper) AND the training-free
-# rate-distortion backend (--segmenter rd).
-segmenter-smoke:
-	$(PYTHON) -m repro loadgen --segmenter paper --workers 2 \
-		--requests 8 --concurrency 4 --seed 0
-	$(PYTHON) -m repro loadgen --segmenter rd --workers 2 \
-		--requests 8 --concurrency 4 --seed 0
-	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 \
-		--workers 2 --segmenter paper
-	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 \
-		--workers 2 --segmenter rd
 
 # Fleet smoke: a 2-shard fleet serves heavy-tailed Zipf-user traffic
 # end to end.  Both runs exit non-zero if any routed request never
@@ -111,9 +100,9 @@ redteam-smoke:
 # benchmarks/results/scenario_matrix.txt over every registered pack.
 scenario-smoke:
 	$(PYTHON) -m repro evaluate --scenario ultrasound-solid \
-		--segmenter rd --commands 1 --attacks 1 --workers 2
+		--commands 1 --attacks 1 --workers 2
 	$(PYTHON) -m repro evaluate --scenario metamaterial-barrier \
-		--segmenter rd --commands 1 --attacks 1 --workers 2
+		--commands 1 --attacks 1 --workers 2
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest \
 		benchmarks/bench_scenario_matrix.py --benchmark-only -q
 

@@ -1,8 +1,8 @@
 """Scenario matrix — every registered pack, one ROC row each.
 
 Sweeps the full scenario registry (baselines plus the ultrasound and
-metamaterial packs) with the training-free rate-distortion segmenter
-and reports AUC/EER per scenario, proving that each registry entry runs
+metamaterial packs) with the paper-recipe BLSTM segmenting online and
+reports AUC/EER per scenario, proving that each registry entry runs
 end-to-end from its name alone.  ``REPRO_BENCH_QUICK=1`` shrinks the
 campaign to smoke-test size (the CI scenario-smoke job uses it).
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 
 from benchmarks.conftest import emit, run_once
-from repro.core.rate_distortion import RateDistortionSegmenter
 from repro.eval.campaign import (
     CampaignConfig,
     DetectorBank,
@@ -27,11 +26,10 @@ N_COMMANDS = 1 if QUICK else 3
 N_ATTACKS = 1 if QUICK else 3
 
 
-def _run_matrix():
+def _run_matrix(segmenter):
     results = {}
     for name in list_scenarios():
         spec = get_scenario(name)
-        segmenter = RateDistortionSegmenter()
         detectors = DetectorBank(
             segmenter=segmenter,
             pipeline=spec.build_pipeline(segmenter=segmenter),
@@ -55,8 +53,10 @@ def _run_matrix():
     return results
 
 
-def test_scenario_matrix(benchmark):
-    results = run_once(benchmark, _run_matrix)
+def test_scenario_matrix(benchmark, trained_segmenter):
+    results = run_once(
+        benchmark, lambda: _run_matrix(trained_segmenter)
+    )
     rows = []
     for name, (spec, metrics) in results.items():
         rows.append(

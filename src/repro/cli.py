@@ -115,16 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "(results are identical for any kind)"
         ),
     )
-    evaluate.add_argument(
-        "--segmenter",
-        choices=["fast", "paper", "rd"],
-        default="paper",
-        help=(
-            "segmenter backend for the full system: fast (BLSTM, tiny "
-            "training set), paper (BLSTM, full recipe), rd "
-            "(training-free rate-distortion)"
-        ),
-    )
 
     study = sub.add_parser(
         "attack-study", help="Table I-style VA vulnerability study"
@@ -184,13 +174,12 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         serving.add_argument(
             "--segmenter",
-            choices=["none", "fast", "paper", "rd"],
+            choices=["none", "fast", "paper"],
             default="fast",
             help=(
-                "segmenter backend workers warm up with: none (skip "
-                "segmentation), fast (BLSTM, tiny training set), paper "
-                "(BLSTM, full recipe; slow startup), rd (training-free "
-                "rate-distortion; instant startup, no store needed)"
+                "BLSTM segmenter recipe workers warm up with: none "
+                "(skip segmentation), fast (tiny training set), paper "
+                "(full recipe; slow startup without a store)"
             ),
         )
         serving.add_argument(
@@ -345,32 +334,18 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _resolve_workers(count: int) -> Optional[int]:
     """Map the --workers flag to a CampaignRunner worker count.
 
-    Rejects negatives up front, before any expensive setup (segmenter
-    training) runs.
+    Rejects negatives up front, before any expensive setup runs.
     """
     if count < 0:
         raise SystemExit(f"error: --workers must be >= 0, got {count}")
     return None if count == 0 else count
 
 
-def _build_eval_segmenter(backend: str, seed: int):
-    """Segmenter for ``repro evaluate``'s full-system detector."""
-    from repro.core.rate_distortion import RateDistortionSegmenter
-    from repro.core.segmentation import default_segmenter
-
-    if backend == "rd":
-        return RateDistortionSegmenter()
-    if backend == "fast":
-        return default_segmenter(
-            seed=seed, n_speakers=2, n_per_phoneme=3, epochs=3
-        )
-    return default_segmenter(seed=seed)
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.attacks.base import AttackKind
+    from repro.core.segmentation import PhonemeSegmenter
     from repro.errors import ConfigurationError
     from repro.eval.campaign import CampaignConfig, DetectorBank
     from repro.eval.experiment import run_attack_experiment
@@ -413,12 +388,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         ]
 
     workers = _resolve_workers(args.workers)
-    segmenter_backend = getattr(args, "segmenter", "paper")
-    if segmenter_backend == "rd":
-        print("Using the training-free rate-distortion segmenter...")
-    else:
-        print("Training segmenter...")
-    segmenter = _build_eval_segmenter(segmenter_backend, args.seed)
+    # The campaign scores oracle segments, which come from the
+    # alignments and the sensitive set alone: an untrained segmenter
+    # scores exactly as a trained one would.
+    segmenter = PhonemeSegmenter()
     detectors = DetectorBank(
         segmenter=segmenter,
         pipeline=(
@@ -430,10 +403,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = CampaignConfig(
         n_commands_per_participant=args.commands,
         n_attacks_per_kind=args.attacks,
-        # Oracle segmentation reads ground-truth alignments, which only
-        # the BLSTM backend's evaluation protocol uses; the RD backend
-        # is scored on its own online segmentation.
-        use_oracle_segmentation=segmenter_backend != "rd",
         seed=args.seed,
         scenario=args.scenario,
         **(
@@ -566,12 +535,11 @@ def _resolve_service_config(args: argparse.Namespace):
 
 
 def _resolve_pipeline_spec(args: argparse.Namespace):
-    """Map ``--segmenter {none,fast,paper,rd}`` to a worker recipe.
+    """Map ``--segmenter {none,fast,paper}`` to a worker recipe.
 
     ``--store-dir`` (or ``$REPRO_STORE_DIR``) threads the artifact
     store into the spec so workers load published weights instead of
-    retraining; ``--no-store`` forces in-process training.  The ``rd``
-    backend is training-free, so the store is never consulted for it.
+    retraining; ``--no-store`` forces in-process training.
     """
     from repro.serve import PipelineSpec
     from repro.store.cli import resolve_store_dir
@@ -591,10 +559,6 @@ def _resolve_pipeline_spec(args: argparse.Namespace):
         if args.segmenter == "none":
             return PipelineSpec(
                 use_segmenter=False, **hardening_kwargs
-            )
-        if args.segmenter == "rd":
-            return PipelineSpec(
-                segmenter_backend="rd", **hardening_kwargs
             )
         if args.segmenter == "fast":
             return PipelineSpec(

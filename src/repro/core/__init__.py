@@ -22,19 +22,11 @@ from repro.core.detector import (
 )
 from repro.core.hardening import HardeningConfig, sample_subset
 from repro.core.sync import SyncConfig, synchronize_recordings
-from repro.core.segmenter import (
-    PersistentSegmenter,
-    Segmenter,
-    mask_to_segments,
-)
 from repro.core.segmentation import (
     PhonemeSegmenter,
     SegmenterConfig,
     concatenate_segments,
-)
-from repro.core.rate_distortion import (
-    RateDistortionConfig,
-    RateDistortionSegmenter,
+    mask_to_segments,
 )
 from repro.core.baselines import (
     AudioDomainBaseline,
@@ -71,14 +63,10 @@ __all__ = [
     "sample_subset",
     "SyncConfig",
     "synchronize_recordings",
-    "PersistentSegmenter",
-    "Segmenter",
-    "mask_to_segments",
     "PhonemeSegmenter",
     "SegmenterConfig",
     "concatenate_segments",
-    "RateDistortionConfig",
-    "RateDistortionSegmenter",
+    "mask_to_segments",
     "AudioDomainBaseline",
     "VibrationBaselineNoSelection",
     "DefenseConfig",

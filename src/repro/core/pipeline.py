@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.detector import CorrelationDetector, DetectorConfig
 from repro.core.features import FeatureConfig, VibrationFeatureExtractor
 from repro.core.hardening import HardeningConfig
-from repro.core.segmenter import Segmenter
+from repro.core.segmentation import PhonemeSegmenter, default_segmenter
 from repro.core.stages import (
     Stage,
     StageContext,
@@ -180,12 +180,9 @@ class DefensePipeline:
     Parameters
     ----------
     segmenter:
-        Any :class:`~repro.core.segmenter.Segmenter` backend — the
-        paper's trained BLSTM
-        (:class:`~repro.core.segmentation.PhonemeSegmenter`), the
-        training-free rate-distortion backend
-        (:class:`~repro.core.rate_distortion.RateDistortionSegmenter`),
-        or ``None`` to analyze full recordings (equivalent to the
+        The paper's BLSTM phoneme segmenter
+        (:class:`~repro.core.segmentation.PhonemeSegmenter`), or
+        ``None`` to analyze full recordings (equivalent to the
         no-selection baseline).
     sensor:
         Cross-domain sensor of the user's wearable.
@@ -203,7 +200,7 @@ class DefensePipeline:
 
     def __init__(
         self,
-        segmenter: Optional[Segmenter] = None,
+        segmenter: Optional[PhonemeSegmenter] = None,
         sensor: Optional[CrossDomainSensor] = None,
         config: Optional[DefenseConfig] = None,
         sink: Optional[StageEventSink] = None,
@@ -243,8 +240,6 @@ class DefensePipeline:
         of retraining, and a cold store is populated exactly once even
         under concurrent starts.
         """
-        from repro.core.segmentation import default_segmenter
-
         return cls(
             segmenter=default_segmenter(
                 seed=seed,
@@ -635,7 +630,7 @@ class DefensePipeline:
         self,
         va_audio: np.ndarray,
         oracle_utterance: Optional[Utterance],
-        segmenter: Optional[Segmenter] = None,
+        segmenter: Optional[PhonemeSegmenter] = None,
     ) -> List[Tuple[float, float]]:
         """Locate sensitive segments with ``segmenter`` (default: own).
 
@@ -648,11 +643,6 @@ class DefensePipeline:
         if segmenter is None:
             return []
         if oracle_utterance is not None:
-            if not hasattr(segmenter, "oracle_segments"):
-                raise ConfigurationError(
-                    f"{type(segmenter).__name__} has no oracle_segments, "
-                    "which oracle segmentation needs"
-                )
             # Oracle segments are timed relative to the utterance start;
             # locate that start inside the (synced) VA recording first.
             offset_s = self._locate_utterance(va_audio, oracle_utterance)

@@ -23,7 +23,6 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.segmenter import mask_to_segments
 from repro.dsp.mel import mfcc
 from repro.errors import ConfigurationError, ModelError
 from repro.nn.model import (
@@ -57,6 +56,48 @@ def _note_training_run() -> None:
     global _TRAINING_RUNS
     with _TRAINING_RUNS_LOCK:
         _TRAINING_RUNS += 1
+
+
+def mask_to_segments(
+    mask: np.ndarray,
+    hop_s: float,
+    frame_length_s: float,
+    duration_s: float,
+    merge_gap_s: float = 0.0,
+    min_segment_s: float = 0.0,
+) -> List[Tuple[float, float]]:
+    """Convert a per-frame boolean mask into merged time segments.
+
+    A run of positive frames ``[first, last]`` spans
+    ``first * hop_s`` … ``last * hop_s + frame_length_s`` — the window
+    of the *last positive frame*, not of the first negative one (which
+    would overshoot every end by one hop), clamped to ``duration_s`` so
+    a run reaching the final (possibly zero-padded) analysis frame can
+    never extend past the recording.  Runs separated by gaps shorter
+    than ``merge_gap_s`` are merged; merged segments shorter than
+    ``min_segment_s`` are discarded as spurious.
+    """
+    mask = np.asarray(mask, dtype=bool).ravel()
+    if mask.size == 0 or duration_s <= 0.0:
+        return []
+    edges = np.diff(np.concatenate(([False], mask, [False])).astype(np.int8))
+    run_starts = np.flatnonzero(edges == 1)
+    run_lasts = np.flatnonzero(edges == -1) - 1  # last positive index
+    merged: List[Tuple[float, float]] = []
+    for first, last in zip(run_starts, run_lasts):
+        begin = float(first * hop_s)
+        end = float(min(last * hop_s + frame_length_s, duration_s))
+        if end <= begin:
+            continue
+        if merged and begin - merged[-1][1] <= merge_gap_s:
+            merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((begin, end))
+    return [
+        (begin, end)
+        for begin, end in merged
+        if end - begin >= min_segment_s
+    ]
 
 
 @dataclass

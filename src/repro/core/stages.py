@@ -179,15 +179,13 @@ class SegmentStage(Stage):
     def _session_segmenter(ctx: StageContext):
         """The segmenter this session's request should use.
 
-        With subset hardening enabled and a subset-capable segmenter,
-        a per-session random phoneme subset is drawn from the request's
-        RNG stream (label ``harden-subset``) and applied through an
-        O(1) clone.  Subset hardening acts on the alignment/selection
-        layer, so it applies only where the sensitive set is consulted
-        at inference time — the oracle-alignment path; the BLSTM's
-        online frame classifier bakes the training-time set into its
-        weights, and the rate-distortion backend has no phoneme notion
-        at all.  Everywhere else the pipeline's own segmenter is
+        With subset hardening enabled, a per-session random phoneme
+        subset is drawn from the request's RNG stream (label
+        ``harden-subset``) and applied through an O(1) clone.  Subset
+        hardening acts on the alignment/selection layer, so it applies
+        only where the sensitive set is consulted at inference time —
+        the oracle-alignment path; the BLSTM's online frame classifier
+        bakes the training-time set into its weights.  Everywhere else the pipeline's own segmenter is
         returned and **no draw is consumed**, which also keeps a
         request's analysis bitwise independent of its batch (batched
         pre-seeded segments never reach this hook).
@@ -200,7 +198,6 @@ class SegmentStage(Stage):
             or not hardening.randomizes_subset
             or segmenter is None
             or ctx.oracle_utterance is None
-            or not hasattr(segmenter, "with_sensitive_subset")
         ):
             return segmenter
         subset = hardening.session_subset(

@@ -86,9 +86,10 @@ def add_fleet_parser(subparsers) -> None:
         help="sim engine: per-request service time",
     )
     common.add_argument(
-        "--segmenter", choices=["none", "fast", "rd"], default="rd",
+        "--segmenter", choices=["none", "fast"], default="fast",
         help=(
-            "service engine: segmenter backend workers warm up with"
+            "service engine: BLSTM segmenter recipe workers warm up "
+            "with (none skips segmentation)"
         ),
     )
     common.add_argument(
@@ -166,8 +167,6 @@ def _build_front_door(args: argparse.Namespace):
         store_dir = resolve_store_dir(args.store_dir)
         if args.segmenter == "none":
             spec = PipelineSpec(use_segmenter=False)
-        elif args.segmenter == "rd":
-            spec = PipelineSpec(segmenter_backend="rd")
         else:
             spec = PipelineSpec(
                 segmenter_seed=args.seed,

@@ -37,9 +37,7 @@ from repro.core.pipeline import (
     DefenseConfig,
     DefensePipeline,
 )
-from repro.core.rate_distortion import RateDistortionSegmenter
-from repro.core.segmentation import default_segmenter
-from repro.core.segmenter import Segmenter
+from repro.core.segmentation import PhonemeSegmenter, default_segmenter
 from repro.errors import ConfigurationError
 from repro.runtime import (
     PROCESS,
@@ -52,12 +50,6 @@ from repro.runtime import (
 from repro.serve.request import VerificationRequest
 from repro.utils.rng import stable_fingerprint
 
-#: Segmenter backend names a :class:`PipelineSpec` accepts.
-BACKEND_BLSTM = "blstm"
-BACKEND_RD = "rd"
-SEGMENTER_BACKENDS = (BACKEND_BLSTM, BACKEND_RD)
-
-
 @dataclass(frozen=True)
 class PipelineSpec:
     """Picklable recipe for building a warm verification pipeline.
@@ -65,18 +57,13 @@ class PipelineSpec:
     Attributes
     ----------
     use_segmenter:
-        Use a phoneme segmenter (the full system); ``False`` serves
-        the no-selection fallback only.
-    segmenter_backend:
-        ``"blstm"`` — the paper's trained BLSTM frame classifier, or
-        ``"rd"`` — the training-free rate-distortion backend.  The RD
-        backend has no trained state: workers spin up instantly, skip
-        the artifact store entirely, and its identity is config-only.
+        Use the BLSTM phoneme segmenter (the full system); ``False``
+        serves the no-selection fallback only.
     segmenter_seed:
-        Seed of the segmenter training recipe (BLSTM backend only).
+        Seed of the segmenter training recipe.
     n_speakers / n_per_phoneme / epochs:
         Training-set sizing (scaled down for smokes, paper-sized for
-        real serving; BLSTM backend only).
+        real serving).
     threshold:
         Optional detector threshold; ``None`` reports scores only.
     threshold_jitter:
@@ -93,8 +80,7 @@ class PipelineSpec:
     store_dir:
         Artifact-store directory workers consult before training (a
         plain string so the spec stays picklable for process-pool
-        initializers); ``None`` trains in-process as before.  Ignored
-        by the RD backend — there is nothing to load.
+        initializers); ``None`` trains in-process as before.
     scenario:
         Name of a registered :class:`repro.scenarios.ScenarioSpec`
         selecting the replay-side channel graph (the wearable sensor
@@ -105,7 +91,6 @@ class PipelineSpec:
     """
 
     use_segmenter: bool = True
-    segmenter_backend: str = BACKEND_BLSTM
     segmenter_seed: int = 0
     n_speakers: int = 8
     n_per_phoneme: int = 12
@@ -118,11 +103,6 @@ class PipelineSpec:
     scenario: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.segmenter_backend not in SEGMENTER_BACKENDS:
-            raise ConfigurationError(
-                f"segmenter_backend must be one of {SEGMENTER_BACKENDS}, "
-                f"got {self.segmenter_backend!r}"
-            )
         if self.scenario is not None:
             from repro.scenarios import get_scenario
 
@@ -151,24 +131,10 @@ class PipelineSpec:
 
         ``store_dir`` is deliberately excluded: where the weights come
         from never changes a verdict (store loads are bitwise identical
-        to fresh training), so it must not split batch classes.  The RD
-        backend fingerprints config-only: the training-recipe fields
-        (seed, corpus sizing, epochs) never touch an RD verdict, so
-        specs differing only there share one batch class.
+        to fresh training), so it must not split batch classes.
         """
-        if self.use_segmenter and self.segmenter_backend == BACKEND_RD:
-            return stable_fingerprint(
-                self.use_segmenter,
-                self.segmenter_backend,
-                self.threshold,
-                self.threshold_jitter,
-                self.subset_fraction,
-                self.min_audio_s,
-                self.scenario,
-            )
         return stable_fingerprint(
             self.use_segmenter,
-            self.segmenter_backend,
             self.segmenter_seed,
             self.n_speakers,
             self.n_per_phoneme,
@@ -180,22 +146,16 @@ class PipelineSpec:
             self.scenario,
         )
 
-    def build_segmenter(
-        self, audio_rate: float = 16_000.0
-    ) -> Optional[Segmenter]:
-        """Build (RD) or load-or-train (BLSTM) the segmenter.
+    def build_segmenter(self) -> Optional[PhonemeSegmenter]:
+        """Load or train the BLSTM segmenter (memoized per recipe).
 
-        With ``store_dir`` set, the BLSTM backend consults the artifact
-        store first: a warm entry loads in milliseconds, a cold one
-        trains exactly once across every concurrently-starting worker
-        (cross-process file lock) and is published for the next service
-        start.  The RD backend constructs in O(1) with zero training
-        runs and never touches the store.
+        With ``store_dir`` set, the artifact store is consulted first:
+        a warm entry loads in milliseconds, a cold one trains exactly
+        once across every concurrently-starting worker (cross-process
+        file lock) and is published for the next service start.
         """
         if not self.use_segmenter:
             return None
-        if self.segmenter_backend == BACKEND_RD:
-            return RateDistortionSegmenter(sample_rate=float(audio_rate))
         return default_segmenter(
             seed=self.segmenter_seed,
             n_speakers=self.n_speakers,
@@ -214,7 +174,7 @@ class PipelineSpec:
 
             sensor = get_scenario(self.scenario).build_sensor()
         return DefensePipeline(
-            segmenter=self.build_segmenter(audio_rate=audio_rate),
+            segmenter=self.build_segmenter(),
             sensor=sensor,
             config=DefenseConfig(
                 audio_rate=float(audio_rate),

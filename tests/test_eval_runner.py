@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.base import AttackKind
+from repro.core.segmentation import PhonemeSegmenter
 from repro.errors import ConfigurationError
 from repro.eval.campaign import (
     CampaignConfig,
@@ -200,3 +201,57 @@ class TestSweepFanOut:
             serial_metrics = serial[label][AttackKind.REPLAY][FULL_SYSTEM]
             par_metrics = parallel[label][AttackKind.REPLAY][FULL_SYSTEM]
             assert serial_metrics == par_metrics
+
+
+@pytest.fixture(scope="module")
+def small_segmenter(corpus):
+    segmenter = PhonemeSegmenter(rng=41)
+    segmenter.train_on_phoneme_segments(
+        corpus, n_per_phoneme=2, epochs=2, rng=42
+    )
+    return segmenter
+
+
+class TestSegmentationModes:
+    """A tiny one-room campaign under oracle and online segmentation."""
+
+    @staticmethod
+    def _run(segmenter, use_oracle, runner=None):
+        # Four participants give two units (victims) in the one room.
+        pool = ParticipantPool(n_participants=4, seed=51)
+        detectors = DetectorBank(
+            segmenter=segmenter, include_baselines=False
+        )
+        config = CampaignConfig(
+            n_commands_per_participant=1,
+            n_attacks_per_kind=1,
+            use_oracle_segmentation=use_oracle,
+            seed=52,
+        )
+        return (runner or CampaignRunner(n_workers=1)).run(
+            [ROOM_A], pool, detectors, [AttackKind.REPLAY], config
+        )
+
+    def test_oracle_scores_ignore_segmenter_weights(
+        self, small_segmenter
+    ):
+        # Oracle segments come from the alignments and the sensitive
+        # set alone, so the evaluate CLI needs no trained segmenter.
+        untrained = self._run(PhonemeSegmenter(), use_oracle=True).scores
+        trained = self._run(small_segmenter, use_oracle=True).scores
+        assert untrained.legit == trained.legit
+        assert untrained.attacks == trained.attacks
+
+    def test_online_scores_match_across_thread_workers(
+        self, small_segmenter
+    ):
+        inline = self._run(small_segmenter, use_oracle=False)
+        threaded = self._run(
+            small_segmenter,
+            use_oracle=False,
+            runner=CampaignRunner(n_workers=2, executor="thread"),
+        )
+        assert threaded.stats.mode == "thread-pool"
+        assert threaded.stats.n_workers == 2
+        assert inline.scores.legit == threaded.scores.legit
+        assert inline.scores.attacks == threaded.scores.attacks

@@ -224,15 +224,13 @@ class TestCampaignAndServingWiring:
             PipelineSpec(scenario="no-such-scenario")
 
     def test_pipeline_spec_fingerprint_includes_scenario(self):
-        plain = PipelineSpec(segmenter_backend="rd")
-        scoped = PipelineSpec(
-            segmenter_backend="rd", scenario="ultrasound-solid"
-        )
+        plain = PipelineSpec()
+        scoped = PipelineSpec(scenario="ultrasound-solid")
         assert plain.fingerprint != scoped.fingerprint
 
     def test_pipeline_spec_builds_scenario_sensor(self):
         spec = PipelineSpec(
-            segmenter_backend="rd", scenario="metamaterial-barrier"
+            use_segmenter=False, scenario="metamaterial-barrier"
         )
         pipeline = spec.build_pipeline(
             audio_rate=16_000.0, wearer_moving=False

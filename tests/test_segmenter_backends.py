@@ -1,37 +1,23 @@
-"""Pluggable segmenter backends: protocol, bounds, parity, training.
+"""BLSTM segmenter contracts: mask conversion, bounds, recipe memo.
 
-Covers the contracts shared by the BLSTM and rate-distortion backends:
-segments stay inside the recording, batched equals sequential, the RD
-backend performs zero training runs (down through the serving spec),
-and ``default_segmenter`` trains exactly once per recipe under
-concurrent misses.
+Covers the frame-mask → segment conversion, that segments stay inside
+the recording, that the serving fingerprint tracks the training
+recipe, and that ``default_segmenter`` trains exactly once per recipe
+under concurrent misses.
 """
 
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.attacks.scenario import AttackScenario
-from repro.core.rate_distortion import (
-    RateDistortionConfig,
-    RateDistortionSegmenter,
-)
 from repro.core import segmentation as segmentation_module
-from repro.core.pipeline import DefensePipeline
 from repro.core.segmentation import (
     PhonemeSegmenter,
     default_segmenter,
+    mask_to_segments,
     training_run_count,
 )
-from repro.core.segmenter import (
-    PersistentSegmenter,
-    Segmenter,
-    mask_to_segments,
-)
-from repro.errors import ConfigurationError
 from repro.phonemes.commands import phonemize
 from repro.serve.workers import PipelineSpec
 
@@ -48,50 +34,12 @@ def blstm_segmenter(corpus):
 
 
 @pytest.fixture(scope="module")
-def rd_segmenter():
-    return RateDistortionSegmenter()
-
-
-@pytest.fixture(scope="module")
 def utterance_waveforms(corpus):
     commands = ["play music", "open the door", "call mom"]
     return [
         corpus.utterance(phonemize(text), rng=30 + index).waveform
         for index, text in enumerate(commands)
     ]
-
-
-class TestProtocolConformance:
-    def test_both_backends_satisfy_segmenter(
-        self, blstm_segmenter, rd_segmenter
-    ):
-        assert isinstance(blstm_segmenter, Segmenter)
-        assert isinstance(rd_segmenter, Segmenter)
-
-    def test_only_blstm_is_persistent(
-        self, blstm_segmenter, rd_segmenter
-    ):
-        assert isinstance(blstm_segmenter, PersistentSegmenter)
-        assert not isinstance(rd_segmenter, PersistentSegmenter)
-
-    @pytest.mark.parametrize(
-        "build, kwargs",
-        [
-            (RateDistortionConfig, {"target_segment_s": 0.0}),
-            (RateDistortionConfig, {"decision_threshold": 1.5}),
-            (RateDistortionSegmenter, {"sample_rate": 0.0}),
-            (RateDistortionConfig, {"target_segment_s": float("nan")}),
-            (RateDistortionConfig, {"covariance_ridge": float("nan")}),
-            (RateDistortionConfig, {"min_segment_s": float("nan")}),
-            (RateDistortionConfig, {"merge_gap_s": float("nan")}),
-            (RateDistortionConfig, {"hop_length_s": 0.0}),
-            (RateDistortionConfig, {"frame_length_s": -1.0}),
-            (RateDistortionConfig, {"activity_range_db": float("nan")}),
-        ],
-    )
-    def test_rd_config_validation(self, build, kwargs):
-        with pytest.raises(ConfigurationError):
-            build(**kwargs)
 
 
 class TestMaskToSegments:
@@ -162,20 +110,7 @@ class TestMaskToSegments:
 
 
 class TestSegmentBounds:
-    """Both backends emit segments strictly within [0, duration]."""
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        n_samples=st.integers(min_value=400, max_value=12_000),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_rd_segments_within_recording(self, seed, n_samples):
-        rng = np.random.default_rng(seed)
-        audio = rng.normal(size=n_samples)
-        duration = n_samples / RATE
-        segmenter = RateDistortionSegmenter()
-        for start, end in segmenter.segments(audio):
-            assert 0.0 <= start < end <= duration
+    """Segments stay strictly within [0, duration]."""
 
     def test_blstm_segments_within_recording(
         self, blstm_segmenter, utterance_waveforms
@@ -196,109 +131,12 @@ class TestSegmentBounds:
         assert segments and segments[-1][1] <= duration
 
 
-class TestRateDistortionBehaviour:
-    def test_batched_matches_sequential(
-        self, rd_segmenter, utterance_waveforms
-    ):
-        batched_probs = rd_segmenter.frame_probabilities_batch(
-            utterance_waveforms
-        )
-        batched_segments = rd_segmenter.segments_batch(
-            utterance_waveforms
-        )
-        for waveform, probs, segments in zip(
-            utterance_waveforms, batched_probs, batched_segments
-        ):
-            assert (
-                probs == rd_segmenter.frame_probabilities(waveform)
-            ).all()
-            assert segments == rd_segmenter.segments(waveform)
-
-    def test_boundaries_partition_frames(
-        self, rd_segmenter, utterance_waveforms
-    ):
-        features = rd_segmenter.features(utterance_waveforms[0])
-        bounds = rd_segmenter.boundaries(features)
-        assert bounds[0] == 0
-        assert bounds[-1] == features.shape[0]
-        assert (np.diff(bounds) > 0).all()
-
-    def test_vowel_sensitive_fricative_not(self, corpus):
-        segmenter = RateDistortionSegmenter()
-        vowel = corpus.utterance(["ae"], rng=40).waveform
-        fricative = corpus.utterance(["s"], rng=41).waveform
-        assert segmenter.classify_segment(vowel)
-        assert not segmenter.classify_segment(fricative)
-
-    def test_finds_segments_in_utterance(
-        self, rd_segmenter, utterance_waveforms
-    ):
-        assert rd_segmenter.segments(utterance_waveforms[0])
-
-    def test_construction_and_inference_train_nothing(
-        self, utterance_waveforms
-    ):
-        before = training_run_count()
-        segmenter = RateDistortionSegmenter()
-        segmenter.segments(utterance_waveforms[0])
-        segmenter.frame_probabilities_batch(utterance_waveforms)
-        assert training_run_count() == before
-
-    def test_oracle_segmentation_rejected(self, rd_segmenter, corpus):
-        utterance = corpus.utterance(phonemize("call mom"), rng=33)
-        pipeline = DefensePipeline(segmenter=rd_segmenter)
-        with pytest.raises(
-            ConfigurationError, match="RateDistortionSegmenter.*oracle"
-        ):
-            pipeline.analyze(
-                utterance.waveform,
-                utterance.waveform,
-                rng=0,
-                oracle_utterance=utterance,
-            )
-
-
 class TestServingSpec:
-    def test_rd_spec_builds_training_free_pipeline(
-        self, room_config, corpus
-    ):
-        before = training_run_count()
-        spec = PipelineSpec(segmenter_backend="rd")
-        pipeline = spec.build_pipeline(RATE, wearer_moving=False)
-        assert isinstance(pipeline.segmenter, RateDistortionSegmenter)
-        scenario = AttackScenario(room_config=room_config)
-        utterance = corpus.utterance(
-            phonemize("play my favorite playlist"), rng=50
-        )
-        va, wearable = scenario.legitimate_recordings(
-            utterance, spl_db=70.0, rng=51
-        )
-        verdict = pipeline.analyze(va, wearable, rng=52)
-        assert verdict.analyzed_duration_s > 0
-        assert training_run_count() == before
-
-    def test_rd_fingerprint_ignores_training_recipe(self):
-        small = PipelineSpec(
-            segmenter_backend="rd", n_speakers=2, epochs=3
-        )
-        large = PipelineSpec(
-            segmenter_backend="rd", n_speakers=8, epochs=12
-        )
-        assert small.fingerprint == large.fingerprint
-        assert (
-            PipelineSpec(segmenter_backend="rd").fingerprint
-            != PipelineSpec().fingerprint
-        )
-
     def test_blstm_fingerprint_still_recipe_sensitive(self):
         assert (
             PipelineSpec(n_speakers=2).fingerprint
             != PipelineSpec(n_speakers=8).fingerprint
         )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PipelineSpec(segmenter_backend="oracle")
 
 
 class TestDefaultSegmenterRace:

@@ -125,13 +125,8 @@ class TestPipelineSpecHardening:
         plain = PipelineSpec(threshold=0.3)
         jittered = PipelineSpec(threshold=0.3, threshold_jitter=0.05)
         subset = PipelineSpec(threshold=0.3, subset_fraction=0.5)
-        rd_plain = PipelineSpec(segmenter_backend="rd", threshold=0.3)
-        rd_subset = PipelineSpec(
-            segmenter_backend="rd", threshold=0.3, subset_fraction=0.5
-        )
         assert len({
             plain.fingerprint,
             jittered.fingerprint,
             subset.fingerprint,
         }) == 3
-        assert rd_plain.fingerprint != rd_subset.fingerprint
