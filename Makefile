@@ -96,8 +96,9 @@ redteam-smoke:
 
 # Scenario smoke: the composable channel layer and the scenario
 # registry.  The two proof packs run end to end through the evaluate
-# CLI, and the quick scenario matrix regenerates
-# benchmarks/results/scenario_matrix.txt over every registered pack.
+# CLI, and the quick scenario matrix runs every registered pack and
+# writes the git-ignored benchmarks/results/scenario_matrix_quick.txt
+# (the checked-in scenario_matrix.txt comes from the full bench).
 scenario-smoke:
 	$(PYTHON) -m repro evaluate --scenario ultrasound-solid \
 		--commands 1 --attacks 1 --workers 2

@@ -4,7 +4,9 @@ Sweeps the full scenario registry (baselines plus the ultrasound and
 metamaterial packs) with the paper-recipe BLSTM segmenting online and
 reports AUC/EER per scenario, proving that each registry entry runs
 end-to-end from its name alone.  ``REPRO_BENCH_QUICK=1`` shrinks the
-campaign to smoke-test size (the CI scenario-smoke job uses it).
+campaign to smoke-test size (the CI scenario-smoke job uses it) and
+writes the table to the git-ignored ``scenario_matrix_quick.txt``, so a
+quick run never overwrites the checked-in full matrix.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def test_scenario_matrix(benchmark, trained_segmenter):
             )
         )
     emit(
-        "scenario_matrix",
+        "scenario_matrix_quick" if QUICK else "scenario_matrix",
         format_table(
             [
                 "scenario",

@@ -293,6 +293,9 @@ class SyntheticCorpus:
             text=text,
         )
         if cache_key is not None:
+            # Every hit shares this array: freeze it, so an in-place
+            # write raises instead of poisoning later hits.
+            waveform.flags.writeable = False
             self._utterance_cache[cache_key] = result
             while len(self._utterance_cache) > self._utterance_cache_size:
                 self._utterance_cache.popitem(last=False)

@@ -8,7 +8,9 @@ acoustic parameters and a speaker profile:
   and a glottal spectral tilt.  This is additive synthesis of exactly the
   spectrum a glottal-pulse-through-resonators model would produce, which
   gives precise control over the spectral shapes the barrier-effect study
-  depends on.
+  depends on.  Since harmonic k's phase is k times the fundamental's
+  (plus a fixed offset), the sum of sines is the imaginary part of one
+  complex polynomial in e^{iθ(t)}, evaluated by Horner's rule.
 * **Frication/aspiration** is white noise spectrally shaped into the
   phoneme's noise band (plus formant coloring for voiced fricatives).
 * **Stops/affricates** get a burst-like amplitude envelope; other classes
@@ -104,6 +106,8 @@ class PhonemeSynthesizer:
         self.config = config or SynthesisConfig()
         if self.config.sample_rate <= 0:
             raise ConfigurationError("sample_rate must be > 0")
+        if self.config.max_harmonics < 1:
+            raise ConfigurationError("max_harmonics must be >= 1")
 
     @property
     def sample_rate(self) -> float:
@@ -177,7 +181,16 @@ class PhonemeSynthesizer:
         n_samples: int,
         generator: np.random.Generator,
     ) -> np.ndarray:
-        """Additive harmonic synthesis shaped by the formant envelope."""
+        """Additive harmonic synthesis shaped by the formant envelope.
+
+        Harmonic k has phase k·θ(t) + φ_k, with θ = 2π·f0·cumsum(vibrato)
+        / rate, so the series Σ a_k sin(k·θ + φ_k) is Im(Σ c_k z^k) with
+        z = e^{iθ} and c_k = a_k·e^{iφ_k}.  The polynomial is evaluated
+        by Horner's rule: one complex ``exp`` per sample and H complex
+        multiply-adds per sample, instead of ``sin`` over an (n, H)
+        phase matrix.  The draws are f0 jitter, then the H phases, then
+        the vibrato phase.
+        """
         sample_rate = self.sample_rate
         nyquist = sample_rate / 2.0
         f0 = speaker.f0_hz * float(
@@ -202,12 +215,15 @@ class PhonemeSynthesizer:
         vibrato = 1.0 + 0.003 * np.sin(
             2 * np.pi * 5.0 * t + generator.uniform(0, 2 * np.pi)
         )
-        phase_matrix = (
-            2 * np.pi * np.outer(np.cumsum(vibrato) / sample_rate,
-                                 harmonic_freqs)
-            + phases[np.newaxis, :]
-        )
-        return np.sin(phase_matrix) @ amplitudes
+        z = np.exp(1j * (2 * np.pi * f0 / sample_rate) * np.cumsum(vibrato))
+        coefficients = amplitudes * np.exp(1j * phases)
+        # Horner's rule, in place: z·(c_1 + z·(c_2 + … + z·c_H)).
+        total = np.full(n_samples, coefficients[-1])
+        for coefficient in coefficients[-2::-1]:
+            total *= z
+            total += coefficient
+        total *= z
+        return total.imag
 
     def _shaped_noise(
         self,

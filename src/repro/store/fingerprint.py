@@ -27,7 +27,9 @@ from repro.errors import StoreError
 #: and of the store's directory layout (``<root>/v<SCHEMA_VERSION>/``).
 #: Version 2: phoneme synthesis filters at fast FFT lengths, which
 #: changes the segmenter's training corpus and so its trained weights.
-SCHEMA_VERSION = 2
+#: Version 3: harmonics are summed as a Horner polynomial, not a sine
+#: matrix, which again changes the training corpus and the weights.
+SCHEMA_VERSION = 3
 
 #: Hex digest length used for entry directory names.  32 hex chars of
 #: SHA-256 (128 bits) keeps paths short while making collisions

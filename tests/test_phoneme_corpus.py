@@ -110,6 +110,16 @@ class TestUtteranceCache:
         np.testing.assert_array_equal(a.waveform, b.waveform)
         assert a.alignment == b.alignment
 
+    def test_cached_waveform_is_read_only(self, male_speaker):
+        corpus = SyntheticCorpus(speakers=[male_speaker], seed=1)
+        first = corpus.utterance(["ae", "t"], speaker=male_speaker, rng=7)
+        before = first.waveform.copy()
+        with pytest.raises(ValueError):
+            first.waveform *= 2.0
+        later = corpus.utterance(["ae", "t"], speaker=male_speaker, rng=7)
+        assert corpus.cache_hits == 1
+        np.testing.assert_array_equal(later.waveform, before)
+
     def test_different_seeds_are_distinct_entries(self, male_speaker):
         corpus = SyntheticCorpus(speakers=[male_speaker], seed=1)
         a = corpus.utterance(["ae"], speaker=male_speaker, rng=7)
