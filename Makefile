@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-fast smoke serve-smoke store-smoke \
-	runtime-smoke fleet-smoke redteam-smoke \
+	runtime-smoke redteam-smoke \
 	scenario-smoke bench examples clean
 
 # Artifact-store directory for store-smoke.  Deliberately NOT removed
@@ -68,18 +68,6 @@ runtime-smoke:
 		--worker-mode thread --requests 8 --concurrency 4 --seed 0
 	$(PYTHON) -m repro loadgen --segmenter none --workers 2 \
 		--worker-mode process --requests 8 --concurrency 4 --seed 0
-
-# Fleet smoke: a 2-shard fleet serves heavy-tailed Zipf-user traffic
-# end to end.  Both runs exit non-zero if any routed request never
-# reached a terminal outcome (the zero-dropped-on-shutdown
-# assertion); the second drives the real warm verification workers
-# through the front door.
-fleet-smoke:
-	$(PYTHON) -m repro fleet loadgen --engine sim --shards 2 \
-		--requests 120 --users 100000 --rate 400 \
-		--queue-capacity 64 --seed 0
-	$(PYTHON) -m repro fleet serve --engine service --segmenter none \
-		--shards 2 --requests 8 --users 1000 --rate 50 --seed 0
 
 # Red-team smoke: two tiny campaigns (~2 generations each) exercise
 # the gradient-free and surrogate-gradient attackers end to end

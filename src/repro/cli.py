@@ -23,10 +23,6 @@ Commands
     Manage the trained-artifact store (``ls``, ``info``, ``gc``,
     ``export``, ``import``, ``verify``).  ``serve`` and ``loadgen``
     read/publish trained segmenters there via ``--store-dir``.
-``fleet``
-    Run the user-sharded serving fleet (``serve``, ``loadgen``):
-    consistent-hash routing over N shards with per-user profiles,
-    SLO-driven shedding, and warm-worker autoscaling.
 ``redteam``
     Run adaptive-adversary campaigns (``attack``, ``curve``,
     ``report``): budgeted optimizing attackers vs the deployed
@@ -249,24 +245,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--rate", type=float, default=20.0, metavar="RPS",
                 help="open-loop arrival rate",
             )
-            serving.add_argument(
-                "--users", type=int, default=0,
-                help=(
-                    "synthetic Zipf-skewed user population "
-                    "(0 = legacy single-user stream)"
-                ),
-            )
-            serving.add_argument(
-                "--zipf-s", type=float, default=1.1, metavar="S",
-                help="Zipf exponent of user activity",
-            )
 
-    from repro.fleet.cli import add_fleet_parser
     from repro.redteam.cli import add_redteam_parser
     from repro.store.cli import add_store_parser
 
     add_store_parser(sub)
-    add_fleet_parser(sub)
     add_redteam_parser(sub)
     return parser
 
@@ -659,8 +642,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             rate_rps=args.rate,
             seed=args.seed,
             deadline_s=args.deadline,
-            users=args.users,
-            zipf_s=args.zipf_s,
         )
     except ConfigurationError as error:
         raise SystemExit(f"error: {error}") from None
@@ -697,12 +678,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return cmd_store(args)
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet.cli import cmd_fleet
-
-    return cmd_fleet(args)
-
-
 def _cmd_redteam(args: argparse.Namespace) -> int:
     from repro.redteam.cli import cmd_redteam
 
@@ -720,7 +695,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "loadgen": _cmd_loadgen,
         "store": _cmd_store,
-        "fleet": _cmd_fleet,
         "redteam": _cmd_redteam,
     }
     return handlers[args.command](args)

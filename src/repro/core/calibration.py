@@ -9,8 +9,8 @@ produce a thresholded pipeline directly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,26 +45,6 @@ class CalibrationReport:
             f"FDR {self.expected_fdr * 100:.1f}%, "
             f"TDR {self.expected_tdr * 100:.1f}%"
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict; exact, because Python's JSON round-trips
-        float64 values losslessly via shortest-repr."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "CalibrationReport":
-        """Inverse of :meth:`to_dict` (artifact-store load path)."""
-        try:
-            return cls(
-                threshold=float(payload["threshold"]),
-                expected_fdr=float(payload["expected_fdr"]),
-                expected_tdr=float(payload["expected_tdr"]),
-                strategy=str(payload["strategy"]),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise CalibrationError(
-                f"malformed calibration payload: {error}"
-            ) from None
 
 
 def _rates(

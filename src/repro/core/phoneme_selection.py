@@ -107,28 +107,6 @@ class PhonemeProfile:
         """``min_f Q3_user`` — the Criterion II statistic."""
         return float(np.min(self.q3_direct))
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict (float lists round-trip float64 exactly)."""
-        return {
-            "symbol": self.symbol,
-            "frequencies": self.frequencies.tolist(),
-            "q3_thru_barrier": self.q3_thru_barrier.tolist(),
-            "q3_direct": self.q3_direct.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "PhonemeProfile":
-        """Inverse of :meth:`to_dict` (artifact-store load path)."""
-        return cls(
-            symbol=str(payload["symbol"]),
-            frequencies=np.asarray(payload["frequencies"], dtype=np.float64),
-            q3_thru_barrier=np.asarray(
-                payload["q3_thru_barrier"], dtype=np.float64
-            ),
-            q3_direct=np.asarray(payload["q3_direct"], dtype=np.float64),
-        )
-
-
 @dataclass(frozen=True)
 class PhonemeSelectionResult:
     """Outcome of the offline selection study."""
@@ -175,37 +153,6 @@ class PhonemeSelectionResult:
         return tuple(
             symbol for symbol in self.selected if symbol in subset
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict of the full study outcome."""
-        return {
-            "selected": list(self.selected),
-            "satisfies_criterion_1": list(self.satisfies_criterion_1),
-            "satisfies_criterion_2": list(self.satisfies_criterion_2),
-            "profiles": {
-                symbol: profile.to_dict()
-                for symbol, profile in self.profiles.items()
-            },
-            "alpha": self.alpha,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, payload: Dict[str, object]
-    ) -> "PhonemeSelectionResult":
-        """Inverse of :meth:`to_dict` (artifact-store load path)."""
-        profiles = {
-            symbol: PhonemeProfile.from_dict(profile)
-            for symbol, profile in dict(payload["profiles"]).items()
-        }
-        return cls(
-            selected=tuple(payload["selected"]),
-            satisfies_criterion_1=tuple(payload["satisfies_criterion_1"]),
-            satisfies_criterion_2=tuple(payload["satisfies_criterion_2"]),
-            profiles=profiles,
-            alpha=float(payload["alpha"]),
-        )
-
 
 class PhonemeSelector:
     """Runs the offline barrier-effect-sensitive phoneme selection.

@@ -182,8 +182,11 @@ class DefensePipeline:
     segmenter:
         The paper's BLSTM phoneme segmenter
         (:class:`~repro.core.segmentation.PhonemeSegmenter`), or
-        ``None`` to analyze full recordings (equivalent to the
-        no-selection baseline).
+        ``None`` to analyze full recordings with the pipeline's own
+        ``config.features``.  This differs from
+        :class:`~repro.core.baselines.VibrationBaselineNoSelection`,
+        which uses linear (not log-compressed) features at
+        ``hop_length=32``.
     sensor:
         Cross-domain sensor of the user's wearable.
     config:

@@ -106,16 +106,6 @@ class ServiceOverloadError(ReproError):
     """
 
 
-class ShardUnavailableError(ReproError):
-    """A fleet shard could not accept a request.
-
-    Raised by :class:`repro.fleet.ServiceShard` when its engine is
-    stopped, marked failed, or refuses the submission; the front door
-    catches it to walk the ring's failover preference list before
-    rejecting the request with a retry-after hint.
-    """
-
-
 class StoreError(ReproError):
     """The artifact store could not complete an operation.
 

@@ -13,7 +13,6 @@ from repro.serve.loadgen import (
     LoadgenConfig,
     LoadgenReport,
     RecordingPool,
-    UserActivityModel,
     build_recording_pool,
     run_loadgen,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "RequestStatus",
     "ServiceConfig",
     "ServiceMetrics",
-    "UserActivityModel",
     "VerificationRequest",
     "VerificationResponse",
     "VerificationService",

@@ -47,102 +47,9 @@ _POOL_COMMANDS = (
 )
 
 
-class UserActivityModel:
-    """Deterministic Zipf-skewed synthetic-user population.
-
-    One shared model for the single-service and fleet load generators:
-    user ``user-<k>`` has activity weight ``(k+1)^-s`` (Zipf with
-    exponent ``s``), and the mapping from request index to user id is a
-    pure function of ``(users, zipf_s, seed)`` — the same config always
-    produces the same per-user arrival stream, regardless of how the
-    requests are later scheduled or sharded.
-
-    ``interarrival_s`` additionally derives a heavy-tailed (Pareto,
-    shape ``alpha``) open-loop arrival process with the requested mean
-    rate; the fleet load generator uses it to model bursty arrivals at
-    the front door.
-    """
-
-    def __init__(
-        self, users: int, zipf_s: float = 1.1, seed: int = 0
-    ) -> None:
-        if users < 1:
-            raise ConfigurationError(
-                f"users must be >= 1, got {users}"
-            )
-        if not zipf_s >= 0:
-            raise ConfigurationError(
-                f"zipf_s must be >= 0, got {zipf_s}"
-            )
-        self.users = int(users)
-        self.zipf_s = float(zipf_s)
-        self.seed = int(seed)
-        ranks = np.arange(1, self.users + 1, dtype=np.float64)
-        weights = ranks ** (-self.zipf_s)
-        self._weights = weights / weights.sum()
-        self._cdf = np.cumsum(self._weights)
-        self._rng = np.random.default_rng(
-            derive_seed(self.seed, "user-activity")
-        )
-
-    def weight(self, rank: int) -> float:
-        """Activity share of the user at zero-based ``rank``."""
-        return float(self._weights[rank])
-
-    def user_rank(self, index: int) -> int:
-        """Zero-based rank of the user issuing request ``index``.
-
-        Derived from ``(seed, index)`` alone — not from generator
-        state — so any subset of the request stream can be regenerated
-        independently (the fleet benchmark re-derives per-shard
-        streams this way).
-        """
-        rng = np.random.default_rng(
-            derive_seed(self.seed, "user-draw", index)
-        )
-        point = rng.random()
-        return int(np.searchsorted(self._cdf, point, side="left"))
-
-    def user_id(self, index: int) -> str:
-        """User id (``user-<rank>``) issuing request ``index``."""
-        return f"user-{self.user_rank(index)}"
-
-    def interarrival_s(
-        self, index: int, rate_rps: float, alpha: float = 2.5
-    ) -> float:
-        """Heavy-tailed gap (seconds) before request ``index``.
-
-        Pareto(``alpha``) with the scale chosen so the mean gap is
-        ``1 / rate_rps``; smaller ``alpha`` means burstier arrivals
-        (``alpha <= 1`` has no finite mean and is rejected).
-        """
-        if not rate_rps > 0:
-            raise ConfigurationError(
-                f"rate_rps must be > 0, got {rate_rps}"
-            )
-        if not alpha > 1:
-            raise ConfigurationError(
-                f"alpha must be > 1 for a finite mean, got {alpha}"
-            )
-        rng = np.random.default_rng(
-            derive_seed(self.seed, "arrival", index)
-        )
-        mean = 1.0 / rate_rps
-        scale = mean * (alpha - 1.0) / alpha
-        return float(scale / rng.random() ** (1.0 / alpha))
-
-
 @dataclass
 class LoadgenConfig:
-    """Shape and size of one load-generation run.
-
-    ``users``/``zipf_s`` select the synthetic-user population: with
-    ``users == 0`` (default) the legacy single-user stream is kept
-    bit-for-bit; with ``users >= 1`` every request is attributed to a
-    Zipf-skewed user id via :class:`UserActivityModel` (the same model
-    the fleet loadgen shards by) and its seed is derived per
-    ``(user, index)``.
-    """
+    """Shape and size of one load-generation run."""
 
     n_requests: int = 50
     mode: str = "closed"
@@ -152,8 +59,6 @@ class LoadgenConfig:
     pool_size: int = 6
     attack_fraction: float = 0.5
     deadline_s: Optional[float] = None
-    users: int = 0
-    zipf_s: float = 1.1
 
     def __post_init__(self) -> None:
         if self.n_requests < 1:
@@ -185,22 +90,6 @@ class LoadgenConfig:
             raise ConfigurationError(
                 f"deadline_s must be > 0 (or None), got {self.deadline_s}"
             )
-        if self.users < 0:
-            raise ConfigurationError(
-                f"users must be >= 0, got {self.users}"
-            )
-        if not self.zipf_s >= 0:
-            raise ConfigurationError(
-                f"zipf_s must be >= 0, got {self.zipf_s}"
-            )
-
-    def user_model(self) -> Optional[UserActivityModel]:
-        """The run's user population, or ``None`` in single-user mode."""
-        if self.users == 0:
-            return None
-        return UserActivityModel(
-            users=self.users, zipf_s=self.zipf_s, seed=self.seed
-        )
 
 
 @dataclass
@@ -309,27 +198,15 @@ class LoadgenReport:
 
 
 def _make_request(
-    config: LoadgenConfig,
-    pool: RecordingPool,
-    index: int,
-    users: Optional[UserActivityModel] = None,
+    config: LoadgenConfig, pool: RecordingPool, index: int
 ) -> VerificationRequest:
     va, wearable, is_attack = pool.pair(index)
     kind = "attack" if is_attack else "legit"
-    if users is None:
-        # Legacy single-user stream: derivation unchanged so existing
-        # runs stay bit-for-bit reproducible.
-        seed = derive_seed(config.seed, "request", index)
-        request_id = f"{kind}-{index}"
-    else:
-        user = users.user_id(index)
-        seed = derive_seed(config.seed, "request", user, index)
-        request_id = f"{user}/{kind}-{index}"
     return VerificationRequest(
         va_audio=va,
         wearable_audio=wearable,
-        seed=seed,
-        request_id=request_id,
+        seed=derive_seed(config.seed, "request", index),
+        request_id=f"{kind}-{index}",
         deadline_s=config.deadline_s,
     )
 
@@ -353,11 +230,10 @@ def run_loadgen(
     )
     report = LoadgenReport(mode=config.mode)
     report_lock = threading.Lock()
-    users = config.user_model()
     start = time.monotonic()
 
     def issue(index: int) -> Optional[object]:
-        request = _make_request(config, pool, index, users=users)
+        request = _make_request(config, pool, index)
         with report_lock:
             report.n_issued += 1
         try:

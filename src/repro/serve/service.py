@@ -186,9 +186,8 @@ class VerificationService:
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._started = False
-        # Serializes start/stop/resize so concurrent lifecycle calls
-        # (e.g. a fleet front door stopping a shard while its
-        # autoscaler resizes it, or two callers double-stopping) are
+        # Serializes start/stop so concurrent lifecycle calls (two
+        # callers double-stopping, or a stop racing a start) are
         # idempotent instead of racing on _thread/_pool teardown.
         self._lifecycle_lock = threading.Lock()
         #: Wall-clock seconds :meth:`start` spent warming the worker
@@ -244,53 +243,9 @@ class VerificationService:
             self._pool.shutdown(wait=True)
             self._started = False
 
-    def resize_workers(self, n_workers: int) -> None:
-        """Swap in a pool of ``n_workers`` without dropping requests.
-
-        The replacement pool is warmed and started *before* the swap,
-        so new batches dispatch to it as soon as fewer than
-        ``n_workers`` batches are in flight (the old pool's batches
-        still count); the old pool drains them on a background thread
-        (their futures — and therefore their requests' responses —
-        still resolve).  The fleet tier's shard autoscaler calls this
-        to track load.
-
-        No-op when ``n_workers`` equals the current pool size.  Raises
-        :class:`ConfigurationError` when the service is not running or
-        ``n_workers < 1``.
-        """
-        if int(n_workers) < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1, got {n_workers}"
-            )
-        n_workers = int(n_workers)
-        with self._lifecycle_lock:
-            if not self._started:
-                raise ConfigurationError(
-                    "service not started; resize_workers needs a "
-                    "running service"
-                )
-            if n_workers == self._pool.n_workers:
-                return
-            new_pool = WarmWorkerPool(
-                self.spec,
-                n_workers=n_workers,
-                mode=self.config.worker_mode,
-            )
-            new_pool.start()
-            with self._inflight_drained:
-                old_pool, self._pool = self._pool, new_pool
-                self.config.n_workers = n_workers
-                self._inflight_drained.notify_all()
-        threading.Thread(
-            target=lambda: old_pool.shutdown(wait=True),
-            name="verify-pool-retire",
-            daemon=True,
-        ).start()
-
     @property
     def n_workers(self) -> int:
-        """Current worker-pool size (tracks :meth:`resize_workers`)."""
+        """Worker-pool size, fixed by ``config.n_workers`` at construction."""
         return self._pool.n_workers
 
     @property
@@ -375,10 +330,10 @@ class VerificationService:
     def _dispatch_loop(self) -> None:
         """Hand each free worker the oldest request and its batch-mates.
 
-        Batch completion, :meth:`resize_workers` and :meth:`stop` wake
-        the wait for a free worker; a ``put`` or ``close`` wakes the
-        wait for a request.  After :meth:`stop` the loop stops waiting
-        for workers and returns once the closed queue is empty.
+        Batch completion and :meth:`stop` wake the wait for a free
+        worker; a ``put`` or ``close`` wakes the wait for a request.
+        After :meth:`stop` the loop stops waiting for workers and
+        returns once the closed queue is empty.
         """
         while True:
             with self._inflight_drained:
@@ -404,15 +359,9 @@ class VerificationService:
         self.metrics_collector.record_batch(len(entries))
         try:
             pool_future = self._pool.submit(key, requests, ages)
-        except Exception:
-            # The pool may have been swapped by resize_workers between
-            # the read and the submit; one retry lands on the current
-            # pool.  A second failure means the pool really died.
-            try:
-                pool_future = self._pool.submit(key, requests, ages)
-            except Exception as error:
-                self._fail_batch(entries, error)
-                return
+        except Exception as error:
+            self._fail_batch(entries, error)
+            return
         with self._inflight_drained:
             self._inflight.add(pool_future)
         pool_future.add_done_callback(

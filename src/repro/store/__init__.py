@@ -1,9 +1,8 @@
 """Content-addressed artifact store and model registry.
 
-Persists the defense's three expensive artifacts — trained BLSTM
-segmenter weights, detector calibration profiles, and offline
-phoneme-selection tables — keyed by deterministic fingerprints of
-(kind, config, seed, schema version).  Turns service cold start from
+Persists the defense's one expensive artifact — trained BLSTM
+segmenter weights — keyed by deterministic fingerprints of (kind,
+config, seed, schema version).  Turns service cold start from
 minutes of per-worker training into a millisecond weight load; the
 one-trainer-many-loaders file-locking protocol guarantees N workers
 racing on an empty store train exactly once.  See DESIGN.md
@@ -22,10 +21,7 @@ from repro.store.fingerprint import (
 )
 from repro.store.locks import FileLock
 from repro.store.registry import (
-    KIND_CALIBRATION,
-    KIND_PHONEME_TABLE,
     KIND_SEGMENTER,
-    KIND_USER_PROFILE,
     ModelRegistry,
     registry_counters,
 )
@@ -35,10 +31,7 @@ __all__ = [
     "ArtifactKey",
     "ArtifactStore",
     "FileLock",
-    "KIND_CALIBRATION",
-    "KIND_PHONEME_TABLE",
     "KIND_SEGMENTER",
-    "KIND_USER_PROFILE",
     "ModelRegistry",
     "SCHEMA_VERSION",
     "artifact_fingerprint",

@@ -1,32 +1,21 @@
-"""Byte codecs between the store and the library's trained artifacts.
+"""Byte codec between the store and trained segmenter weights.
 
 The :class:`~repro.store.artifact.ArtifactStore` deals in opaque bytes;
-these adapters define the payload formats for the three expensive
-artifacts the registry manages:
+the registry stores segmenter weights as the ``.npz`` produced by
+:meth:`PhonemeSegmenter.save` (BLSTM parameters + architecture meta +
+feature standardization statistics), written into a memory buffer.
 
-* **segmenter weights** — the ``.npz`` produced by
-  :meth:`PhonemeSegmenter.save` (BLSTM parameters + architecture meta +
-  feature standardization statistics), written into a memory buffer.
-* **calibration profiles** — :class:`CalibrationReport` as JSON (JSON
-  round-trips float64 exactly via shortest-repr).
-* **phoneme-selection tables** — :class:`PhonemeSelectionResult` as
-  JSON, including the per-phoneme Q3 vibration profiles.
-
-Decoding failures raise :class:`repro.errors.ModelError` /
-:class:`repro.errors.StoreError`; the registry maps them to the
-quarantine-and-retrain fallback.
+Decoding failures raise :class:`repro.errors.ModelError`; the registry
+maps it to the quarantine-and-retrain fallback.
 """
 
 from __future__ import annotations
 
 import io
-import json
 from typing import Optional
 
-from repro.core.calibration import CalibrationReport
-from repro.core.phoneme_selection import PhonemeSelectionResult
 from repro.core.segmentation import PhonemeSegmenter, SegmenterConfig
-from repro.errors import ModelError, StoreError
+from repro.errors import ModelError
 from repro.utils.rng import SeedLike
 
 
@@ -65,61 +54,3 @@ def decode_segmenter(
             f"segmenter payload is not a readable archive: {error}"
         ) from error
     return segmenter
-
-
-def encode_calibration(report: CalibrationReport) -> bytes:
-    """Calibration report → JSON bytes."""
-    return json.dumps(report.to_dict(), sort_keys=True).encode("utf-8")
-
-
-def decode_calibration(payload: bytes) -> CalibrationReport:
-    """JSON bytes → calibration report."""
-    return CalibrationReport.from_dict(_load_json(payload, "calibration"))
-
-
-def encode_phoneme_table(result: PhonemeSelectionResult) -> bytes:
-    """Phoneme-selection result → JSON bytes."""
-    return json.dumps(result.to_dict(), sort_keys=True).encode("utf-8")
-
-
-def decode_phoneme_table(payload: bytes) -> PhonemeSelectionResult:
-    """JSON bytes → phoneme-selection result."""
-    try:
-        return PhonemeSelectionResult.from_dict(
-            _load_json(payload, "phoneme table")
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise StoreError(
-            f"malformed phoneme-table payload: {error}"
-        ) from None
-
-
-def encode_json_document(document: dict) -> bytes:
-    """JSON-object artifact → canonical bytes (sorted keys).
-
-    The generic codec behind per-user fleet profiles: the store deals
-    in opaque bytes, the fleet layer deals in
-    :class:`repro.fleet.profiles.UserProfile` dicts, and this boundary
-    keeps ``repro.store`` free of an upward import.
-    """
-    if not isinstance(document, dict):
-        raise StoreError(
-            f"JSON artifact must be a dict, got {type(document).__name__}"
-        )
-    return json.dumps(document, sort_keys=True).encode("utf-8")
-
-
-def decode_json_document(payload: bytes) -> dict:
-    """Canonical JSON bytes → dict (inverse of
-    :func:`encode_json_document`)."""
-    return _load_json(payload, "JSON document")
-
-
-def _load_json(payload: bytes, what: str) -> dict:
-    try:
-        decoded = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise StoreError(f"{what} payload is not valid JSON") from error
-    if not isinstance(decoded, dict):
-        raise StoreError(f"{what} payload must be a JSON object")
-    return decoded

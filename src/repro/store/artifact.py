@@ -318,9 +318,7 @@ class ArtifactStore:
         satisfies every one.  Returns the evicted entries' metadata
         (oldest first).  With ``dry_run`` nothing is deleted — the
         returned list is what a real run *would* evict, which the CLI
-        sums into per-kind reclaimable bytes (per-user fleet profiles
-        multiply entry counts, so sizing a bound before evicting
-        matters).
+        sums into per-kind reclaimable bytes.
         """
         if max_bytes is None and max_entries is None:
             return []

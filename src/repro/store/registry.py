@@ -1,13 +1,13 @@
 """Typed model registry on top of the artifact store.
 
 :class:`ModelRegistry` is the train-once/serve-many facade the serving
-stack talks to.  Each accessor follows the same protocol:
+stack talks to.  :meth:`ModelRegistry.segmenter` follows this protocol:
 
 1. fingerprint the full production recipe (kind, config, seed, store
    schema version),
 2. :meth:`~repro.store.artifact.ArtifactStore.get_or_create` under the
    entry's cross-process lock — so N workers cold-starting together
-   run exactly one training/selection/calibration,
+   run exactly one training,
 3. decode the payload through :mod:`repro.store.adapters`; a payload
    that passes its checksum but fails decoding (stale format) is
    quarantined and the artifact is recomputed — the registry never
@@ -15,8 +15,8 @@ stack talks to.  Each accessor follows the same protocol:
 4. degrade to direct computation when the store itself is unusable
    (unwritable root, disk errors), with a logged warning.
 
-Determinism makes all of this safe: every producer is a pure function
-of its integer seed and config, so a store-loaded artifact is bitwise
+Determinism makes all of this safe: training is a pure function of
+its integer seed and config, so a store-loaded artifact is bitwise
 identical to a freshly computed one.
 """
 
@@ -25,19 +25,14 @@ from __future__ import annotations
 import logging
 import threading
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.core.calibration import CalibrationReport
-from repro.core.phoneme_selection import (
-    PhonemeSelectionConfig,
-    PhonemeSelectionResult,
-)
 from repro.core.segmentation import (
     PhonemeSegmenter,
     SegmenterConfig,
     train_default_segmenter,
 )
-from repro.errors import ModelError, StoreError
+from repro.errors import ModelError
 from repro.phonemes.inventory import PAPER_SELECTED_PHONEMES
 from repro.store import adapters
 from repro.store.artifact import ArtifactKey, ArtifactStore
@@ -45,11 +40,8 @@ from repro.store.fingerprint import artifact_fingerprint
 
 logger = logging.getLogger(__name__)
 
-#: Artifact kinds managed by the registry.
+#: Artifact kind managed by the registry.
 KIND_SEGMENTER = "segmenter"
-KIND_CALIBRATION = "calibration"
-KIND_PHONEME_TABLE = "phoneme-table"
-KIND_USER_PROFILE = "user-profile"
 
 # Process-wide load/train accounting, reported by the serving CLI and
 # asserted by ``make store-smoke`` ("second run trains zero models").
@@ -69,7 +61,7 @@ def _record(event: str) -> None:
 
 
 class ModelRegistry:
-    """Load-or-compute facade for the three expensive artifacts.
+    """Load-or-train facade for trained segmenter weights.
 
     Parameters
     ----------
@@ -143,124 +135,6 @@ class ModelRegistry:
         return segmenter, created
 
     # ------------------------------------------------------------------
-    # Calibration profiles
-    # ------------------------------------------------------------------
-
-    def calibration(
-        self,
-        recipe: Mapping[str, object],
-        producer: Callable[[], CalibrationReport],
-    ) -> Tuple[CalibrationReport, bool]:
-        """Load-or-compute a detector calibration profile.
-
-        ``recipe`` must deterministically describe how the calibration
-        scores are produced (campaign seed, sizes, strategy, target
-        rates, ...) — it is the artifact's identity.  ``producer`` runs
-        the actual score collection + threshold fit on a miss.
-        """
-        key = ArtifactKey(
-            KIND_CALIBRATION,
-            artifact_fingerprint(
-                KIND_CALIBRATION,
-                schema_version=self.store.schema_version,
-                **dict(recipe),
-            ),
-        )
-
-        def produce() -> bytes:
-            return adapters.encode_calibration(producer())
-
-        payload, created = self._get_or_create(
-            key, produce, meta=dict(recipe)
-        )
-        report = self._decode(
-            key, payload, created, produce, adapters.decode_calibration
-        )
-        return report, created
-
-    # ------------------------------------------------------------------
-    # Phoneme-selection tables
-    # ------------------------------------------------------------------
-
-    def phoneme_table(
-        self,
-        seed: int,
-        config: Optional[PhonemeSelectionConfig] = None,
-        symbols: Optional[Sequence[str]] = None,
-    ) -> Tuple[PhonemeSelectionResult, bool]:
-        """Load-or-run the offline sensitive-phoneme selection study."""
-        config = config or PhonemeSelectionConfig()
-        key = ArtifactKey(
-            KIND_PHONEME_TABLE,
-            artifact_fingerprint(
-                KIND_PHONEME_TABLE,
-                schema_version=self.store.schema_version,
-                seed=int(seed),
-                config=config,
-                symbols=None if symbols is None else list(symbols),
-            ),
-        )
-
-        def produce() -> bytes:
-            from repro.core.phoneme_selection import PhonemeSelector
-
-            result = PhonemeSelector(config=config, seed=int(seed)).run(
-                symbols
-            )
-            return adapters.encode_phoneme_table(result)
-
-        payload, created = self._get_or_create(
-            key, produce, meta={"seed": int(seed)}
-        )
-        table = self._decode(
-            key, payload, created, produce, adapters.decode_phoneme_table
-        )
-        return table, created
-
-    # ------------------------------------------------------------------
-    # Per-user profiles (fleet serving tier)
-    # ------------------------------------------------------------------
-
-    def user_profile(
-        self,
-        user_id: str,
-        recipe: Mapping[str, object],
-        producer: Callable[[], Dict[str, object]],
-    ) -> Tuple[Dict[str, object], bool]:
-        """Load-or-compute one user's serving profile as a JSON dict.
-
-        The artifact's identity is ``(user_id, recipe)`` — the recipe
-        must deterministically describe how the profile is derived
-        (base seed, calibration strategy, phoneme-subset size, ...), so
-        N shards cold-starting on the same user run ``producer``
-        exactly once between them (the store's one-trainer-many-loaders
-        lock) and every later load is byte-identical.  The fleet layer
-        wraps the returned dict in
-        :class:`repro.fleet.profiles.UserProfile`; the registry stays
-        schema-agnostic so ``repro.store`` never imports upward.
-        """
-        key = ArtifactKey(
-            KIND_USER_PROFILE,
-            artifact_fingerprint(
-                KIND_USER_PROFILE,
-                schema_version=self.store.schema_version,
-                user_id=str(user_id),
-                **dict(recipe),
-            ),
-        )
-
-        def produce() -> bytes:
-            return adapters.encode_json_document(producer())
-
-        payload, created = self._get_or_create(
-            key, produce, meta={"user_id": str(user_id), **dict(recipe)}
-        )
-        document = self._decode(
-            key, payload, created, produce, adapters.decode_json_document
-        )
-        return document, created
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
@@ -299,7 +173,7 @@ class ModelRegistry:
         """Decode, quarantining-and-recomputing undecodable cache hits."""
         try:
             return decoder(payload)
-        except (ModelError, StoreError) as error:
+        except ModelError as error:
             if created:
                 # This process just produced the payload; the format
                 # itself is broken — do not mask a programming error.

@@ -63,35 +63,6 @@ def test_loadgen_command(capsys):
     assert "latency p50/p95/p99" in captured
 
 
-def test_fleet_loadgen_command(capsys):
-    exit_code = main(
-        [
-            "fleet", "loadgen",
-            "--engine", "sim",
-            "--shards", "2",
-            "--requests", "20",
-            "--users", "1000",
-            "--rate", "2000",
-            "--queue-capacity", "64",
-            "--seed", "7",
-        ]
-    )
-    captured = capsys.readouterr().out
-    assert exit_code == 0
-    assert "fleet: 20 issued" in captured
-    assert "latency p50/p95/p99" in captured
-    assert "shard-0" in captured and "shard-1" in captured
-
-
-def test_fleet_invalid_flags_exit_early():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["fleet", "loadgen", "--shards", "0"])
-    assert "error:" in str(excinfo.value)
-    with pytest.raises(SystemExit) as excinfo:
-        main(["fleet", "loadgen", "--rate", "0"])
-    assert "error:" in str(excinfo.value)
-
-
 @pytest.mark.parametrize(
     "flags",
     [

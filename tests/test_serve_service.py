@@ -171,7 +171,10 @@ class TestWorkConservingDispatch:
         assert peak[0] <= service.n_workers
 
     def test_failed_batch_carries_queue_wait(self, fast_spec):
+        calls = []
+
         def broken_submit(key, requests, ages_s):
+            calls.append(len(requests))
             raise RuntimeError("pool died")
 
         with VerificationService(
@@ -182,6 +185,10 @@ class TestWorkConservingDispatch:
                 service.submit(make_request(seed)).result()
                 for seed in range(3)
             ]
+            metrics = service.metrics()
+        # A failed submit fails its batch at once: no retry.
+        assert metrics.n_batches == 3
+        assert calls == [1, 1, 1]
         for response in responses:
             assert response.status is RequestStatus.FAILED
             assert "pool died" in response.error
@@ -205,36 +212,6 @@ class TestThreadModeWarmup:
             response = service.verify(make_request(3))
             assert training_run_count() == before + 1
         assert response.status is RequestStatus.SERVED
-
-
-class TestResizeWorkers:
-    def test_resize_swaps_pool_without_dropping(self, fast_spec):
-        with VerificationService(
-            fast_spec, ServiceConfig(n_workers=1)
-        ) as service:
-            before = service.verify(make_request(1))
-            service.resize_workers(3)
-            assert service.n_workers == 3
-            after = service.verify(make_request(1))
-            service.resize_workers(1)
-            assert service.n_workers == 1
-        # Same seed through both pools: bitwise-identical verdict.
-        assert before.verdict.score == after.verdict.score
-
-    def test_resize_to_current_size_is_noop(self, fast_spec):
-        with VerificationService(
-            fast_spec, ServiceConfig(n_workers=2)
-        ) as service:
-            pool = service._pool
-            service.resize_workers(2)
-            assert service._pool is pool
-
-    def test_resize_validates(self, fast_spec):
-        service = VerificationService(fast_spec)
-        with pytest.raises(ConfigurationError):
-            service.resize_workers(0)
-        with pytest.raises(ConfigurationError):
-            service.resize_workers(2)  # not started
 
 
 class TestDeterminismContract:

@@ -6,8 +6,6 @@ import io
 import numpy as np
 import pytest
 
-from repro.core.calibration import CalibrationReport
-from repro.core.phoneme_selection import PhonemeSelectionConfig
 from repro.core.pipeline import DefensePipeline
 from repro.core.segmentation import (
     PhonemeSegmenter,
@@ -126,66 +124,6 @@ class TestSegmenterArtifact:
         after = registry_counters()
         assert after["trained"] == before["trained"] + 1
         assert after["loaded"] == before["loaded"] + 1
-
-
-class TestCalibrationArtifact:
-    RECIPE = {"campaign_seed": 7, "strategy": "eer", "n_scores": 16}
-
-    def report(self):
-        return CalibrationReport(
-            threshold=0.4375,
-            expected_fdr=0.0625,
-            expected_tdr=0.9375,
-            strategy="equal error rate",
-        )
-
-    def test_round_trip_is_exact(self, registry):
-        calls = []
-
-        def produce():
-            calls.append(1)
-            return self.report()
-
-        first, created = registry.calibration(self.RECIPE, produce)
-        assert created
-        second, created = registry.calibration(self.RECIPE, produce)
-        assert not created
-        assert len(calls) == 1
-        assert second == self.report()
-        assert second.threshold == first.threshold
-
-    def test_recipe_is_the_identity(self, registry):
-        registry.calibration(self.RECIPE, self.report)
-        other = dict(self.RECIPE, campaign_seed=8)
-        _, created = registry.calibration(other, self.report)
-        assert created
-
-
-class TestPhonemeTableArtifact:
-    CONFIG = PhonemeSelectionConfig(n_segments=2)
-    SYMBOLS = ("s", "ae")
-
-    def test_round_trip_is_exact(self, registry):
-        first, created = registry.phoneme_table(
-            seed=13, config=self.CONFIG, symbols=self.SYMBOLS
-        )
-        assert created
-        second, created = registry.phoneme_table(
-            seed=13, config=self.CONFIG, symbols=self.SYMBOLS
-        )
-        assert not created
-        assert second.selected == first.selected
-        assert second.alpha == first.alpha
-        for symbol in self.SYMBOLS:
-            for field in (
-                "q3_thru_barrier",
-                "q3_direct",
-                "frequencies",
-            ):
-                np.testing.assert_array_equal(
-                    getattr(first.profiles[symbol], field),
-                    getattr(second.profiles[symbol], field),
-                )
 
 
 class TestLoadWeightsValidation:
