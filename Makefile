@@ -44,15 +44,18 @@ serve-smoke:
 
 # Store smoke: two serve-smoke runs against a persistent artifact
 # store.  The first run may train and publish; the second must load
-# everything — its accounting line has to report "0 trained".
+# everything — its accounting line has to report "0 trained".  The
+# second run's output is held in a shell variable, not piped, so its
+# exit status (non-zero on any failed request) fails the target.
 store-smoke:
 	$(PYTHON) -m repro loadgen --segmenter fast --workers 2 \
 		--requests 12 --concurrency 4 --seed 0 \
 		--store-dir $(STORE_SMOKE_DIR)
-	$(PYTHON) -m repro loadgen --segmenter fast --workers 2 \
+	out="$$($(PYTHON) -m repro loadgen --segmenter fast --workers 2 \
 		--requests 12 --concurrency 4 --seed 0 \
-		--store-dir $(STORE_SMOKE_DIR) | tee /tmp/store-smoke.log
-	grep -q "0 trained" /tmp/store-smoke.log
+		--store-dir $(STORE_SMOKE_DIR))"; status=$$?; \
+	printf '%s\n' "$$out"; \
+	test $$status -eq 0 && printf '%s\n' "$$out" | grep -q ", 0 trained)"
 	$(PYTHON) -m repro store verify --dir $(STORE_SMOKE_DIR)
 
 # Runtime smoke: the unified execution layer.  A 2-worker campaign

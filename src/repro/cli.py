@@ -466,17 +466,13 @@ def _cmd_attack_study(args: argparse.Namespace) -> int:
     ]
     import os
 
-    from repro.runtime import FallbackPolicy, Runtime
+    from repro.runtime import Runtime
 
     workers = _resolve_workers(args.workers)
     if workers is None:
         workers = os.cpu_count() or 1
     kind = "inline" if workers == 1 else args.executor
-    runtime = Runtime(
-        kind,
-        n_workers=workers,
-        fallback=FallbackPolicy(ladder=("process", "inline")),
-    )
+    runtime = Runtime(kind, n_workers=workers)
     try:
         counts = runtime.map_units(_attack_study_cell, payloads)
     finally:
@@ -573,7 +569,7 @@ def _print_store_report(spec, service) -> None:
     from repro.store import ArtifactStore, registry_counters
 
     n_entries = len(ArtifactStore(spec.store_dir).entries())
-    if service.realized_worker_mode == "thread":
+    if service.config.worker_mode == "thread":
         counts = registry_counters()
         print(
             f"store: {n_entries} artifact(s) in {spec.store_dir} "

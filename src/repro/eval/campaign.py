@@ -94,21 +94,19 @@ class DetectorBank:
         self,
         segmenter: Optional[PhonemeSegmenter],
         pipeline: Optional[DefensePipeline] = None,
-        vibration_baseline: Optional[VibrationBaselineNoSelection] = None,
-        audio_baseline: Optional[AudioDomainBaseline] = None,
         include_baselines: bool = True,
     ) -> None:
         self.pipeline = pipeline or DefensePipeline(segmenter=segmenter)
         self.include_baselines = include_baselines
+        # The vibration baseline replays on the same wearable as the
+        # full system, so a scenario's sensor reaches both detectors.
         self.vibration_baseline = (
-            vibration_baseline or VibrationBaselineNoSelection()
+            VibrationBaselineNoSelection(sensor=self.pipeline.sensor)
             if include_baselines
             else None
         )
         self.audio_baseline = (
-            audio_baseline or AudioDomainBaseline()
-            if include_baselines
-            else None
+            AudioDomainBaseline() if include_baselines else None
         )
 
     @property

@@ -22,10 +22,11 @@ this.
 
 Fault tolerance
 ---------------
-If the pool cannot spawn (restricted environments, unpicklable detector
-banks) or workers die mid-campaign, the runtime's fallback ladder
-finishes the remaining units inline in-process; results are unchanged
-because units are order-independent.
+If the process pool cannot spawn (restricted environments, unpicklable
+detector banks) or workers die mid-campaign,
+:meth:`repro.runtime.Runtime.map_units` finishes the remaining units
+inline in-process; results are unchanged because units are
+order-independent.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from repro.runtime import (
     INLINE,
     PROCESS,
     THREAD,
-    FallbackPolicy,
     Runtime,
     capture_stage_events,
     validate_kind,
@@ -144,8 +144,8 @@ class CampaignResult:
 # Worker plumbing.  The runtime initializer parks the (read-only)
 # detector bank and corpus in module globals so they are pickled once
 # per worker instead of once per unit, and so each worker's corpus
-# utterance cache stays warm across the units it executes.  The inline
-# and thread rungs run the same initializer in-process, so one code
+# utterance cache stays warm across the units it executes.  Inline and
+# thread execution run the same initializer in-process, so one code
 # path serves every executor kind.
 # ----------------------------------------------------------------------
 
@@ -248,7 +248,6 @@ class CampaignRunner:
         runtime = Runtime(
             kind,
             n_workers=workers,
-            fallback=FallbackPolicy(ladder=(PROCESS, INLINE)),
             initializer=_init_worker,
             initargs=(detectors, corpus),
         )
@@ -271,7 +270,7 @@ class CampaignRunner:
             )
         stats = CampaignStats(
             n_workers=workers,
-            mode=self._mode_label(workers, runtime),
+            mode=self._mode_label(runtime),
             wall_s=time.perf_counter() - start,
             units=unit_stats,
         )
@@ -282,7 +281,7 @@ class CampaignRunner:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _mode_label(workers: int, runtime: Runtime) -> str:
+    def _mode_label(runtime: Runtime) -> str:
         """Human-readable execution mode, preserving the historical
         vocabulary (``serial`` / ``process-pool`` /
         ``process-pool+serial-fallback``) plus ``thread-pool``."""

@@ -9,7 +9,7 @@ can state "AUC 0.99 [0.96, 1.00]" instead of a bare number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Sequence
 
 import numpy as np
 

@@ -13,11 +13,11 @@ The loop the curves come from:
    curves isolate the effect of the randomized defenses.
 3. **Population** — ``population`` independent attackers per arm, each
    with its own member seed, optimized in parallel through
-   :class:`repro.runtime.Runtime` (process → inline ladder).  Each
-   attacker drives a budgeted :class:`~repro.redteam.oracle.ScoreOracle`
-   and records its full per-query history, so one run to the maximum
-   budget yields the best-so-far snapshot at *every* intermediate
-   budget on the curve.
+   :class:`repro.runtime.Runtime` (a broken process pool finishes
+   inline).  Each attacker drives a budgeted
+   :class:`~repro.redteam.oracle.ScoreOracle` and records its full
+   per-query history, so one run to the maximum budget yields the
+   best-so-far snapshot at *every* intermediate budget on the curve.
 4. **Evaluation** — each snapshot θ (and the static θ = 0 baseline) is
    replayed on held-out evaluation episodes against the deployed
    detector; the curve plots attacker budget vs detection rate.
@@ -61,7 +61,7 @@ from repro.redteam.oracle import (
 from repro.redteam.optimizers import OPTIMIZERS, make_optimizer
 from repro.redteam.space import AttackSpace
 from repro.redteam.surrogate import SurrogateGradientAttacker
-from repro.runtime import FallbackPolicy, Runtime
+from repro.runtime import Runtime
 from repro.utils.rng import derive_seed
 
 #: Attacker modes the campaign accepts (gradient-free registry plus the
@@ -476,14 +476,10 @@ def _run_population(
     executor: str,
     n_workers: int,
 ) -> List[AttackerRun]:
-    """Map attacker units over the runtime ladder, in order."""
+    """Map attacker units over the runtime, in order."""
     units = list(units)
     kind = "inline" if n_workers == 1 or len(units) == 1 else executor
-    runtime = Runtime(
-        kind,
-        n_workers=min(n_workers, len(units)),
-        fallback=FallbackPolicy(ladder=("process", "inline")),
-    )
+    runtime = Runtime(kind, n_workers=min(n_workers, len(units)))
     try:
         return runtime.map_units(optimize_attacker_unit, units)
     finally:

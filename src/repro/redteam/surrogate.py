@@ -19,7 +19,7 @@ implement and the behaviour ISSUE 8's mode (b) specifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -1,5 +1,5 @@
-"""Unified execution layer: executors, fallback/retry policies, and
-the StageEvent observability protocol.
+"""Unified execution layer: the executor and the StageEvent
+observability protocol.
 
 All pool construction in the library lives here; ``core``, ``eval``,
 ``serve``, and the CLI submit units of work through a
@@ -17,39 +17,29 @@ from repro.runtime.events import (
     emit_event,
 )
 from repro.runtime.executor import (
-    POOL_ERRORS,
-    InlineExecutor,
-    ProcessPoolRuntime,
-    Runtime,
-    ThreadPoolRuntime,
-)
-from repro.runtime.policies import (
     EXECUTOR_KINDS,
     INLINE,
+    POOL_ERRORS,
     PROCESS,
     THREAD,
-    FallbackPolicy,
-    RetryPolicy,
+    InlineExecutor,
+    Runtime,
     validate_kind,
 )
 
 __all__ = [
     "EXECUTOR_KINDS",
-    "FallbackPolicy",
     "INLINE",
     "InlineExecutor",
     "NullSink",
     "POOL_ERRORS",
     "PROCESS",
-    "ProcessPoolRuntime",
-    "RetryPolicy",
     "Runtime",
     "StageEvent",
     "StageEventAggregator",
     "StageEventSink",
     "StageSummary",
     "THREAD",
-    "ThreadPoolRuntime",
     "active_sink",
     "capture_stage_events",
     "emit_event",

@@ -1,7 +1,7 @@
 """StageEvent — one structured-observability protocol for every layer.
 
-Pipeline stages, campaign units, serve workers, and the runtime's own
-fallback ladder all emit the same small frozen record: stage name, wall
+Pipeline stages, campaign units, serve workers, and the runtime's
+inline fallback all emit the same small frozen record: stage name, wall
 time, batch size, which fallback (if any) was taken, and the error
 class when the stage failed.  Sinks aggregate them; the same aggregate
 feeds both :class:`repro.serve.metrics.ServiceMetrics` and the campaign
@@ -22,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from repro.utils.stats import percentile_values
@@ -36,9 +36,8 @@ class StageEvent:
     ----------
     stage:
         Stage name (``sync`` / ``segment`` / ... for pipeline stages,
-        ``runtime.start`` / ``runtime.map`` for executor-ladder
-        transitions, ``segment_batch`` for the shared vectorized
-        forward).
+        ``runtime.map`` for a process run finished inline,
+        ``segment_batch`` for the shared vectorized forward).
     wall_s:
         Wall-clock seconds attributed to this stage (for batched work,
         including the emitting request's amortized share).

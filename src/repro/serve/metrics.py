@@ -9,9 +9,8 @@ plain-text style as the campaign runner's stats block.
 Stage-level observability arrives as :class:`repro.runtime.StageEvent`
 streams from the workers (:meth:`MetricsCollector.record_stage_events`)
 — the same protocol the campaign runner aggregates — so fallback
-annotations (deadline skips, full-recording degrades, runtime ladder
-demotions) are counted uniformly across the serving and evaluation
-surfaces.
+annotations (deadline skips, full-recording degrades) are counted
+uniformly across the serving and evaluation surfaces.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ class ServiceMetrics:
         default_factory=dict
     )
     #: ``{"stage:fallback": count}`` over the workers' StageEvent
-    #: streams — deadline skips, full-recording degrades, and runtime
-    #: ladder demotions, all through one protocol.
+    #: streams — deadline skips and full-recording degrades, through
+    #: one protocol.
     stage_fallbacks: Mapping[str, int] = field(default_factory=dict)
 
     @property

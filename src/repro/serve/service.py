@@ -248,12 +248,6 @@ class VerificationService:
         """Worker-pool size, fixed by ``config.n_workers`` at construction."""
         return self._pool.n_workers
 
-    @property
-    def realized_worker_mode(self) -> Optional[str]:
-        """Worker mode in effect after :meth:`start` (process pools
-        fall back to ``"thread"`` when spawning fails)."""
-        return self._pool.realized_mode
-
     def __enter__(self) -> "VerificationService":
         self.start()
         return self

@@ -19,8 +19,8 @@ Execution runs on the unified :class:`repro.runtime.Runtime`:
 ``process``
     Each worker process builds the warm pipeline in its initializer.
     A warm-up probe forces spawn/initializer failures to surface at
-    start, where the runtime's fallback ladder demotes to threads —
-    the same ladder :class:`repro.eval.runner.CampaignRunner` rides.
+    start, where they raise: hosts that cannot spawn processes serve
+    with the default ``thread`` mode.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.errors import ConfigurationError
 from repro.runtime import (
     PROCESS,
     THREAD,
-    FallbackPolicy,
     Runtime,
     StageEvent,
     capture_stage_events,
@@ -312,9 +311,8 @@ class WarmWorkerPool:
     """Persistent executor whose workers hold trained pipelines.
 
     A thin façade over :class:`repro.runtime.Runtime`: the pool picks
-    the ladder (process demotes to thread; thread runs rung-solo), the
-    warm-up probe, and the worker initializer, and the runtime owns all
-    pool construction and fallback mechanics.
+    the warm-up probe and the worker initializer, and the runtime owns
+    pool construction.
 
     Parameters
     ----------
@@ -323,8 +321,8 @@ class WarmWorkerPool:
     n_workers:
         Pool size (>= 1).
     mode:
-        ``"thread"`` (default) or ``"process"``; process pools fall
-        back to threads if spawning fails.
+        ``"thread"`` (default) or ``"process"``; a process pool that
+        cannot spawn raises from :meth:`start`.
     """
 
     def __init__(
@@ -344,7 +342,6 @@ class WarmWorkerPool:
         self.spec = spec
         self.n_workers = int(n_workers)
         self.mode = mode
-        self.realized_mode: Optional[str] = None
         self._runtime: Optional[Runtime] = None
 
     def start(self) -> None:
@@ -353,26 +350,23 @@ class WarmWorkerPool:
         The runtime probes every worker with one empty batch, so each
         worker's initializer (segmenter training or store load) runs
         here rather than on the first request.  In process mode this
-        also surfaces spawn and initializer failures while the ladder
-        can still demote to threads, instead of mid-traffic.
+        also surfaces spawn and initializer failures here, instead of
+        mid-traffic.
         """
         if self._runtime is not None:
             return
         runtime = Runtime(
             kind=self.mode,
             n_workers=self.n_workers,
-            fallback=FallbackPolicy(ladder=(PROCESS, THREAD)),
             initializer=_init_worker,
             initargs=(self.spec,),
             probe=(
                 execute_batch,
                 ((self.spec, (16_000.0, False), []),),
             ),
-            thread_name_prefix="verify-worker",
         )
         runtime.start()
         self._runtime = runtime
-        self.realized_mode = runtime.realized_kind
 
     def submit(
         self,

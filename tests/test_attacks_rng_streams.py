@@ -13,7 +13,7 @@ from repro.attacks import (
 )
 from repro.phonemes import SyntheticCorpus
 from repro.redteam.campaign import attack_digest_unit
-from repro.runtime import FallbackPolicy, Runtime
+from repro.runtime import Runtime
 
 CORPUS = SyntheticCorpus(n_speakers=3, seed=11)
 
@@ -89,11 +89,7 @@ def test_digests_are_bitwise_identical_across_executors(executor):
         (7, "replay", index, "ok google turn on the lights")
         for index in range(3)
     ] + [(7, "random", 0, None)]
-    runtime = Runtime(
-        executor,
-        n_workers=2,
-        fallback=FallbackPolicy(ladder=("process", "inline")),
-    )
+    runtime = Runtime(executor, n_workers=2)
     try:
         digests = runtime.map_units(attack_digest_unit, payloads)
     finally:

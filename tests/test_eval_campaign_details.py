@@ -88,3 +88,14 @@ class TestScoreAll:
         assert set(scores) == set(bank.detector_names)
         for value in scores.values():
             assert -1.0 <= value <= 1.0
+
+
+class TestDetectorBankSensor:
+    def test_vibration_baseline_shares_the_pipeline_sensor(self):
+        from repro.core.pipeline import DefensePipeline
+        from repro.sensing import CrossDomainSensor
+
+        sensor = CrossDomainSensor(body_motion_intensity=0.05)
+        pipeline = DefensePipeline(segmenter=None, sensor=sensor)
+        bank = DetectorBank(segmenter=None, pipeline=pipeline)
+        assert bank.vibration_baseline.sensor is sensor

@@ -1,4 +1,4 @@
-"""Runtime layer: executors, fallback ladder, retries, determinism."""
+"""Runtime layer: executors, inline fallback, determinism."""
 
 import pickle
 
@@ -14,8 +14,6 @@ from repro.eval.runner import CampaignRunner
 from repro.phonemes.corpus import SyntheticCorpus
 from repro.runtime import (
     EXECUTOR_KINDS,
-    FallbackPolicy,
-    RetryPolicy,
     Runtime,
     capture_stage_events,
 )
@@ -37,38 +35,6 @@ def _die_in_worker(payload):
     if os.getpid() != parent_pid:
         os._exit(1)
     return x + 1
-
-
-class TestPolicies:
-    def test_default_ladder(self):
-        assert FallbackPolicy().ladder == ("process", "thread", "inline")
-
-    def test_rungs_from_kind(self):
-        policy = FallbackPolicy()
-        assert policy.rungs("process") == ("process", "thread", "inline")
-        assert policy.rungs("thread") == ("thread", "inline")
-        assert policy.rungs("inline") == ("inline",)
-
-    def test_kind_absent_from_ladder_runs_solo(self):
-        policy = FallbackPolicy(ladder=("process", "inline"))
-        assert policy.rungs("thread") == ("thread",)
-
-    def test_invalid_ladders_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FallbackPolicy(ladder=())
-        with pytest.raises(ConfigurationError):
-            FallbackPolicy(ladder=("process", "process"))
-        with pytest.raises(ConfigurationError):
-            FallbackPolicy(ladder=("process", "fiber"))
-
-    def test_retry_policy_bounds(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        policy = RetryPolicy(max_attempts=3, retry_on=(ValueError,))
-        assert policy.should_retry(ValueError("x"), 1)
-        assert policy.should_retry(ValueError("x"), 2)
-        assert not policy.should_retry(ValueError("x"), 3)
-        assert not policy.should_retry(KeyError("x"), 1)
 
 
 class TestExecutorsBasic:
@@ -126,11 +92,7 @@ class TestErrorPropagation:
                 runtime.shutdown()
 
     def test_process_wraps_errors_picklable(self):
-        runtime = Runtime(
-            "process",
-            n_workers=2,
-            fallback=FallbackPolicy(ladder=("process",)),
-        )
+        runtime = Runtime("process", n_workers=2)
         try:
             with pytest.raises(WorkerError) as excinfo:
                 runtime.map_units(_boom, [5])
@@ -152,115 +114,67 @@ class TestErrorPropagation:
         assert WorkerError.from_exception(original) is original
 
 
-class TestRetry:
-    def test_flaky_unit_retried_up_to_cap(self):
-        attempts = []
-
-        def flaky(x):
-            attempts.append(x)
-            if len(attempts) < 3:
-                raise ValueError("transient")
-            return x
-
-        runtime = Runtime(
-            "inline", retry=RetryPolicy(max_attempts=3)
-        )
-        assert runtime.map_units(flaky, [9]) == [9]
-        assert len(attempts) == 3
-
-    def test_exhausted_retries_raise(self):
-        runtime = Runtime(
-            "inline", retry=RetryPolicy(max_attempts=2)
-        )
-        with pytest.raises(ValueError):
-            runtime.map_units(_boom, [1])
-
-
 class TestFallbackLadder:
-    def test_process_spawn_failure_demotes_to_thread(self, monkeypatch):
-        import repro.runtime.executor as executor_module
-
-        def broken(*args, **kwargs):
-            raise OSError("no processes available")
-
-        monkeypatch.setattr(
-            executor_module, "ProcessPoolExecutor", broken
-        )
-        runtime = Runtime("process", n_workers=2)
-        try:
-            with capture_stage_events() as captured:
-                assert runtime.map_units(_double, [1, 2, 3]) == [2, 4, 6]
-            assert runtime.realized_kind == "thread"
-            assert runtime.fell_back
-            assert runtime.fallbacks == ["thread"]
-        finally:
-            runtime.shutdown()
-        fallbacks = [
-            event for event in captured.events
-            if event.scope == "runtime" and event.fallback == "thread"
-        ]
-        assert len(fallbacks) == 1
-        assert fallbacks[0].error == "OSError"
-
-    def test_full_ladder_process_to_thread_to_inline(self, monkeypatch):
-        import repro.runtime.executor as executor_module
-
-        def broken(*args, **kwargs):
-            raise OSError("pool unavailable")
-
-        monkeypatch.setattr(
-            executor_module, "ProcessPoolExecutor", broken
-        )
-        monkeypatch.setattr(
-            executor_module, "ThreadPoolExecutor", broken
-        )
-        runtime = Runtime("process", n_workers=2)
-        try:
-            assert runtime.map_units(_double, [4, 5]) == [8, 10]
-            assert runtime.realized_kind == "inline"
-            assert runtime.fallbacks == ["thread", "inline"]
-        finally:
-            runtime.shutdown()
-
-    def test_exhausted_ladder_reraises(self, monkeypatch):
-        import repro.runtime.executor as executor_module
-
-        def broken(*args, **kwargs):
-            raise OSError("pool unavailable")
-
-        monkeypatch.setattr(
-            executor_module, "ProcessPoolExecutor", broken
-        )
-        runtime = Runtime(
-            "process",
-            n_workers=2,
-            fallback=FallbackPolicy(ladder=("process",)),
-        )
-        with pytest.raises(OSError):
-            runtime.map_units(_double, [1])
-
     def test_midrun_worker_death_demotes(self):
         # The pool comes up fine, then every child dies on its first
-        # unit (BrokenProcessPool mid-run); the ladder keeps the batch
+        # unit (BrokenProcessPool mid-run); map_units keeps the batch
         # alive by finishing the remaining units inline, where the
         # same payloads succeed.
         import os
 
-        runtime = Runtime(
-            "process",
-            n_workers=2,
-            fallback=FallbackPolicy(ladder=("process", "inline")),
-        )
+        runtime = Runtime("process", n_workers=2)
         parent = os.getpid()
         try:
-            result = runtime.map_units(
-                _die_in_worker, [(parent, 1), (parent, 2), (parent, 3)]
-            )
+            with capture_stage_events() as captured:
+                result = runtime.map_units(
+                    _die_in_worker, [(parent, 1), (parent, 2), (parent, 3)]
+                )
             assert result == [2, 3, 4]
             assert runtime.realized_kind == "inline"
             assert runtime.fell_back
         finally:
             runtime.shutdown()
+        [event] = [e for e in captured.events if e.scope == "runtime"]
+        assert event.fallback == "inline"
+        assert event.error == "BrokenProcessPool"
+
+    def test_thread_pool_failure_raises(self, monkeypatch):
+        import repro.runtime.executor as executor_module
+
+        def broken(*args, **kwargs):
+            raise OSError("no threads available")
+
+        monkeypatch.setattr(executor_module, "ThreadPoolExecutor", broken)
+        runtime = Runtime("thread", n_workers=2)
+        with pytest.raises(OSError):
+            runtime.map_units(_double, [1])
+        assert not runtime.fell_back
+
+    def test_unspawnable_campaign_pool_finishes_serially(
+        self, tiny_campaign, monkeypatch
+    ):
+        import repro.runtime.executor as executor_module
+
+        pool, detectors, config, corpus = tiny_campaign
+        serial = CampaignRunner(n_workers=1).run(
+            [ROOM_A], pool, detectors, [AttackKind.REPLAY], config,
+            corpus=corpus,
+        )
+
+        def broken(*args, **kwargs):
+            raise OSError("no processes available")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", broken)
+        with capture_stage_events() as captured:
+            result = CampaignRunner(n_workers=2, executor="process").run(
+                [ROOM_A], pool, detectors, [AttackKind.REPLAY], config,
+                corpus=corpus,
+            )
+        assert _campaign_digest(result) == _campaign_digest(serial)
+        assert result.stats.mode == "process-pool+serial-fallback"
+        [event] = [e for e in captured.events if e.scope == "runtime"]
+        assert event.fallback == "inline"
+        assert event.error == "OSError"
 
 
 @pytest.fixture(scope="module")

@@ -387,6 +387,23 @@ class TestWorkerModes:
 
         assert run("thread") == run("process")
 
+    def test_unspawnable_process_pool_fails_at_start(
+        self, fast_spec, monkeypatch
+    ):
+        import repro.runtime.executor as executor_module
+
+        def broken(*args, **kwargs):
+            raise OSError("no processes available")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", broken)
+        service = VerificationService(
+            fast_spec, ServiceConfig(n_workers=2, worker_mode="process")
+        )
+        with pytest.raises(OSError):
+            service.start()
+        with pytest.raises(ConfigurationError):
+            service.submit(make_request(0))
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
