@@ -105,7 +105,6 @@ examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/phoneme_selection_study.py
 	$(PYTHON) examples/attack_study.py
-	$(PYTHON) examples/distributed_protocol_demo.py
 	$(PYTHON) examples/smart_home_protection.py
 
 clean:

@@ -43,13 +43,6 @@ from repro.core.stages import (
     SyncStage,
     default_stages,
 )
-from repro.core.calibration import (
-    CalibrationReport,
-    calibrate_eer,
-    calibrate_max_fdr,
-    calibrate_min_tdr,
-)
-from repro.core.system import CommandJudgement, ThruBarrierDefense
 
 __all__ = [
     "PhonemeSelectionConfig",
@@ -80,10 +73,4 @@ __all__ = [
     "FeatureStage",
     "DetectStage",
     "default_stages",
-    "CalibrationReport",
-    "calibrate_eer",
-    "calibrate_max_fdr",
-    "calibrate_min_tdr",
-    "CommandJudgement",
-    "ThruBarrierDefense",
 ]

@@ -294,7 +294,8 @@ class DefensePipeline:
         return verdict
 
     # ``verify`` is the serving layer's vocabulary for the same
-    # operation: one request in, one verdict out.
+    # operation: one request in, one verdict out.  perfbench's
+    # served-score check (``check_served``) calls it by this name.
     verify = analyze
 
     def analyze_timed(

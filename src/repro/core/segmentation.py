@@ -7,10 +7,10 @@ sounds remain featurizable) and labels each frame as *effective*
 are merged into segments, which are then cut out of the recording and
 concatenated for cross-domain sensing.
 
-The segmenter trains on the synthetic corpus: utterances with
-time-aligned transcriptions provide per-frame binary labels (1 when the
-frame lies inside a sensitive phoneme).  An *oracle* mode that segments
-straight from alignments is provided for ablations.
+The segmenter trains on labelled phoneme segments drawn from the
+synthetic corpus (:meth:`PhonemeSegmenter.train_on_phoneme_segments`):
+every frame is labelled 1 when its phoneme is sensitive.  An *oracle*
+mode that segments straight from alignments is provided for ablations.
 """
 
 from __future__ import annotations
@@ -236,97 +236,6 @@ class PhonemeSegmenter:
     # Training
     # ------------------------------------------------------------------
 
-    def train(
-        self,
-        utterances: Sequence[Utterance],
-        epochs: int = 10,
-        batch_size: int = 8,
-        learning_rate: float = 1e-2,
-        rng: SeedLike = None,
-    ) -> List[float]:
-        """Train the BRNN on clean aligned utterances.
-
-        See :meth:`train_on_recordings` for channel-matched training
-        (clean plus recorded/thru-barrier renditions), which the full
-        pipeline uses.
-        """
-        pairs = [
-            (utterance, utterance.waveform) for utterance in utterances
-        ]
-        return self.train_on_recordings(
-            pairs,
-            epochs=epochs,
-            batch_size=batch_size,
-            learning_rate=learning_rate,
-            rng=rng,
-        )
-
-    def train_on_recordings(
-        self,
-        pairs: Sequence[Tuple[Utterance, np.ndarray]],
-        epochs: int = 10,
-        batch_size: int = 8,
-        learning_rate: float = 1e-2,
-        rng: SeedLike = None,
-    ) -> List[float]:
-        """Train on (utterance, recorded-waveform) pairs.
-
-        The recorded waveform must preserve the utterance's timing (the
-        library's propagation/microphone/barrier models do), so the
-        alignment's frame labels remain valid.  Mixing clean, in-room
-        recorded, and thru-barrier renditions gives the detector the
-        channel robustness the paper reports (94 % / 91 % frame
-        accuracy without / with barrier).
-
-        Feature statistics (mean/std) are computed on the training set
-        and stored for inference-time standardization.
-        """
-        if not pairs:
-            raise ModelError("need at least one training pair")
-        _note_training_run()
-        raw_features = [
-            mfcc(
-                np.asarray(waveform, dtype=np.float64),
-                self.sample_rate,
-                n_mfcc=self.config.n_mfcc,
-                n_filters=self.config.n_filters,
-                frame_length_s=self.config.frame_length_s,
-                hop_length_s=self.config.hop_length_s,
-                high_hz=self.config.mfcc_high_hz,
-            )
-            for _, waveform in pairs
-        ]
-        stacked = np.vstack(raw_features)
-        self._feature_mean = stacked.mean(axis=0)
-        self._feature_std = stacked.std(axis=0) + 1e-8
-        features = [
-            (matrix - self._feature_mean) / self._feature_std
-            for matrix in raw_features
-        ]
-        labels = []
-        for (utterance, _), matrix in zip(pairs, raw_features):
-            times = self.frame_times(matrix.shape[0])
-            symbols = utterance.labels_at(times)
-            labels.append(
-                np.array(
-                    [
-                        1 if symbol in self.sensitive_phonemes else 0
-                        for symbol in symbols
-                    ],
-                    dtype=np.int64,
-                )
-            )
-        history = self.model.fit(
-            features,
-            labels,
-            epochs=epochs,
-            batch_size=batch_size,
-            learning_rate=learning_rate,
-            rng=rng,
-        )
-        self._trained = True
-        return history
-
     def train_on_phoneme_segments(
         self,
         corpus: SyntheticCorpus,
@@ -462,38 +371,6 @@ class PhonemeSegmenter:
         )
         self._trained = True
         return history
-
-    def train_from_corpus(
-        self,
-        corpus: SyntheticCorpus,
-        phoneme_sequences: Sequence[Sequence[str]],
-        epochs: int = 10,
-        rng: SeedLike = None,
-        channel_matched: bool = True,
-    ) -> List[float]:
-        """Convenience: synthesize utterances from a corpus, then train.
-
-        With ``channel_matched`` (the default), each utterance also
-        contributes an in-room recorded rendition and a thru-barrier
-        rendition, matching the channels the detector sees online.
-        """
-        generator = as_generator(rng)
-        utterances = [
-            corpus.utterance(
-                sequence, rng=child_rng(generator, f"train-{index}")
-            )
-            for index, sequence in enumerate(phoneme_sequences)
-        ]
-        if not channel_matched:
-            return self.train(
-                utterances, epochs=epochs, rng=child_rng(generator, "fit")
-            )
-        pairs = build_training_pairs(
-            utterances, rng=child_rng(generator, "channels")
-        )
-        return self.train_on_recordings(
-            pairs, epochs=epochs, rng=child_rng(generator, "fit")
-        )
 
     # ------------------------------------------------------------------
     # Inference
@@ -811,60 +688,6 @@ def default_segmenter(
         with _WARM_LOCK:
             _WARM_SEGMENTERS[key] = segmenter
         return segmenter
-
-
-def build_training_pairs(
-    utterances: Sequence[Utterance],
-    rng: SeedLike = None,
-    distance_m: float = 2.0,
-    user_spl_db: float = 70.0,
-    attack_spl_db: float = 75.0,
-) -> List[Tuple[Utterance, np.ndarray]]:
-    """Channel-matched training set: clean + recorded + thru-barrier.
-
-    For each utterance, three renditions: the clean waveform, an in-room
-    microphone recording, and a thru-barrier recording — the channels
-    the segmenter encounters in deployment.  All renditions preserve
-    the utterance's timing so the alignment labels stay valid.
-    """
-    from repro.acoustics.barrier import Barrier
-    from repro.acoustics.materials import GLASS_WINDOW
-    from repro.acoustics.microphone import Microphone, SMART_SPEAKER_MIC
-    from repro.acoustics.propagation import propagate
-    from repro.acoustics.spl import scale_to_spl
-
-    generator = as_generator(rng)
-    microphone = Microphone(SMART_SPEAKER_MIC)
-    barrier = Barrier(GLASS_WINDOW)
-    pairs: List[Tuple[Utterance, np.ndarray]] = []
-    for index, utterance in enumerate(utterances):
-        sample_rate = utterance.sample_rate
-        pairs.append((utterance, utterance.waveform))
-        in_room = microphone.capture(
-            propagate(
-                scale_to_spl(utterance.waveform, user_spl_db),
-                sample_rate,
-                distance_m,
-            ),
-            sample_rate,
-            rng=child_rng(generator, f"room-{index}"),
-        )
-        pairs.append((utterance, in_room))
-        thru = microphone.capture(
-            propagate(
-                barrier.transmit(
-                    scale_to_spl(utterance.waveform, attack_spl_db),
-                    sample_rate,
-                    rng=child_rng(generator, f"bar-{index}"),
-                ),
-                sample_rate,
-                distance_m,
-            ),
-            sample_rate,
-            rng=child_rng(generator, f"mic-{index}"),
-        )
-        pairs.append((utterance, thru))
-    return pairs
 
 
 def concatenate_segments(

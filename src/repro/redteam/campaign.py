@@ -44,12 +44,12 @@ from repro.attacks import (
     ReplayAttack,
     VoiceSynthesisAttack,
 )
-from repro.core import calibrate_eer
 from repro.core.detector import DetectorConfig
 from repro.core.hardening import HardeningConfig
 from repro.core.pipeline import DefenseConfig, DefensePipeline
 from repro.core.segmentation import PhonemeSegmenter
 from repro.errors import ConfigurationError
+from repro.eval.metrics import eer_from_scores
 from repro.eval.rooms import ROOM_A
 from repro.phonemes.commands import VA_COMMANDS, phonemize
 from repro.phonemes.corpus import SyntheticCorpus
@@ -297,9 +297,8 @@ def calibrate_detector(config: RedTeamConfig) -> CalibrationOutcome:
         )
         for episode in range(n_attack)
     ]
-    report = calibrate_eer(legit, attack_scores)
     return CalibrationOutcome(
-        threshold=float(report.threshold),
+        threshold=eer_from_scores(legit, attack_scores)[1],
         legit_scores=tuple(legit),
         attack_scores=tuple(attack_scores),
     )

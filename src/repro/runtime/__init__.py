@@ -7,12 +7,10 @@ All pool construction in the library lives here; ``core``, ``eval``,
 """
 
 from repro.runtime.events import (
-    NullSink,
     StageEvent,
     StageEventAggregator,
     StageEventSink,
     StageSummary,
-    active_sink,
     capture_stage_events,
     emit_event,
 )
@@ -31,7 +29,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "INLINE",
     "InlineExecutor",
-    "NullSink",
     "POOL_ERRORS",
     "PROCESS",
     "Runtime",
@@ -40,7 +37,6 @@ __all__ = [
     "StageEventSink",
     "StageSummary",
     "THREAD",
-    "active_sink",
     "capture_stage_events",
     "emit_event",
     "validate_kind",

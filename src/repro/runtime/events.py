@@ -73,13 +73,6 @@ class StageEventSink:
         """Receive one event."""
 
 
-class NullSink(StageEventSink):
-    """Discards every event (the default when nothing listens)."""
-
-    def emit(self, event: StageEvent) -> None:
-        pass
-
-
 @dataclass(frozen=True)
 class StageSummary:
     """Aggregate of one stage's events: count, total, percentiles."""
@@ -181,11 +174,6 @@ class StageEventAggregator(StageEventSink):
 _ACTIVE_SINK: "contextvars.ContextVar[Optional[StageEventSink]]" = (
     contextvars.ContextVar("repro_stage_event_sink", default=None)
 )
-
-
-def active_sink() -> Optional[StageEventSink]:
-    """The context's ambient sink, or ``None``."""
-    return _ACTIVE_SINK.get()
 
 
 def emit_event(

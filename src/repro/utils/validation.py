@@ -60,8 +60,3 @@ def ensure_probability(value: float, name: str) -> float:
     if not np.isfinite(value) or value < 0 or value > 1:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
     return value
-
-
-def ensure_sample_rate(value: float, name: str = "sample_rate") -> float:
-    """Validate a sampling rate (finite, > 0)."""
-    return ensure_positive(value, name)

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.attacks.scenario import AttackScenario
 from repro.core.detector import CorrelationDetector, DetectorConfig
+from repro.core.pipeline import DefensePipeline
 from repro.core.sync import SyncConfig, synchronize_recordings
 from repro.errors import ConfigurationError
+from repro.eval.rooms import ROOM_A
+from repro.phonemes.commands import phonemize
 
 RATE = 16_000.0
 
@@ -87,6 +91,43 @@ class TestSync:
                 SyncConfig(max_delay_s=value)
             with pytest.raises(ConfigurationError):
                 SyncConfig(min_overlap_s=value)
+
+
+class TestTriggerOffset:
+    """Sync removes the WiFi trigger offset of a legitimate command.
+
+    The wearable starts recording when the VA's wake-word trigger
+    arrives, so it misses the first ``wifi_delay_s`` of the command;
+    :class:`AttackScenario` models that offset for every campaign.
+    """
+
+    @pytest.fixture(scope="class")
+    def utterance(self, corpus):
+        return corpus.utterance(
+            phonemize("alexa play my favorite playlist"),
+            speaker=corpus.speakers[0],
+            rng=10,
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("delay_s, seed", [(0.05, 1), (0.16, 2)])
+    def test_offset_recovered_and_scored(self, utterance, delay_s, seed):
+        scenario = AttackScenario(
+            room_config=ROOM_A, wifi_delay_s=delay_s, wifi_jitter_s=0.0
+        )
+        va, wearable = scenario.legitimate_recordings(utterance, rng=seed)
+        va_aligned, wearable_aligned, estimated = synchronize_recordings(
+            va, wearable, RATE
+        )
+        assert estimated == pytest.approx(delay_s, abs=0.01)
+        assert np.corrcoef(va_aligned, wearable_aligned)[0, 1] > 0.8
+
+        verdict = DefensePipeline(segmenter=None).analyze(
+            va, wearable, rng=3
+        )
+        assert verdict.sync_delay_s == pytest.approx(delay_s, abs=0.01)
+        # Same legitimate source at both devices: strong correlation.
+        assert verdict.score > 0.5
 
 
 class TestDetectorDecide:

@@ -88,6 +88,8 @@ def test_empty_scores_rejected():
 def test_non_finite_rejected():
     with pytest.raises(CalibrationError):
         auc_from_scores([np.nan], [0.5])
+    with pytest.raises(CalibrationError):
+        eer_from_scores([0.5, np.inf], [0.1])
 
 
 def test_eer_threshold_classifies_at_equal_rates(rng):

@@ -30,6 +30,10 @@ _GOOD = np.random.default_rng(0).normal(0.0, 0.1, 16_000)
     "segmenter, va, wearable, error",
     [
         (None, np.zeros(0), _GOOD, SignalError),
+        # The threat model's wearable-absent policy: no wearable
+        # recording, no verdict.
+        (None, _GOOD, np.zeros(0), SignalError),
+        (None, _GOOD, None, SignalError),
         (None, np.zeros((2, 100)), _GOOD, SignalError),
         (None, _GOOD, np.zeros((2, 8_000)), SignalError),
         (None, np.float64(1.0), _GOOD, SignalError),
@@ -43,6 +47,8 @@ _GOOD = np.random.default_rng(0).normal(0.0, 0.1, 16_000)
     ],
     ids=[
         "empty-va",
+        "empty-wearable",
+        "missing-wearable",
         "2d-va",
         "2d-wearable",
         "scalar-va",
