@@ -106,6 +106,7 @@ examples:
 	$(PYTHON) examples/phoneme_selection_study.py
 	$(PYTHON) examples/attack_study.py
 	$(PYTHON) examples/smart_home_protection.py
+	$(PYTHON) examples/roc_study.py
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache .benchmarks

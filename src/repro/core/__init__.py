@@ -33,16 +33,6 @@ from repro.core.baselines import (
     VibrationBaselineNoSelection,
 )
 from repro.core.pipeline import DefenseConfig, DefensePipeline, DefenseVerdict
-from repro.core.stages import (
-    DetectStage,
-    FeatureStage,
-    SegmentStage,
-    SenseStage,
-    Stage,
-    StageContext,
-    SyncStage,
-    default_stages,
-)
 
 __all__ = [
     "PhonemeSelectionConfig",
@@ -65,12 +55,4 @@ __all__ = [
     "DefenseConfig",
     "DefensePipeline",
     "DefenseVerdict",
-    "Stage",
-    "StageContext",
-    "SyncStage",
-    "SegmentStage",
-    "SenseStage",
-    "FeatureStage",
-    "DetectStage",
-    "default_stages",
 ]

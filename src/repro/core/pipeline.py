@@ -5,13 +5,11 @@ sensitive-phoneme segmentation on the VA recording → segment extraction
 from both recordings → cross-domain sensing on the wearable → vibration
 feature extraction → 2-D-correlation attack detection.
 
-The architecture is realized as a line of composable stage objects
-(:mod:`repro.core.stages`); this module drives them through one loop
-that owns wall-clock timing, fallback annotation, and
-:class:`~repro.runtime.events.StageEvent` emission.  Events reach both
-the pipeline's own ``sink`` (when wired) and any ambient sink installed
-with :func:`repro.runtime.capture_stage_events`, so shared pipeline
-instances stay observable without mutable per-call state.
+:meth:`DefensePipeline.analyze_batch` runs that line once over a batch,
+one private method per stage, and reports each request's stages as
+:class:`~repro.runtime.events.StageEvent` records to the ambient sink
+installed with :func:`repro.runtime.capture_stage_events`, so shared
+pipeline instances stay observable without mutable per-call state.
 """
 
 from __future__ import annotations
@@ -19,26 +17,21 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.detector import CorrelationDetector, DetectorConfig
 from repro.core.features import FeatureConfig, VibrationFeatureExtractor
 from repro.core.hardening import HardeningConfig
-from repro.core.segmentation import PhonemeSegmenter, default_segmenter
-from repro.core.stages import (
-    Stage,
-    StageContext,
-    default_stages,
-    stages_after_sync,
-)
-from repro.core.sync import SyncConfig
-from repro.errors import ConfigurationError
+from repro.core.segmentation import PhonemeSegmenter, concatenate_segments
+from repro.core.sync import SyncConfig, synchronize_recordings
+from repro.dsp.correlate import cross_correlation_delay
+from repro.errors import ConfigurationError, SignalError
 from repro.phonemes.corpus import Utterance
-from repro.runtime.events import StageEvent, StageEventSink, emit_event
+from repro.runtime.events import StageEvent, emit_event
 from repro.sensing.cross_domain import CrossDomainSensor
-from repro.utils.rng import SeedLike, as_generator, child_rng
+from repro.utils.rng import SeedLike, as_generator, child_rng, child_seed
 
 
 @dataclass
@@ -124,9 +117,9 @@ class DefenseVerdict:
     sync_delay_s: float
 
 
-#: Stage keys reported by :meth:`DefensePipeline.analyze_timed`, in
-#: execution order.  The serving layer aggregates latency percentiles
-#: per stage under these names.
+#: Stage keys of every healthy :class:`BatchAnalysisOutcome`'s
+#: ``timings``, in execution order.  The serving layer aggregates
+#: latency percentiles per stage under these names.
 PIPELINE_STAGES: Tuple[str, ...] = (
     "sync",
     "segment",
@@ -134,6 +127,16 @@ PIPELINE_STAGES: Tuple[str, ...] = (
     "features",
     "detect",
 )
+
+#: Fallback annotation when a request skipped segmentation because its
+#: deadline had already expired (serving degradation).
+FALLBACK_DEADLINE_SKIP = "deadline-skip"
+#: Fallback annotation when segmentation yielded too little material
+#: and the analysis used the full recordings instead.
+FALLBACK_FULL_RECORDING = "full-recording"
+#: Fallback annotation of a shared kernel call that failed and was
+#: retried one request at a time.
+FALLBACK_PER_REQUEST = "per-request"
 
 
 @dataclass
@@ -174,6 +177,40 @@ class BatchAnalysisOutcome:
         return self.error is None and self.verdict is not None
 
 
+@dataclass
+class _Request:
+    """One request's state on its way down the stage line.
+
+    ``pair`` holds the request's current (VA, wearable) signals; each
+    stage replaces it with its product: aligned recordings, segment
+    material, vibrations, then feature matrices.
+    """
+
+    item: BatchAnalysisItem
+    outcome: BatchAnalysisOutcome = field(
+        default_factory=BatchAnalysisOutcome
+    )
+    generator: Optional[np.random.Generator] = None
+    pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    delay_s: float = 0.0
+    #: Segments found by the shared model forward, else ``None``.
+    segments: Optional[List[Tuple[float, float]]] = None
+    n_segments: int = 0
+    analyzed_s: float = 0.0
+    #: ``replay-va`` and ``replay-wearable`` child seeds, derived before
+    #: the shared sensing call so a per-request retry replays the
+    #: same streams.
+    replay_seeds: Tuple[int, int] = (0, 0)
+    #: This request's amortized share of each shared kernel call.
+    shared_s: Dict[str, float] = field(default_factory=dict)
+    #: Fallback annotation of the stage being run.
+    fallback: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.outcome.error is None
+
+
 class DefensePipeline:
     """Training-free thru-barrier attack detection system.
 
@@ -191,9 +228,6 @@ class DefensePipeline:
         Cross-domain sensor of the user's wearable.
     config:
         Pipeline configuration.
-    sink:
-        Optional :class:`StageEventSink` receiving every stage event
-        this instance emits (in addition to any ambient sink).
 
     Examples
     --------
@@ -206,53 +240,13 @@ class DefensePipeline:
         segmenter: Optional[PhonemeSegmenter] = None,
         sensor: Optional[CrossDomainSensor] = None,
         config: Optional[DefenseConfig] = None,
-        sink: Optional[StageEventSink] = None,
     ) -> None:
         self.segmenter = segmenter
         self.sensor = sensor or CrossDomainSensor()
         self.config = config or DefenseConfig()
-        self.sink = sink
         self.detector = CorrelationDetector(self.config.detector)
         self._extractor = VibrationFeatureExtractor(
             self.config.features, sample_rate=self.sensor.vibration_rate
-        )
-
-    @classmethod
-    def warm(
-        cls,
-        seed: Optional[int] = None,
-        sensor: Optional[CrossDomainSensor] = None,
-        config: Optional[DefenseConfig] = None,
-        n_speakers: int = 8,
-        n_per_phoneme: int = 12,
-        epochs: int = 12,
-        store=None,
-    ) -> "DefensePipeline":
-        """Pipeline backed by a cached (memoized) trained segmenter.
-
-        Repeated calls with the same training recipe share one trained
-        bidirectional-LSTM instance instead of retraining per pipeline
-        — the construction path for serving workers and repeated CLI
-        invocations.  Scores are bitwise identical to a pipeline built
-        around a fresh ``train_default_segmenter(seed)`` because
-        training is deterministic in the seed.
-
-        ``store`` (an :class:`repro.store.ArtifactStore` or a store
-        directory) additionally persists the trained weights across
-        processes: in-process memo misses load from the store instead
-        of retraining, and a cold store is populated exactly once even
-        under concurrent starts.
-        """
-        return cls(
-            segmenter=default_segmenter(
-                seed=seed,
-                n_speakers=n_speakers,
-                n_per_phoneme=n_per_phoneme,
-                epochs=epochs,
-                store=store,
-            ),
-            sensor=sensor,
-            config=config,
         )
 
     def analyze(
@@ -264,6 +258,9 @@ class DefensePipeline:
         skip_segmentation: bool = False,
     ) -> DefenseVerdict:
         """Analyze one voice command captured by both devices.
+
+        Runs :meth:`analyze_batch` on a batch of one and re-raises the
+        request's error.
 
         Parameters
         ----------
@@ -284,34 +281,6 @@ class DefensePipeline:
         -------
         DefenseVerdict
         """
-        verdict, _ = self.analyze_timed(
-            va_audio,
-            wearable_audio,
-            rng=rng,
-            oracle_utterance=oracle_utterance,
-            skip_segmentation=skip_segmentation,
-        )
-        return verdict
-
-    # ``verify`` is the serving layer's vocabulary for the same
-    # operation: one request in, one verdict out.  perfbench's
-    # served-score check (``check_served``) calls it by this name.
-    verify = analyze
-
-    def analyze_timed(
-        self,
-        va_audio: np.ndarray,
-        wearable_audio: np.ndarray,
-        rng: SeedLike = None,
-        oracle_utterance: Optional[Utterance] = None,
-        skip_segmentation: bool = False,
-    ) -> Tuple[DefenseVerdict, Dict[str, float]]:
-        """:meth:`analyze`, plus per-stage wall-clock seconds.
-
-        Runs :meth:`analyze_batch` on a batch of one and re-raises the
-        request's error.  The returned dict has one entry per
-        :data:`PIPELINE_STAGES` key.
-        """
         (outcome,) = self.analyze_batch(
             [
                 BatchAnalysisItem(
@@ -325,234 +294,76 @@ class DefensePipeline:
         )
         if outcome.error is not None:
             raise outcome.error
-        return outcome.verdict, outcome.timings
+        return outcome.verdict
+
+    # ``verify`` is the serving layer's vocabulary for the same
+    # operation: one request in, one verdict out.  perfbench's
+    # served-score check (``check_served``) calls it by this name.
+    verify = analyze
 
     def analyze_batch(
         self,
         items: Sequence[BatchAnalysisItem],
     ) -> List[BatchAnalysisOutcome]:
-        """Analyze a micro-batch with vectorized segmentation and sensing.
+        """Analyze a micro-batch; the one implementation behind
+        :meth:`analyze`.
 
-        The one implementation behind :meth:`analyze` and
-        :meth:`analyze_timed`, which run it on a batch of one.
+        The five :data:`PIPELINE_STAGES` run in order over the batch's
+        healthy requests.  The two hottest are one shared kernel call
+        each, for a batch of one too:
 
-        The two hottest stages are hoisted out of the per-request loop
-        whenever two or more requests share them (a lone request runs
-        them in its own stage, through the same batch-of-one kernel):
-
-        * **segmentation** — every batch member that needs model-based
-          segmentation contributes its (synced) VA recording to a
-          single
+        * **segmentation** — every request that needs the BLSTM (no
+          oracle utterance, no ``skip_segmentation``) contributes its
+          synced VA recording to one
           :meth:`~repro.core.segmentation.PhonemeSegmenter.segments_batch`
           call;
-        * **cross-domain sensing** — after material extraction, the
-          whole batch's ``replay-va`` and ``replay-wearable``
-          conversions become one
+        * **cross-domain sensing** — every healthy request's VA and
+          wearable material go through one
           :meth:`~repro.sensing.cross_domain.CrossDomainSensor.convert_batch`
-          call.  Each request's child RNG streams are derived first
-          (``replay-va`` then ``replay-wearable``), so no vibration
-          signal depends on its batch-mates.
+          call, each row replayed with its request's own child seed.
 
-        Everything request-specific (synchronization, oracle
-        segmentation, material extraction, feature extraction,
-        detection) runs per request through the stage objects, with the
-        request's own RNG stream, so each verdict is bitwise identical
+        Everything else runs per request.  A request's RNG stream is
+        drawn in a fixed order (``harden-subset``, ``replay-va``,
+        ``replay-wearable``, ``harden-threshold``, the hardening labels
+        only when enabled), so each verdict is bitwise identical
         whatever else shares the batch.
 
-        Per-request semantics preserved:
+        Per-request semantics:
 
-        * **stage timings** — per-request dicts with the usual
-          :data:`PIPELINE_STAGES` keys; the shared batched
-          segmentation and sensing costs are amortized equally across
-          the requests that used them;
+        * **stage timings** — a healthy outcome's ``timings`` has the
+          :data:`PIPELINE_STAGES` keys; a shared call's wall time is
+          amortized equally across the requests in it;
         * **deadline checks** — callers mark expired requests with
           ``skip_segmentation=True``;
         * **error isolation** — a failing request records its
-          exception in its own :class:`BatchAnalysisOutcome` and
-          never disturbs batch-mates; if a *batched* call itself
-          fails, that stage falls back to per-request execution
-          (sequential ``segments`` / ``convert`` with the
-          already-derived streams) so healthy requests still complete.
-          A lone request is never retried: it raised in its own stage.
+          exception and one error event, naming the stage, in its own
+          :class:`BatchAnalysisOutcome`; its batch-mates still
+          complete.  A shared call that fails for two or more requests
+          is retried one request at a time (fallback ``per-request``),
+          so only a request that fails alone fails; a lone request is
+          not retried.
         """
-        items = list(items)
-        outcomes = [BatchAnalysisOutcome() for _ in items]
-        contexts: List[Optional[StageContext]] = []
-        sync_stage = tuple(
-            s for s in default_stages() if s.name == "sync"
+        requests = [_Request(item) for item in items]
+        self._each(requests, "sync", self._sync)
+        self._shared(
+            "segment",
+            [r for r in requests if r.ok and self._uses_model(r.item)],
+            self._find_segments,
         )
-
-        for index, item in enumerate(items):
-            outcome = outcomes[index]
-            try:
-                ctx = StageContext(
-                    pipeline=self,
-                    va_audio=item.va_audio,
-                    wearable_audio=item.wearable_audio,
-                    generator=as_generator(item.rng),
-                    oracle_utterance=item.oracle_utterance,
-                    skip_segmentation=item.skip_segmentation,
-                )
-                self._run_stages(
-                    ctx, sync_stage, outcome.timings, outcome.events
-                )
-            except Exception as error:  # noqa: BLE001 — isolated per item
-                outcome.error = error
-                contexts.append(None)
-                continue
-            contexts.append(ctx)
-
-        # One vectorized BLSTM forward for every request that needs
-        # model-based segmentation.
-        batched_indices = [
-            index
-            for index, item in enumerate(items)
-            if contexts[index] is not None
-            and not item.skip_segmentation
-            and item.oracle_utterance is None
-            and self.segmenter is not None
-        ]
-        segment_lists: Dict[int, List[Tuple[float, float]]] = {}
-        shared_segment_s = 0.0
-        if len(batched_indices) > 1:
-            batch_fallback: Optional[str] = None
-            start = time.perf_counter()
-            try:
-                found = self.segmenter.segments_batch(
-                    [
-                        contexts[index].va_aligned
-                        for index in batched_indices
-                    ]
-                )
-                segment_lists.update(zip(batched_indices, found))
-            except Exception:  # noqa: BLE001 — isolate per request
-                batch_fallback = "per-request"
-                for index in batched_indices:
-                    try:
-                        segment_lists[index] = self.segmenter.segments(
-                            contexts[index].va_aligned
-                        )
-                    except Exception as error:  # noqa: BLE001
-                        outcomes[index].error = error
-            batch_wall = time.perf_counter() - start
-            shared_segment_s = batch_wall / len(batched_indices)
-            self._emit(
-                StageEvent(
-                    stage="segment_batch",
-                    wall_s=batch_wall,
-                    batch_size=len(batched_indices),
-                    fallback=batch_fallback,
-                    scope="batch",
-                )
+        self._each(requests, "segment", self._segment)
+        sensed = [r for r in requests if r.ok]
+        for request in sensed:
+            request.replay_seeds = (
+                child_seed(request.generator, "replay-va"),
+                child_seed(request.generator, "replay-wearable"),
             )
-
-        # Per-request segmentation / material extraction (respecting the
-        # pre-seeded segment lists), so the sensing hoist below sees the
-        # final audio material of every healthy request.
-        segment_stages = tuple(
-            s for s in stages_after_sync() if s.name == "segment"
-        )
-        post_segment_stages = tuple(
-            s for s in stages_after_sync() if s.name != "segment"
-        )
-        for index in range(len(items)):
-            outcome = outcomes[index]
-            ctx = contexts[index]
-            if outcome.error is not None or ctx is None:
-                continue
-            if index in segment_lists:
-                ctx.segments = segment_lists[index]
-                ctx.extra_stage_s["segment"] = shared_segment_s
-            try:
-                self._run_stages(
-                    ctx, segment_stages, outcome.timings, outcome.events
-                )
-            except Exception as error:  # noqa: BLE001 — isolated
-                outcome.error = error
-
-        # One vectorized cross-domain sensing pass per replay direction
-        # for every request still healthy.  The child streams are
-        # derived per request (``replay-va`` then ``replay-wearable``)
-        # *before* the batched calls, so a
-        # batch-level failure can fall back to per-request conversion
-        # inside SenseStage without perturbing any stream.
-        self._sense_batch(contexts, outcomes)
-
-        for index in range(len(items)):
-            outcome = outcomes[index]
-            ctx = contexts[index]
-            if outcome.error is not None or ctx is None:
-                continue
-            try:
-                self._run_stages(
-                    ctx,
-                    post_segment_stages,
-                    outcome.timings,
-                    outcome.events,
-                )
-                outcome.verdict = self._verdict_from(ctx)
-            except Exception as error:  # noqa: BLE001 — isolated
-                outcome.error = error
-        return outcomes
-
-    def _sense_batch(
-        self,
-        contexts: Sequence[Optional[StageContext]],
-        outcomes: Sequence[BatchAnalysisOutcome],
-    ) -> None:
-        """Vectorized sensing across a batch's healthy requests.
-
-        Pre-seeds ``vibration_va`` / ``vibration_wearable`` (and the
-        amortized ``sense`` timing share) on each surviving context.  On
-        failure of a batched conversion nothing is pre-seeded beyond the
-        derived RNG streams, and :class:`~repro.core.stages.SenseStage`
-        converts per request with those exact streams — bitwise the same
-        result, minus the speedup.  A lone healthy request is left to
-        :class:`~repro.core.stages.SenseStage`, whose ``convert`` is
-        the same kernel on a batch of one.
-        """
-        config = self.config
-        sensed = [
-            ctx
-            for ctx, outcome in zip(contexts, outcomes)
-            if ctx is not None and outcome.error is None
-        ]
-        if len(sensed) < 2:
-            return
-        for ctx in sensed:
-            ctx.sense_rng_va = child_rng(ctx.generator, "replay-va")
-            ctx.sense_rng_wearable = child_rng(
-                ctx.generator, "replay-wearable"
-            )
-        fallback: Optional[str] = None
-        start = time.perf_counter()
-        try:
-            vibrations = self.sensor.convert_batch(
-                [ctx.va_material for ctx in sensed]
-                + [ctx.wearable_material for ctx in sensed],
-                config.audio_rate,
-                rngs=[ctx.sense_rng_va for ctx in sensed]
-                + [ctx.sense_rng_wearable for ctx in sensed],
-                include_body_motion=config.wearer_moving,
-            )
-        except Exception:  # noqa: BLE001 — SenseStage falls back
-            fallback = "per-request"
-        batch_wall = time.perf_counter() - start
-        if fallback is None:
-            shared_sense_s = batch_wall / len(sensed)
-            for row, ctx in enumerate(sensed):
-                ctx.vibration_va = vibrations[row]
-                ctx.vibration_wearable = vibrations[len(sensed) + row]
-                ctx.extra_stage_s["sense"] = shared_sense_s
-        self._emit(
-            StageEvent(
-                stage="sense_batch",
-                wall_s=batch_wall,
-                batch_size=len(sensed),
-                fallback=fallback,
-                scope="batch",
-            )
-        )
+        self._shared("sense", sensed, self._convert)
+        # Sensing is all shared: each request's ``sense`` event reports
+        # its share of the call.
+        self._each(requests, "sense", lambda request: None)
+        self._each(requests, "features", self._features)
+        self._each(requests, "detect", self._detect)
+        return [request.outcome for request in requests]
 
     def score(
         self,
@@ -571,106 +382,245 @@ class DefensePipeline:
     # Stage driver
     # ------------------------------------------------------------------
 
-    def _emit(self, event: StageEvent) -> None:
-        emit_event(event, sink=self.sink)
-
-    def _run_stages(
+    def _each(
         self,
-        ctx: StageContext,
-        stages: Sequence[Stage],
-        timings: Dict[str, float],
-        events: List[StageEvent],
+        requests: Sequence[_Request],
+        stage: str,
+        run: Callable[[_Request], None],
     ) -> None:
-        """Run ``stages`` over ``ctx``, timing and emitting each one.
+        """Run one stage over every healthy request, timing each.
 
-        A stage's wall time includes any amortized share recorded for
-        it in ``ctx.extra_stage_s`` (the batched segmentation forward).
-        On stage failure an ``error`` event is emitted (and recorded in
-        ``events``) before the exception propagates.
+        A request's wall time includes its share of the stage's shared
+        kernel call, if it was in one.
         """
-        for stage in stages:
+        for request in requests:
+            if not request.ok:
+                continue
             start = time.perf_counter()
             try:
-                stage.run(ctx)
-            except Exception as error:
-                wall = time.perf_counter() - start
-                wall += ctx.extra_stage_s.pop(stage.name, 0.0)
-                event = StageEvent(
-                    stage=stage.name,
-                    wall_s=wall,
-                    fallback=ctx.fallbacks.get(stage.name),
-                    error=type(error).__name__,
-                )
-                events.append(event)
-                self._emit(event)
-                raise
+                run(request)
+            except Exception as error:  # noqa: BLE001 — isolated
+                request.outcome.error = error
             wall = time.perf_counter() - start
-            wall += ctx.extra_stage_s.pop(stage.name, 0.0)
-            event = StageEvent(
-                stage=stage.name,
-                wall_s=wall,
-                fallback=ctx.fallbacks.get(stage.name),
-            )
-            timings[stage.name] = wall
-            events.append(event)
-            self._emit(event)
+            wall += request.shared_s.get(stage, 0.0)
+            self._record(request, stage, wall)
 
-    def _verdict_from(self, ctx: StageContext) -> DefenseVerdict:
-        return DefenseVerdict(
-            score=ctx.score,
-            is_attack=ctx.is_attack,
-            n_segments=ctx.n_segments,
-            analyzed_duration_s=(
-                ctx.va_material.size / self.config.audio_rate
-            ),
-            sync_delay_s=ctx.delay_s,
-        )
-
-    # ------------------------------------------------------------------
-    # Component helpers used by the stage objects
-    # ------------------------------------------------------------------
-
-    def _find_segments(
+    def _shared(
         self,
-        va_audio: np.ndarray,
-        oracle_utterance: Optional[Utterance],
-        segmenter: Optional[PhonemeSegmenter] = None,
-    ) -> List[Tuple[float, float]]:
-        """Locate sensitive segments with ``segmenter`` (default: own).
+        stage: str,
+        requests: Sequence[_Request],
+        kernel: Callable[[Sequence[_Request]], None],
+    ) -> None:
+        """Run ``kernel`` once over ``requests``; amortize its wall time.
 
-        The hardened segment stage passes a per-session subset clone
-        (:meth:`~repro.core.segmentation.PhonemeSegmenter.with_sensitive_subset`)
-        here; every other caller uses the pipeline's own segmenter.
+        A call shared by two or more requests emits a batch-scope
+        ``<stage>_batch`` event.  If it fails, each request is retried
+        alone (fallback ``per-request``) and only a request that fails
+        by itself fails; a lone request's error is its own.  A failed
+        request's error event names ``stage``.
         """
-        if segmenter is None:
-            segmenter = self.segmenter
-        if segmenter is None:
-            return []
-        if oracle_utterance is not None:
-            # Oracle segments are timed relative to the utterance start;
-            # locate that start inside the (synced) VA recording first.
-            offset_s = self._locate_utterance(va_audio, oracle_utterance)
-            return [
-                (start + offset_s, end + offset_s)
-                for start, end in segmenter.oracle_segments(
-                    oracle_utterance
+        if not requests:
+            return
+        fallback = None
+        start = time.perf_counter()
+        try:
+            kernel(requests)
+        except Exception as error:  # noqa: BLE001 — isolated
+            if len(requests) == 1:
+                requests[0].outcome.error = error
+            else:
+                fallback = FALLBACK_PER_REQUEST
+                for request in requests:
+                    try:
+                        kernel([request])
+                    except Exception as retry_error:  # noqa: BLE001
+                        request.outcome.error = retry_error
+        wall = time.perf_counter() - start
+        if len(requests) > 1:
+            emit_event(
+                StageEvent(
+                    stage=f"{stage}_batch",
+                    wall_s=wall,
+                    batch_size=len(requests),
+                    fallback=fallback,
+                    scope="batch",
                 )
-            ]
-        return segmenter.segments(va_audio)
+            )
+        share = wall / len(requests)
+        for request in requests:
+            request.shared_s[stage] = share
+            if not request.ok:
+                self._record(request, stage, share)
 
-    def _locate_utterance(
-        self,
-        va_audio: np.ndarray,
-        utterance: Utterance,
-    ) -> float:
-        """Offset (s) of the utterance onset within the VA recording."""
-        from repro.dsp.correlate import cross_correlation_delay
+    @staticmethod
+    def _record(request: _Request, stage: str, wall_s: float) -> None:
+        """Report one stage of ``request``: timing and event."""
+        error = request.outcome.error
+        if error is None:
+            request.outcome.timings[stage] = wall_s
+        event = StageEvent(
+            stage=stage,
+            wall_s=wall_s,
+            fallback=request.fallback,
+            error=None if error is None else type(error).__name__,
+        )
+        request.fallback = None
+        request.outcome.events.append(event)
+        emit_event(event)
 
-        max_lag = min(
-            va_audio.size - 1,
-            int(round(1.5 * self.config.audio_rate)),
+    # ------------------------------------------------------------------
+    # Stages and shared kernels
+    # ------------------------------------------------------------------
+
+    def _sync(self, request: _Request) -> None:
+        """Seed the request's stream and align its two recordings."""
+        item = request.item
+        config = self.config
+        request.generator = as_generator(item.rng)
+        va, wearable, request.delay_s = synchronize_recordings(
+            item.va_audio, item.wearable_audio, config.audio_rate, config.sync
         )
-        delay = cross_correlation_delay(
-            va_audio, utterance.waveform, max_lag
+        request.pair = (va, wearable)
+
+    def _uses_model(self, item: BatchAnalysisItem) -> bool:
+        return (
+            self.segmenter is not None
+            and item.oracle_utterance is None
+            and not item.skip_segmentation
         )
-        return max(0.0, -delay / self.config.audio_rate)
+
+    def _find_segments(self, requests: Sequence[_Request]) -> None:
+        found = self.segmenter.segments_batch(
+            [request.pair[0] for request in requests]
+        )
+        for request, segments in zip(requests, found):
+            request.segments = segments
+
+    def _segment(self, request: _Request) -> None:
+        """Cut the sensitive-phoneme material out of both recordings.
+
+        Annotates the deadline-skip and full-recording fallbacks and
+        raises :class:`SignalError` on empty recordings.  The material
+        must satisfy ``min_audio_s`` *and* survive cross-domain
+        conversion with at least one full STFT window (``n_fft`` at the
+        sensor's vibration rate); anything shorter would raise in
+        feature extraction, so the full recordings are used instead.
+        """
+        item = request.item
+        config = self.config
+        segments = request.segments
+        if segments is None:
+            if item.skip_segmentation:
+                segments = []
+                request.fallback = FALLBACK_DEADLINE_SKIP
+            elif (
+                item.oracle_utterance is not None
+                and self.segmenter is not None
+            ):
+                segments = self._oracle_segments(request)
+            else:
+                segments = []
+        va, wearable = request.pair
+        material = None
+        if segments:
+            material = (
+                concatenate_segments(va, segments, config.audio_rate),
+                concatenate_segments(wearable, segments, config.audio_rate),
+            )
+            min_samples = max(
+                config.min_audio_s * config.audio_rate,
+                config.features.n_fft
+                * config.audio_rate
+                / self.sensor.vibration_rate,
+            )
+            if material[0].size >= min_samples:
+                request.n_segments = len(segments)
+            else:
+                material = None
+                request.fallback = FALLBACK_FULL_RECORDING
+        if material is None:
+            if va.size == 0 or wearable.size == 0:
+                raise SignalError("cannot analyze empty recordings")
+            material = (np.asarray(va), np.asarray(wearable))
+        request.pair = material
+        request.analyzed_s = material[0].size / config.audio_rate
+
+    def _oracle_segments(
+        self, request: _Request
+    ) -> List[Tuple[float, float]]:
+        """Ground-truth segments, located in the synced VA recording.
+
+        With subset hardening enabled, a per-session phoneme subset is
+        drawn from the request's stream (label ``harden-subset``) and
+        applied through an O(1) clone.  Subset hardening acts on the
+        alignment layer, so only this oracle path consults it; the
+        BLSTM's frame classifier bakes the training-time set into its
+        weights, and no other path consumes the draw.
+        """
+        segmenter = self.segmenter
+        hardening = self.config.hardening
+        if hardening is not None and hardening.randomizes_subset:
+            segmenter = segmenter.with_sensitive_subset(
+                hardening.session_subset(
+                    segmenter.sensitive_phonemes,
+                    child_rng(request.generator, "harden-subset"),
+                )
+            )
+        # Oracle segments are timed relative to the utterance start;
+        # locate that start inside the (synced) VA recording first.
+        va = request.pair[0]
+        utterance = request.item.oracle_utterance
+        rate = self.config.audio_rate
+        max_lag = min(va.size - 1, int(round(1.5 * rate)))
+        delay = cross_correlation_delay(va, utterance.waveform, max_lag)
+        offset_s = max(0.0, -delay / rate)
+        return [
+            (start + offset_s, end + offset_s)
+            for start, end in segmenter.oracle_segments(utterance)
+        ]
+
+    def _convert(self, requests: Sequence[_Request]) -> None:
+        """Replay every request's material through the wearable.
+
+        One ``convert_batch`` call holds the VA rows, then the wearable
+        rows, so a request's two equal-length rows share a stack.
+        """
+        config = self.config
+        vibrations = self.sensor.convert_batch(
+            [request.pair[0] for request in requests]
+            + [request.pair[1] for request in requests],
+            config.audio_rate,
+            rngs=[request.replay_seeds[0] for request in requests]
+            + [request.replay_seeds[1] for request in requests],
+            include_body_motion=config.wearer_moving,
+        )
+        n = len(requests)
+        for row, request in enumerate(requests):
+            request.pair = (vibrations[row], vibrations[n + row])
+
+    def _features(self, request: _Request) -> None:
+        extract = self._extractor.extract
+        request.pair = (extract(request.pair[0]), extract(request.pair[1]))
+
+    def _detect(self, request: _Request) -> None:
+        """2-D correlation score, the decision when calibrated, verdict."""
+        score = self.detector.score(*request.pair)
+        is_attack = None
+        if self.config.detector.threshold is not None:
+            detector = self.detector
+            hardening = self.config.hardening
+            if hardening is not None and hardening.randomizes_threshold:
+                # Per-session jittered operating point, drawn after the
+                # sensing replays so hardened runs stay reproducible.
+                detector = detector.with_randomized_threshold(
+                    child_rng(request.generator, "harden-threshold"),
+                    hardening.threshold_jitter,
+                )
+            is_attack = detector.decide(score)
+        request.outcome.verdict = DefenseVerdict(
+            score=score,
+            is_attack=is_attack,
+            n_segments=request.n_segments,
+            analyzed_duration_s=request.analyzed_s,
+            sync_delay_s=request.delay_s,
+        )

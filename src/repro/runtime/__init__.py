@@ -3,14 +3,12 @@ observability protocol.
 
 All pool construction in the library lives here; ``core``, ``eval``,
 ``serve``, and the CLI submit units of work through a
-:class:`Runtime` and observe them through :class:`StageEvent` sinks.
+:class:`Runtime` and observe them through :class:`StageEvent` records.
 """
 
 from repro.runtime.events import (
     StageEvent,
     StageEventAggregator,
-    StageEventSink,
-    StageSummary,
     capture_stage_events,
     emit_event,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "Runtime",
     "StageEvent",
     "StageEventAggregator",
-    "StageEventSink",
-    "StageSummary",
     "THREAD",
     "capture_stage_events",
     "emit_event",

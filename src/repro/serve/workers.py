@@ -298,9 +298,9 @@ def execute_batch(
             items, degraded_flags, outcomes
         )
     ]
-    # Batch-scoped events (the shared segmentation forward) belong to
-    # the batch, not any one request; attach them once so the service's
-    # sink counts each forward exactly once.
+    # Batch-scoped events (the shared segmentation and sensing calls)
+    # belong to the batch, not any one request; attach them once so the
+    # service's sink counts each shared call exactly once.
     batch_events = [e for e in captured.events if e.scope == "batch"]
     if batch_events and results:
         results[0].events.extend(batch_events)

@@ -283,6 +283,27 @@ def make_pair(seed, n_samples=8_000):
     return va, wearable
 
 
+def record_kernel_rows(monkeypatch):
+    """Log ``(kernel, rows)`` for every shared segmentation and sensing
+    call, in call order."""
+    from repro.sensing.cross_domain import CrossDomainSensor
+
+    rows = []
+    for owner, kernel in (
+        (PhonemeSegmenter, "segments_batch"),
+        (CrossDomainSensor, "convert_batch"),
+    ):
+        def recording(
+            self, audios, *args, _kernel=kernel,
+            _original=getattr(owner, kernel), **kwargs
+        ):
+            rows.append((_kernel, len(audios)))
+            return _original(self, audios, *args, **kwargs)
+
+        monkeypatch.setattr(owner, kernel, recording)
+    return rows
+
+
 class TestAnalyzeBatch:
     @pytest.fixture(scope="class")
     def pipeline(self, trained_segmenter):
@@ -303,7 +324,7 @@ class TestAnalyzeBatch:
         outcomes = pipeline.analyze_batch(items)
         assert all(outcome.ok for outcome in outcomes)
         for item, outcome in zip(items, outcomes):
-            expected, _ = pipeline.analyze_timed(
+            expected = pipeline.analyze(
                 item.va_audio, item.wearable_audio, rng=item.rng
             )
             assert outcome.verdict == expected
@@ -343,8 +364,8 @@ class TestAnalyzeBatch:
     def test_failed_batch_of_one_is_not_retried(
         self, kernel, event, monkeypatch
     ):
-        # A lone request runs its kernel once, in its own stage: no
-        # batched call, so no per-request retry of the same code.
+        # A lone request's shared call is its own call: no batch
+        # event, and no per-request retry of the same code.
         from repro.sensing.cross_domain import CrossDomainSensor
 
         calls = []
@@ -375,6 +396,104 @@ class TestAnalyzeBatch:
         assert len(calls) == 1
         assert events.fallback_counts() == {}
         assert events.error_counts() == {event: 1}
+
+    @pytest.mark.parametrize(
+        "kernel, stage, max_rows",
+        [("segments_batch", "segment", 1), ("convert_batch", "sense", 2)],
+    )
+    def test_failed_shared_call_retries_each_request(
+        self, pipeline, kernel, stage, max_rows, monkeypatch
+    ):
+        from repro.sensing.cross_domain import CrossDomainSensor
+
+        # The kernel fails whenever requests share it, so the batch of
+        # three runs it 1 + 3 times: the shared call, then each alone.
+        items = []
+        for seed in (11, 22, 33):
+            va, wearable = make_pair(seed, n_samples=6_000 + 700 * seed)
+            items.append(
+                BatchAnalysisItem(
+                    va_audio=va, wearable_audio=wearable, rng=seed
+                )
+            )
+        alone = [
+            pipeline.analyze(
+                item.va_audio, item.wearable_audio, rng=item.rng
+            )
+            for item in items
+        ]
+        owner = (
+            PhonemeSegmenter
+            if kernel == "segments_batch"
+            else CrossDomainSensor
+        )
+        original = getattr(owner, kernel)
+        calls = []
+
+        def fails_when_shared(self, rows, *args, **kwargs):
+            calls.append(len(rows))
+            if len(rows) > max_rows:
+                raise ModelError("shared call failed")
+            return original(self, rows, *args, **kwargs)
+
+        monkeypatch.setattr(owner, kernel, fails_when_shared)
+        with capture_stage_events() as events:
+            outcomes = pipeline.analyze_batch(items)
+        assert [outcome.verdict for outcome in outcomes] == alone
+        assert events.fallback_counts() == {
+            f"{stage}_batch:per-request": 1
+        }
+        assert events.error_counts() == {}
+        assert calls == [3 * max_rows] + [max_rows] * 3
+
+    @pytest.mark.parametrize(
+        "members, rows, batch_sizes",
+        [
+            (
+                (0, 1, 2, 3),
+                [("segments_batch", 2), ("convert_batch", 8)],
+                [2, 4],
+            ),
+            ((2,), [("segments_batch", 1), ("convert_batch", 2)], []),
+        ],
+    )
+    def test_one_call_per_kernel(
+        self, pipeline, corpus, members, rows, batch_sizes, monkeypatch
+    ):
+        # One oracle, one deadline-skipped and two model-segmented
+        # requests: the two model rows share one forward, and all
+        # eight recordings share one sensing call.  A lone request
+        # runs the same two calls, and no batch-scope event.
+        utterance = corpus.utterance(["s", "aa", "sh", "iy"], rng=3)
+        noise = np.random.default_rng(4).normal(
+            0.0, 0.01, utterance.waveform.size
+        )
+        oracle_va = utterance.waveform + noise
+        items = [
+            BatchAnalysisItem(
+                va_audio=oracle_va,
+                wearable_audio=0.8 * oracle_va,
+                rng=1,
+                oracle_utterance=utterance,
+            ),
+            BatchAnalysisItem(
+                *make_pair(2), rng=2, skip_segmentation=True
+            ),
+            BatchAnalysisItem(*make_pair(3), rng=3),
+            BatchAnalysisItem(*make_pair(4, n_samples=9_000), rng=4),
+        ]
+        calls = record_kernel_rows(monkeypatch)
+        with capture_stage_events() as events:
+            outcomes = pipeline.analyze_batch(
+                [items[index] for index in members]
+            )
+        assert all(outcome.ok for outcome in outcomes)
+        assert calls == rows
+        assert sorted(
+            event.batch_size
+            for event in events.events
+            if event.scope == "batch"
+        ) == batch_sizes
 
     def test_skip_segmentation_matches_sequential(self, pipeline):
         va, wearable = make_pair(17)

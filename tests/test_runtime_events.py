@@ -5,13 +5,11 @@ import pytest
 
 from repro.attacks.base import AttackKind
 from repro.core.pipeline import (
+    FALLBACK_DEADLINE_SKIP,
+    FALLBACK_FULL_RECORDING,
     BatchAnalysisItem,
     DefensePipeline,
     PIPELINE_STAGES,
-)
-from repro.core.stages import (
-    FALLBACK_DEADLINE_SKIP,
-    FALLBACK_FULL_RECORDING,
 )
 from repro.errors import SignalError
 from repro.eval.campaign import CampaignConfig, DetectorBank
@@ -27,7 +25,6 @@ from repro.runtime import (
     StageEvent,
     StageEventAggregator,
     capture_stage_events,
-    emit_event,
 )
 from repro.serve.metrics import MetricsCollector
 from repro.dsp.generators import white_noise
@@ -50,8 +47,17 @@ def recordings():
 class _TinySegmenter:
     """Stub segmenter yielding one sub-millisecond segment."""
 
-    def segments(self, audio):
-        return [(0.0, 0.001)]
+    def segments_batch(self, audios):
+        return [[(0.0, 0.001)] for _ in audios]
+
+
+def timed_verdict(pipeline, va, wearable, **kwargs):
+    """A lone request's verdict and stage timings."""
+    (outcome,) = pipeline.analyze_batch(
+        [BatchAnalysisItem(va_audio=va, wearable_audio=wearable, **kwargs)]
+    )
+    assert outcome.ok
+    return outcome.verdict, outcome.timings
 
 
 class TestPipelineEmission:
@@ -60,8 +66,8 @@ class TestPipelineEmission:
     ):
         va, wearable = recordings
         with capture_stage_events() as captured:
-            verdict, timings = pipeline.analyze_timed(
-                va, wearable, rng=0
+            verdict, timings = timed_verdict(
+                pipeline, va, wearable, rng=0
             )
         stages = [
             event.stage for event in captured.events
@@ -103,20 +109,6 @@ class TestPipelineEmission:
         assert errors[0].error == "SignalError"
         assert not errors[0].ok
 
-    def test_instance_sink_receives_events(self, recordings):
-        va, wearable = recordings
-        sink = StageEventAggregator()
-        pipeline = DefensePipeline(segmenter=None, sink=sink)
-        pipeline.analyze(va, wearable, rng=0)
-        assert {e.stage for e in sink.events} == set(PIPELINE_STAGES)
-
-    def test_instance_and_ambient_sink_no_double_delivery(self):
-        sink = StageEventAggregator()
-        event = StageEvent(stage="sync", wall_s=0.1)
-        with capture_stage_events(sink):
-            emit_event(event, sink=sink)
-        assert len(sink.events) == 1
-
     def test_batch_outcomes_carry_events(self, pipeline, recordings):
         va, wearable = recordings
         items = [
@@ -144,14 +136,6 @@ class TestAggregator:
             StageEvent(stage="detect", wall_s=0.020, error="SignalError"),
         ]
 
-    def test_timings_latest_ok_per_stage(self):
-        aggregator = StageEventAggregator()
-        for event in self._events():
-            aggregator.emit(event)
-        timings = aggregator.timings()
-        assert timings["sync"] == 0.030
-        assert "detect" not in timings  # errored events excluded
-
     def test_stage_totals_and_counts(self):
         aggregator = StageEventAggregator()
         for event in self._events():
@@ -161,15 +145,6 @@ class TestAggregator:
             "segment:deadline-skip": 1
         }
         assert aggregator.error_counts() == {"detect:SignalError": 1}
-
-    def test_summaries_use_shared_percentiles(self):
-        aggregator = StageEventAggregator()
-        for wall in (0.010, 0.020, 0.030):
-            aggregator.emit(StageEvent(stage="sync", wall_s=wall))
-        summary = aggregator.summarize()["sync"]
-        assert summary.stage == "sync"
-        assert summary.count == 3
-        assert summary.p50_s == 0.020
 
     def test_events_are_picklable(self):
         import pickle
@@ -205,7 +180,7 @@ class TestSinkParity:
     ):
         va, wearable = recordings
         with capture_stage_events() as captured:
-            _, timings = pipeline.analyze_timed(va, wearable, rng=0)
+            _, timings = timed_verdict(pipeline, va, wearable, rng=0)
         collector = MetricsCollector()
         collector.record_served(
             total_s=sum(timings.values()),
@@ -239,8 +214,8 @@ class TestSinkParity:
     ):
         va, wearable = recordings
         with capture_stage_events() as captured:
-            _, timings = pipeline.analyze_timed(
-                va, wearable, rng=0, skip_segmentation=True
+            _, timings = timed_verdict(
+                pipeline, va, wearable, rng=0, skip_segmentation=True
             )
         collector = MetricsCollector()
         collector.record_served(

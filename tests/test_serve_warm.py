@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.pipeline import (
     PIPELINE_STAGES,
+    BatchAnalysisItem,
     DefensePipeline,
 )
 from repro.core.segmentation import (
@@ -40,7 +41,9 @@ class TestWarmSegmenterCache:
     def test_warm_scores_match_fresh_training(self):
         """Regression pin: the warm path changes cost, never scores."""
         va, wearable = make_pair(5)
-        warm = DefensePipeline.warm(seed=31, **RECIPE)
+        warm = DefensePipeline(
+            segmenter=default_segmenter(seed=31, **RECIPE)
+        )
         fresh = DefensePipeline(
             segmenter=train_default_segmenter(seed=31, **RECIPE)
         )
@@ -50,8 +53,12 @@ class TestWarmSegmenterCache:
             )
 
     def test_warm_pipelines_share_segmenter(self):
-        first = DefensePipeline.warm(seed=31, **RECIPE)
-        second = DefensePipeline.warm(seed=31, **RECIPE)
+        first = DefensePipeline(
+            segmenter=default_segmenter(seed=31, **RECIPE)
+        )
+        second = DefensePipeline(
+            segmenter=default_segmenter(seed=31, **RECIPE)
+        )
         assert first.segmenter is second.segmenter
 
 
@@ -65,17 +72,24 @@ class TestVerifyAlias:
 
 
 class TestAnalyzeTimed:
+    """Stage timings and degradation of a lone request."""
+
     def test_reports_every_stage(self):
         va, wearable = make_pair(7)
         pipeline = DefensePipeline(segmenter=None)
-        verdict, timings = pipeline.analyze_timed(va, wearable, rng=4)
+        (outcome,) = pipeline.analyze_batch(
+            [BatchAnalysisItem(va_audio=va, wearable_audio=wearable, rng=4)]
+        )
+        verdict, timings = outcome.verdict, outcome.timings
         assert set(timings) == set(PIPELINE_STAGES)
         assert all(seconds >= 0 for seconds in timings.values())
         assert verdict == pipeline.analyze(va, wearable, rng=4)
 
     def test_skip_segmentation_falls_back_to_full_recording(self):
         va, wearable = make_pair(8)
-        pipeline = DefensePipeline.warm(seed=31, **RECIPE)
+        pipeline = DefensePipeline(
+            segmenter=default_segmenter(seed=31, **RECIPE)
+        )
         degraded = pipeline.analyze(
             va, wearable, rng=5, skip_segmentation=True
         )

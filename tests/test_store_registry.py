@@ -10,6 +10,7 @@ from repro.core.pipeline import DefensePipeline
 from repro.core.segmentation import (
     PhonemeSegmenter,
     SegmenterConfig,
+    default_segmenter,
     train_default_segmenter,
     training_run_count,
 )
@@ -204,8 +205,10 @@ class TestZeroTrainingWarmStart:
         """The store changes cost, never verdicts."""
         store_dir = tmp_path / "store"
         va, wearable = make_pair(5)
-        with_store = DefensePipeline.warm(
-            seed=self.SEED, store=str(store_dir), **RECIPE
+        with_store = DefensePipeline(
+            segmenter=default_segmenter(
+                seed=self.SEED, store=str(store_dir), **RECIPE
+            )
         )
         fresh = DefensePipeline(
             segmenter=train_default_segmenter(seed=self.SEED, **RECIPE)
