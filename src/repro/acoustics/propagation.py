@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
-from repro.dsp.filters import spectral_filter
+from repro.dsp.filters import fast_length
 from repro.utils.validation import ensure_1d, ensure_positive
 
 #: Reference distance (m) at which source SPL is specified.
@@ -57,16 +59,37 @@ def propagate(
     absorption; optionally prepends the acoustic travel delay (used when
     two devices at different distances record the same source).
     """
-    samples = ensure_1d(signal)
-    ensure_positive(sample_rate, "sample_rate")
-    shaped = spectral_filter(
-        samples,
-        sample_rate,
-        lambda frequencies: air_absorption(frequencies, distance_m),
-    )
-    shaped *= spreading_gain(distance_m)
+    (shaped,) = propagate_each(signal, sample_rate, (distance_m,))
     if include_delay:
         delay_samples = int(round(distance_m / speed_of_sound * sample_rate))
         if delay_samples > 0:
             shaped = np.concatenate([np.zeros(delay_samples), shaped])
+    return shaped
+
+
+def propagate_each(
+    signal: np.ndarray,
+    sample_rate: float,
+    distances_m: Sequence[float],
+) -> List[np.ndarray]:
+    """Propagate one signal to each of ``distances_m``.
+
+    The signal is transformed once, and each distance filters it with
+    its own air-absorption gain: entry ``i`` is bitwise
+    ``propagate(signal, sample_rate, distances_m[i])``.
+    """
+    samples = ensure_1d(signal)
+    ensure_positive(sample_rate, "sample_rate")
+    n_fft = fast_length(samples.size)
+    frequencies = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
+    spectrum = np.fft.rfft(samples, n=n_fft)
+    last = len(distances_m) - 1
+    shaped = []
+    for index, distance in enumerate(distances_m):
+        # The last entry filters the shared spectrum in place.
+        gained = spectrum if index == last else spectrum.copy()
+        gained *= air_absorption(frequencies, distance)
+        row = np.fft.irfft(gained, n=n_fft)[: samples.size]
+        row *= spreading_gain(distance)
+        shaped.append(row)
     return shaped

@@ -26,7 +26,7 @@ from repro.acoustics.microphone import (
     SMART_SPEAKER_MIC,
     WEARABLE_MIC,
 )
-from repro.acoustics.propagation import propagate
+from repro.acoustics.propagation import propagate_each
 from repro.acoustics.room import Room, RoomConfig
 from repro.acoustics.spl import scale_to_spl
 from repro.attacks.base import AttackSound
@@ -219,8 +219,9 @@ class AttackScenario:
         lead = np.zeros(int(round(self.lead_silence_s * sample_rate)))
         padded = np.concatenate([lead, source, lead])
 
-        at_va = propagate(padded, sample_rate, source_to_va_m)
-        at_wearable = propagate(padded, sample_rate, source_to_wearable_m)
+        at_va, at_wearable = propagate_each(
+            padded, sample_rate, (source_to_va_m, source_to_wearable_m)
+        )
         at_va = self.room.add_reverberation(
             at_va, sample_rate, rng=child_rng(generator, "reverb-va")
         )

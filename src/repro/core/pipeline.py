@@ -164,12 +164,15 @@ class BatchAnalysisOutcome:
     never aborts its batch-mates (error isolation).  ``events`` carries
     the request's :class:`StageEvent` stream (timings, fallbacks, and
     — for a failed request — the error class of the stage that raised).
+    ``aligned`` is the (VA, wearable) pair the ``sync`` stage produced,
+    which the campaign's baseline detectors score as well.
     """
 
     verdict: Optional[DefenseVerdict] = None
     timings: Dict[str, float] = field(default_factory=dict)
     error: Optional[Exception] = None
     events: List[StageEvent] = field(default_factory=list)
+    aligned: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def ok(self) -> bool:
@@ -480,7 +483,7 @@ class DefensePipeline:
         va, wearable, request.delay_s = synchronize_recordings(
             item.va_audio, item.wearable_audio, config.audio_rate, config.sync
         )
-        request.pair = (va, wearable)
+        request.pair = request.outcome.aligned = (va, wearable)
 
     def _uses_model(self, item: BatchAnalysisItem) -> bool:
         return (

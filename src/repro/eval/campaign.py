@@ -27,7 +27,7 @@ from repro.core.baselines import (
     AudioDomainBaseline,
     VibrationBaselineNoSelection,
 )
-from repro.core.pipeline import DefensePipeline
+from repro.core.pipeline import BatchAnalysisItem, DefensePipeline
 from repro.core.segmentation import PhonemeSegmenter
 from repro.errors import ConfigurationError
 from repro.eval.participants import ParticipantPool
@@ -88,7 +88,7 @@ class CampaignConfig:
 
 
 class DetectorBank:
-    """The full system plus baselines, scored on the same recordings."""
+    """The full system plus baselines, scored on one synchronized pair."""
 
     def __init__(
         self,
@@ -127,24 +127,22 @@ class DetectorBank:
     ) -> Dict[str, float]:
         """Score one recording pair with every detector in the bank."""
         generator = as_generator(rng)
-        oracle = utterance if use_oracle else None
-        scores = {
-            FULL_SYSTEM: self.pipeline.score(
-                va_recording,
-                wearable_recording,
-                rng=child_rng(generator, "full"),
-                oracle_utterance=oracle,
-            )
-        }
+        item = BatchAnalysisItem(
+            va_recording,
+            wearable_recording,
+            rng=child_rng(generator, "full"),
+            oracle_utterance=utterance if use_oracle else None,
+        )
+        (outcome,) = self.pipeline.analyze_batch([item])
+        if outcome.error is not None:
+            raise outcome.error
+        scores = {FULL_SYSTEM: outcome.verdict.score}
         if self.include_baselines:
+            aligned = outcome.aligned
             scores[VIBRATION_BASELINE] = self.vibration_baseline.score(
-                va_recording,
-                wearable_recording,
-                rng=child_rng(generator, "vib"),
+                *aligned, rng=child_rng(generator, "vib")
             )
-            scores[AUDIO_BASELINE] = self.audio_baseline.score(
-                va_recording, wearable_recording
-            )
+            scores[AUDIO_BASELINE] = self.audio_baseline.score(*aligned)
         return scores
 
 

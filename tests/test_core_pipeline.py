@@ -16,6 +16,7 @@ from repro.core.baselines import (
     VibrationBaselineNoSelection,
 )
 from repro.core.segmentation import PhonemeSegmenter
+from repro.core.sync import synchronize_recordings
 from repro.errors import ConfigurationError
 from repro.phonemes.commands import phonemize
 
@@ -110,23 +111,25 @@ class TestPipeline:
                 DefenseConfig(audio_rate=audio_rate)
 
 
+def _aligned(pair):
+    """The (VA, wearable) pair the full system's sync stage scores."""
+    _, va, wearable = pair
+    return synchronize_recordings(va, wearable, 16_000.0)[:2]
+
+
 class TestBaselines:
     def test_audio_baseline_scores(self, legit_pair, attack_pair):
         baseline = AudioDomainBaseline()
-        _, va_l, wearable_l = legit_pair
-        _, va_a, wearable_a = attack_pair
-        legit = baseline.score(va_l, wearable_l)
-        attack = baseline.score(va_a, wearable_a)
+        legit = baseline.score(*_aligned(legit_pair))
+        attack = baseline.score(*_aligned(attack_pair))
         assert -1.0 <= attack <= 1.0
         assert -1.0 <= legit <= 1.0
 
     def test_vibration_baseline_separates(self, legit_pair,
                                           attack_pair):
         baseline = VibrationBaselineNoSelection()
-        _, va_l, wearable_l = legit_pair
-        _, va_a, wearable_a = attack_pair
-        legit = baseline.score(va_l, wearable_l, rng=5)
-        attack = baseline.score(va_a, wearable_a, rng=6)
+        legit = baseline.score(*_aligned(legit_pair), rng=5)
+        attack = baseline.score(*_aligned(attack_pair), rng=6)
         assert legit > attack
 
 
