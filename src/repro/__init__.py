@@ -7,7 +7,6 @@ system inventory and EXPERIMENTS.md for the paper-vs-measured record.
 __version__ = "1.0.0"
 
 from repro.errors import (
-    ArtifactIntegrityError,
     CalibrationError,
     ConfigurationError,
     ModelError,
@@ -44,7 +43,6 @@ __all__ = [
     "CalibrationError",
     "ServiceOverloadError",
     "StoreError",
-    "ArtifactIntegrityError",
     "WorkerError",
     "DefenseConfig",
     "DefensePipeline",

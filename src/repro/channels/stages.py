@@ -11,7 +11,7 @@ Design rules
 ------------
 * Every stage is a **frozen dataclass wrapping only other frozen
   dataclasses and primitives**, so a whole channel can be fingerprinted
-  by :func:`repro.store.fingerprint.canonical_token` and embedded in
+  by :func:`repro.store.canonical_token` and embedded in
   scenario specs and serve batch keys.
 * Randomness policy is declared, not improvised: ``rng_label`` is either
   ``None`` (deterministic stage — receives no generator), the

@@ -19,10 +19,10 @@ Commands
 ``loadgen``
     Drive the service with a synthetic closed- or open-loop load and
     print latency percentiles plus the service metrics snapshot.
-``store``
-    Manage the trained-artifact store (``ls``, ``info``, ``gc``,
-    ``export``, ``import``, ``verify``).  ``serve`` and ``loadgen``
-    read/publish trained segmenters there via ``--store-dir``.
+``store verify``
+    Checksum every entry of the segmenter weight store; exit 1 on any
+    corruption.  ``serve`` and ``loadgen`` read/publish trained
+    segmenters there via ``--store-dir``.
 ``redteam``
     Run adaptive-adversary campaigns (``attack``, ``curve``,
     ``report``): budgeted optimizing attackers vs the deployed
@@ -32,6 +32,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -246,10 +247,18 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="open-loop arrival rate",
             )
 
-    from repro.redteam.cli import add_redteam_parser
-    from repro.store.cli import add_store_parser
+    store = sub.add_parser("store", help="check the segmenter weight store")
+    actions = store.add_subparsers(dest="store_command", required=True)
+    verify = actions.add_parser(
+        "verify", help="checksum every entry; exit 1 on any corruption"
+    )
+    verify.add_argument(
+        "--dir", dest="store_dir", default=None,
+        help="store root directory (default: $REPRO_STORE_DIR)",
+    )
 
-    add_store_parser(sub)
+    from repro.redteam.cli import add_redteam_parser
+
     add_redteam_parser(sub)
     return parser
 
@@ -521,13 +530,12 @@ def _resolve_pipeline_spec(args: argparse.Namespace):
     retraining; ``--no-store`` forces in-process training.
     """
     from repro.serve import PipelineSpec
-    from repro.store.cli import resolve_store_dir
 
     from repro.errors import ConfigurationError
 
     store_dir = None
     if not args.no_store:
-        store_dir = resolve_store_dir(args.store_dir)
+        store_dir = _resolve_store_dir(args.store_dir)
     hardening_kwargs = dict(
         threshold=args.threshold,
         threshold_jitter=args.threshold_jitter,
@@ -557,28 +565,33 @@ def _resolve_pipeline_spec(args: argparse.Namespace):
         raise SystemExit(f"error: {error}") from None
 
 
+def _resolve_store_dir(explicit: Optional[str]) -> Optional[str]:
+    """``--dir``/``--store-dir`` value, falling back to the env var."""
+    return explicit or os.environ.get("REPRO_STORE_DIR") or None
+
+
 def _print_store_report(spec, service) -> None:
     """One-line artifact-store summary after a serving run.
 
-    The trained/loaded counters are per-process; with process workers
-    the loads happen in the worker processes, so only the on-disk
+    The training counter is per-process; with process workers the
+    training happens in the worker processes, so only the on-disk
     entry count is meaningful there.
     """
     if spec.store_dir is None:
         return
-    from repro.store import ArtifactStore, registry_counters
+    from repro.core.segmentation import training_run_count
+    from repro.store import ArtifactStore
 
-    n_entries = len(ArtifactStore(spec.store_dir).entries())
+    n_entries = len(ArtifactStore(spec.store_dir).verify())
     if service.config.worker_mode == "thread":
-        counts = registry_counters()
         print(
-            f"store: {n_entries} artifact(s) in {spec.store_dir} "
-            f"({counts['loaded']} loaded, {counts['trained']} trained)"
+            f"store: {spec.store_dir} ({n_entries} artifact(s), "
+            f"{training_run_count()} trained)"
         )
     else:
         print(
-            f"store: {n_entries} artifact(s) in {spec.store_dir} "
-            "(load/train accounting lives in the worker processes)"
+            f"store: {spec.store_dir} ({n_entries} artifact(s); training "
+            "is counted in the worker processes)"
         )
 
 
@@ -669,9 +682,23 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.store.cli import cmd_store
+    from repro.store import ArtifactStore
 
-    return cmd_store(args)
+    store_dir = _resolve_store_dir(args.store_dir)
+    if store_dir is None:
+        raise SystemExit(
+            "error: no store directory; pass --dir or set REPRO_STORE_DIR"
+        )
+    report = ArtifactStore(store_dir).verify()
+    bad = 0
+    for fingerprint, problem in report:
+        if problem is None:
+            print(f"ok      {fingerprint}")
+        else:
+            bad += 1
+            print(f"CORRUPT {fingerprint}: {problem}")
+    print(f"verified {len(report)} artifact(s), {bad} corrupt")
+    return 1 if bad else 0
 
 
 def _cmd_redteam(args: argparse.Namespace) -> int:

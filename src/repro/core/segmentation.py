@@ -16,6 +16,7 @@ mode that segments straight from alignments is provided for ablations.
 from __future__ import annotations
 
 import copy
+import io
 import itertools
 import threading
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from repro.nn.model import (
 )
 from repro.phonemes.corpus import SyntheticCorpus, Utterance
 from repro.phonemes.inventory import PAPER_SELECTED_PHONEMES, get_phoneme
+from repro.store import artifact_fingerprint, load_or_create
 from repro.utils.rng import SeedLike, as_generator, child_rng
 from repro.utils.validation import ensure_1d
 
@@ -644,13 +646,10 @@ def default_segmenter(
     :func:`train_default_segmenter` directly when a one-off model is
     wanted.
 
-    ``store`` (an :class:`repro.store.ArtifactStore` or a store
-    directory path) makes misses in the in-process memo consult the
-    persistent artifact store before training: a published entry turns
-    cold start into a weight load, and a miss trains then publishes for
-    the next process.  Training is deterministic in the integer seed,
-    so a store-loaded segmenter is bitwise identical to a freshly
-    trained one — the store changes cost, never scores.
+    ``store`` (a store directory path) makes misses in the in-process
+    memo go through :func:`load_or_train_segmenter`: a published entry
+    turns cold start into a weight load, and a miss trains then
+    publishes for the next process.
     """
     if seed is not None:
         seed = int(seed)
@@ -668,26 +667,69 @@ def default_segmenter(
             cached = _WARM_SEGMENTERS.get(key)
         if cached is not None:
             return cached
+        recipe = dict(
+            seed=seed,
+            n_speakers=n_speakers,
+            n_per_phoneme=n_per_phoneme,
+            epochs=epochs,
+        )
         if store is not None:
-            # Imported lazily: repro.store.registry imports this module.
-            from repro.store.registry import ModelRegistry
-
-            segmenter, _ = ModelRegistry(store).segmenter(
-                seed=seed,
-                n_speakers=n_speakers,
-                n_per_phoneme=n_per_phoneme,
-                epochs=epochs,
-            )
+            segmenter = load_or_train_segmenter(store, **recipe)
         else:
-            segmenter = train_default_segmenter(
-                seed=seed,
-                n_speakers=n_speakers,
-                n_per_phoneme=n_per_phoneme,
-                epochs=epochs,
-            )
+            segmenter = train_default_segmenter(**recipe)
         with _WARM_LOCK:
             _WARM_SEGMENTERS[key] = segmenter
         return segmenter
+
+
+def load_or_train_segmenter(
+    store,
+    seed: Optional[int] = None,
+    n_speakers: int = 8,
+    n_per_phoneme: int = 12,
+    epochs: int = 12,
+) -> PhonemeSegmenter:
+    """:func:`train_default_segmenter` through the store at ``store``.
+
+    The recipe is fingerprinted; a verified entry loads through
+    :meth:`PhonemeSegmenter.load_weights`, and a miss trains (once
+    across every process racing on the entry) and publishes the
+    :meth:`PhonemeSegmenter.save` archive.  Training is deterministic
+    in the integer seed, so a loaded segmenter is bitwise identical to
+    a freshly trained one: the store changes cost, never scores.  No
+    in-process memo; :func:`default_segmenter` adds that.
+    """
+    recipe = dict(
+        seed=None if seed is None else int(seed),
+        n_speakers=int(n_speakers),
+        n_per_phoneme=int(n_per_phoneme),
+        epochs=int(epochs),
+    )
+    fingerprint = artifact_fingerprint(
+        "segmenter",
+        config=SegmenterConfig(),
+        sensitive_phonemes=sorted(PAPER_SELECTED_PHONEMES),
+        sample_rate=16_000.0,
+        **recipe,
+    )
+
+    def produce() -> bytes:
+        buffer = io.BytesIO()
+        train_default_segmenter(**recipe).save(buffer)
+        return buffer.getvalue()
+
+    return load_or_create(store, fingerprint, produce, _decode_segmenter)
+
+
+def _decode_segmenter(payload: bytes) -> PhonemeSegmenter:
+    segmenter = PhonemeSegmenter()
+    try:
+        segmenter.load_weights(io.BytesIO(payload))
+    except (OSError, ValueError, KeyError, EOFError) as error:
+        raise ModelError(
+            f"segmenter payload is not a readable archive: {error}"
+        ) from error
+    return segmenter
 
 
 def concatenate_segments(

@@ -109,17 +109,8 @@ class ServiceOverloadError(ReproError):
 class StoreError(ReproError):
     """The artifact store could not complete an operation.
 
-    Raised for malformed keys, unusable store roots, and import/export
-    failures.  Note that *corrupt entries* do not raise on the read
-    path: :meth:`repro.store.ArtifactStore.get` quarantines them and
-    reports a miss so callers fall back to recomputing the artifact.
-    """
-
-
-class ArtifactIntegrityError(StoreError):
-    """An artifact failed checksum or schema validation.
-
-    Surfaced by explicit integrity checks (``repro store verify`` and
-    archive import), never by the load-or-train fast path, which
-    degrades to retraining instead.
+    Raised for values with no stable fingerprint and non-bytes
+    payloads.  *Corrupt entries* do not raise on the read path:
+    :meth:`repro.store.ArtifactStore.get` quarantines them and reports
+    a miss so callers fall back to retraining.
     """

@@ -98,10 +98,14 @@ class DetectorBank:
     ) -> None:
         self.pipeline = pipeline or DefensePipeline(segmenter=segmenter)
         self.include_baselines = include_baselines
-        # The vibration baseline replays on the same wearable as the
-        # full system, so a scenario's sensor reaches both detectors.
+        # The vibration baseline replays on the same wearable, at the
+        # same audio rate, as the full system, so a scenario's sensor
+        # reaches both detectors.
         self.vibration_baseline = (
-            VibrationBaselineNoSelection(sensor=self.pipeline.sensor)
+            VibrationBaselineNoSelection(
+                sensor=self.pipeline.sensor,
+                audio_rate=self.pipeline.config.audio_rate,
+            )
             if include_baselines
             else None
         )

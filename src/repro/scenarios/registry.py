@@ -4,7 +4,7 @@ A :class:`ScenarioSpec` composes one named evaluation condition out of
 pure data: attack kind × barrier material × attack-side channel graph ×
 replay-side channel graph × detector configuration.  Because every field
 is a frozen dataclass or primitive, a spec fingerprints deterministically
-through :func:`repro.store.fingerprint.artifact_fingerprint` — the same
+through :func:`repro.store.artifact_fingerprint` — the same
 scheme that keys trained artifacts — and travels across process
 boundaries by *name* (workers re-resolve the spec from the registry on
 import, so campaign units stay picklable).
@@ -25,6 +25,7 @@ from repro.attacks.base import AttackKind
 from repro.channels.graph import InjectionChannel, PropagationChannel
 from repro.channels.stages import ChannelStage
 from repro.errors import ConfigurationError
+from repro.store import artifact_fingerprint
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,6 @@ class ScenarioSpec:
         stable across processes and Python hash seeds and changes
         whenever any stage parameter, material, or detector knob does.
         """
-        from repro.store.fingerprint import artifact_fingerprint
-
         return artifact_fingerprint("scenario", spec=self)
 
     # ------------------------------------------------------------------

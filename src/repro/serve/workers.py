@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.detector import DetectorConfig
@@ -47,7 +47,7 @@ from repro.runtime import (
     capture_stage_events,
 )
 from repro.serve.request import VerificationRequest
-from repro.utils.rng import stable_fingerprint
+from repro.store import artifact_fingerprint
 
 @dataclass(frozen=True)
 class PipelineSpec:
@@ -125,24 +125,15 @@ class PipelineSpec:
         )
 
     @property
-    def fingerprint(self) -> int:
+    def fingerprint(self) -> str:
         """Stable config hash (part of the batch-compatibility key).
 
-        ``store_dir`` is deliberately excluded: where the weights come
+        Covers every field except ``store_dir``: where the weights come
         from never changes a verdict (store loads are bitwise identical
         to fresh training), so it must not split batch classes.
         """
-        return stable_fingerprint(
-            self.use_segmenter,
-            self.segmenter_seed,
-            self.n_speakers,
-            self.n_per_phoneme,
-            self.epochs,
-            self.threshold,
-            self.threshold_jitter,
-            self.subset_fraction,
-            self.min_audio_s,
-            self.scenario,
+        return artifact_fingerprint(
+            "pipeline", spec=replace(self, store_dir=None)
         )
 
     def build_segmenter(self) -> Optional[PhonemeSegmenter]:
@@ -212,7 +203,7 @@ class WorkerResult:
 # ----------------------------------------------------------------------
 
 _WORKER_PIPELINES: Dict[
-    Tuple[int, float, bool], DefensePipeline
+    Tuple[str, float, bool], DefensePipeline
 ] = {}
 _WORKER_LOCK = threading.Lock()
 

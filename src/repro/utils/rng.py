@@ -94,14 +94,3 @@ def derive_seed(seed: SeedLike, *labels: object) -> int:
         accumulator = (accumulator * 31 + 17) & 0xFFFFFFFFFFFF
     return accumulator
 
-
-def stable_fingerprint(*parts: object) -> int:
-    """Stable, process-independent integer fingerprint of a label tuple.
-
-    Unlike :func:`hash`, the result does not depend on
-    ``PYTHONHASHSEED`` or the process, so it can key caches that must
-    agree across worker processes — e.g. the serving layer's
-    batch-compatibility classes, which group requests by
-    ``(audio_rate, config fingerprint)``.
-    """
-    return derive_seed(0x5EEDF00D, *parts)

@@ -187,3 +187,12 @@ class TestOneSyncPerPair:
         for pair in received.values():
             assert pair[0] is va_aligned
             assert pair[1] is wearable_aligned
+
+
+class TestBankAudioRate:
+    def test_vibration_baseline_replays_at_the_pipelines_rate(self):
+        pipeline = pipeline_module.DefensePipeline(
+            config=pipeline_module.DefenseConfig(audio_rate=8_000.0)
+        )
+        bank = DetectorBank(segmenter=None, pipeline=pipeline)
+        assert bank.vibration_baseline.audio_rate == 8_000.0

@@ -1,20 +1,20 @@
-"""Artifact store: addressing, atomicity, integrity, maintenance."""
+"""Segmenter weight store: fingerprints, atomicity, integrity, verify."""
 
-import io
 import json
-import os
-import tarfile
 import threading
 import time
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from repro.errors import ArtifactIntegrityError, StoreError
+from repro.cli import main
+from repro.errors import StoreError
 from repro.store import (
-    ArtifactKey,
-    ArtifactStore,
     SCHEMA_VERSION,
-    payload_checksum,
+    ArtifactStore,
+    artifact_fingerprint,
+    canonical_token,
 )
 
 
@@ -23,73 +23,84 @@ def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
 
 
-def put_entry(store, kind="weights", fingerprint="abc123", payload=b"data"):
-    key = ArtifactKey(kind, fingerprint)
-    store.put(key, payload, meta={"seed": 1})
-    return key
+def put_entry(store, fingerprint="abc123", payload=b"data"):
+    store.put(fingerprint, payload)
+    return fingerprint
 
 
-class TestArtifactKey:
-    def test_str_is_the_cli_address(self):
-        assert str(ArtifactKey("weights", "ff00")) == "weights/ff00"
+def quarantined(store):
+    """Entries the store has moved aside."""
+    quarantine_dir = store.root / "quarantine"
+    if not quarantine_dir.is_dir():
+        return []
+    return sorted(quarantine_dir.iterdir())
 
-    @pytest.mark.parametrize(
-        "kind, fingerprint",
-        [
-            ("", "abc"),
-            ("weights", ""),
-            ("a/b", "abc"),
-            ("weights", "a/b"),
-            ("weights", ".."),
-            ("we ights", "abc"),
-            ("weights", "a\\b"),
-        ],
-    )
-    def test_rejects_path_unsafe_parts(self, kind, fingerprint):
-        with pytest.raises(StoreError):
-            ArtifactKey(kind, fingerprint)
+
+@dataclass(frozen=True)
+class Probe:
+    gain: float
+    name: str
+
+
+class TestFingerprint:
+    """Scenario and weight addresses must not drift between releases."""
+
+    VALUE = {
+        "z": np.arange(3),
+        "a": [1, 2.5, None, True],
+        "s": frozenset({"b", "a"}),
+        "b": b"\x01\xff",
+        "p": Probe(0.1, "x"),
+        "g": np.float32(0.5),
+    }
+
+    def test_canonical_token_golden(self):
+        assert canonical_token(self.VALUE) == (
+            "{'a':[1,2.5,None,True],'b':bytes:01ff,'g':0.5,"
+            "'p':Probe{gain=0.1,name='x'},'s':{'a','b'},"
+            "'z':ndarray(3,):[0,1,2]}"
+        )
+
+    def test_artifact_fingerprint_golden(self):
+        assert SCHEMA_VERSION == 3
+        assert (
+            artifact_fingerprint("probe", value=self.VALUE, seed=7)
+            == "86699057878888b6dce20ac1a72a5d8d"
+        )
+
+    def test_unfingerprintable_value_raises(self):
+        with pytest.raises(StoreError, match="fingerprint"):
+            canonical_token(object())
 
 
 class TestPutGet:
     def test_round_trip(self, store):
         key = put_entry(store, payload=b"\x00\x01payload")
-        assert store.contains(key)
         assert store.get(key) == b"\x00\x01payload"
 
     def test_miss_returns_none(self, store):
-        assert store.get(ArtifactKey("weights", "missing")) is None
-        assert not store.contains(ArtifactKey("weights", "missing"))
+        assert store.get("missing") is None
+        assert quarantined(store) == []
 
     def test_put_requires_bytes(self, store):
         with pytest.raises(StoreError, match="bytes"):
-            store.put(ArtifactKey("weights", "abc"), "not-bytes")
+            store.put("abc", "not-bytes")
 
     def test_put_replaces_existing_entry(self, store):
         key = put_entry(store, payload=b"old")
         store.put(key, b"new")
         assert store.get(key) == b"new"
 
-    def test_info_reports_metadata(self, store):
-        key = put_entry(store, payload=b"12345")
-        info = store.info(key)
-        assert info.key == key
-        assert info.n_bytes == 5
-        assert info.sha256 == payload_checksum(b"12345")
-        assert info.meta == {"seed": 1}
-        assert info.path == store.entry_dir(key)
-
-    def test_entries_sorted_by_address(self, store):
-        put_entry(store, "weights", "bbb")
-        put_entry(store, "tables", "aaa")
-        put_entry(store, "weights", "aaa")
-        addresses = [str(info.key) for info in store.entries()]
-        assert addresses == ["tables/aaa", "weights/aaa", "weights/bbb"]
-
-    def test_delete(self, store):
-        key = put_entry(store)
-        assert store.delete(key)
-        assert not store.contains(key)
-        assert not store.delete(key)
+    def test_reads_entries_with_extra_metadata(self, store):
+        """Entries written with kind and provenance fields still load."""
+        key = put_entry(store, payload=b"weights")
+        entry = store.entry_dir(key)
+        record = json.loads((entry / "meta.json").read_text())
+        record.update(kind="segmenter", created_at=0.0, meta={"seed": 1})
+        (entry / "meta.json").write_text(json.dumps(record))
+        (entry / "last_used").touch()
+        assert store.get(key) == b"weights"
+        assert store.verify() == [(key, None)]
 
 
 class TestCorruption:
@@ -97,8 +108,8 @@ class TestCorruption:
 
     def assert_quarantined_miss(self, store, key):
         assert store.get(key) is None
-        assert not store.contains(key)
-        assert len(store.quarantined()) == 1
+        assert not store.entry_dir(key).exists()
+        assert len(quarantined(store)) == 1
 
     def test_flipped_payload_byte(self, store):
         key = put_entry(store, payload=b"payload-bytes")
@@ -150,7 +161,7 @@ class TestCorruption:
             key = put_entry(store)
             (store.entry_dir(key) / "meta.json").write_text("{}")
             assert store.get(key) is None
-        assert len(store.quarantined()) == 3
+        assert len(quarantined(store)) == 3
 
     def test_healthy_entries_unaffected(self, store):
         bad = put_entry(store, fingerprint="bad")
@@ -162,21 +173,19 @@ class TestCorruption:
 
 class TestGetOrCreate:
     def test_miss_produces_and_publishes(self, store):
-        key = ArtifactKey("weights", "abc")
         calls = []
 
         def produce():
             calls.append(1)
             return b"produced"
 
-        payload, created = store.get_or_create(key, produce)
+        payload, created = store.get_or_create("abc", produce)
         assert (payload, created) == (b"produced", True)
-        payload, created = store.get_or_create(key, produce)
+        payload, created = store.get_or_create("abc", produce)
         assert (payload, created) == (b"produced", False)
         assert len(calls) == 1
 
     def test_threads_racing_produce_once(self, store):
-        key = ArtifactKey("weights", "contended")
         calls = []
         barrier = threading.Barrier(4)
         results = []
@@ -188,7 +197,7 @@ class TestGetOrCreate:
 
         def worker():
             barrier.wait()
-            results.append(store.get_or_create(key, produce))
+            results.append(store.get_or_create("contended", produce))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for thread in threads:
@@ -210,167 +219,17 @@ class TestVerify:
         assert report[good] is None
         assert "checksum" in report[bad] or "bytes" in report[bad]
         # verify() is read-only: the broken entry is still on disk.
-        assert store.contains(bad)
-        assert store.quarantined() == []
+        assert store.entry_dir(bad).is_dir()
+        assert quarantined(store) == []
 
-
-class TestGc:
-    def age(self, store, key, seconds_ago):
-        marker = store.entry_dir(key) / "last_used"
-        stamp = time.time() - seconds_ago
-        os.utime(marker, (stamp, stamp))
-
-    def test_evicts_least_recently_used_first(self, store):
-        oldest = put_entry(store, fingerprint="oldest")
-        middle = put_entry(store, fingerprint="middle")
-        newest = put_entry(store, fingerprint="newest")
-        self.age(store, oldest, 300)
-        self.age(store, middle, 200)
-        self.age(store, newest, 100)
-        evicted = store.gc(max_entries=1)
-        assert [info.key for info in evicted] == [oldest, middle]
-        assert store.contains(newest)
-
-    def test_size_bound(self, store):
-        first = put_entry(store, fingerprint="first", payload=b"x" * 100)
-        second = put_entry(store, fingerprint="second", payload=b"y" * 100)
-        self.age(store, first, 200)
-        self.age(store, second, 100)
-        evicted = store.gc(max_bytes=150)
-        assert [info.key for info in evicted] == [first]
-        assert store.contains(second)
-
-    def test_no_bounds_is_a_no_op(self, store):
-        put_entry(store)
-        assert store.gc() == []
-        assert len(store.entries()) == 1
-
-    def test_rejects_negative_bounds(self, store):
-        with pytest.raises(StoreError):
-            store.gc(max_bytes=-1)
-        with pytest.raises(StoreError):
-            store.gc(max_entries=-1)
-
-    def test_dry_run_reports_without_deleting(self, store):
-        oldest = put_entry(store, fingerprint="oldest")
-        newest = put_entry(store, fingerprint="newest")
-        self.age(store, oldest, 200)
-        self.age(store, newest, 100)
-        planned = store.gc(max_entries=1, dry_run=True)
-        assert [info.key for info in planned] == [oldest]
-        # Nothing was actually removed.
-        assert store.contains(oldest) and store.contains(newest)
-
-    def test_dry_run_matches_real_eviction(self, store):
-        keys = [
-            put_entry(store, fingerprint=f"f{i}", payload=b"x" * 50)
-            for i in range(4)
-        ]
-        for index, key in enumerate(keys):
-            self.age(store, key, 400 - index * 100)
-        planned = store.gc(max_bytes=120, dry_run=True)
-        evicted = store.gc(max_bytes=120)
-        assert [info.key for info in planned] == [
-            info.key for info in evicted
-        ]
-
-    def test_cli_dry_run_prints_reclaimable_bytes_per_kind(
-        self, store, capsys
-    ):
-        from repro.cli import main
-
-        first = put_entry(
-            store, kind="weights", fingerprint="w1", payload=b"x" * 80
-        )
-        put_entry(
-            store, kind="selection", fingerprint="s1", payload=b"y" * 30
-        )
-        self.age(store, first, 300)
-        self.age(store, ArtifactKey("selection", "s1"), 200)
-        exit_code = main(
-            [
-                "store", "gc",
-                "--dir", str(store.root),
-                "--max-entries", "0",
-                "--dry-run",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert "would evict" in out
-        assert "evicted " not in out.replace("would evict", "")
-        assert "weights" in out and "80 reclaimable bytes" in out
-        assert "selection" in out and "30 reclaimable bytes" in out
-        assert "2 artifact(s), 110 reclaimable bytes" in out
-        # Dry run deleted nothing.
-        assert len(store.entries()) == 2
-
-
-class TestExportImport:
-    def test_round_trip(self, store, tmp_path):
-        key = put_entry(store, payload=b"portable")
-        archive = tmp_path / "artifacts.tgz"
-        assert store.export_archive(archive) == [key]
-
-        other = ArtifactStore(tmp_path / "other")
-        assert other.import_archive(archive) == [key]
-        assert other.get(key) == b"portable"
-        assert other.info(key).meta == {"seed": 1}
-
-    def test_kind_filter(self, store, tmp_path):
-        put_entry(store, kind="weights")
-        tables = put_entry(store, kind="tables", fingerprint="t1")
-        archive = tmp_path / "tables.tgz"
-        assert store.export_archive(archive, kinds=["tables"]) == [tables]
-
-    def test_import_skips_existing_unless_overwrite(self, store, tmp_path):
-        key = put_entry(store, payload=b"original")
-        archive = tmp_path / "artifacts.tgz"
-        store.export_archive(archive)
-        store.put(key, b"changed")
-        assert store.import_archive(archive) == []
-        assert store.get(key) == b"changed"
-        assert store.import_archive(archive, overwrite=True) == [key]
-        assert store.get(key) == b"original"
-
-    def test_corrupt_archive_member_raises(self, store, tmp_path):
-        key = put_entry(store, payload=b"will-be-tampered")
-        archive = tmp_path / "artifacts.tgz"
-        store.export_archive(archive)
-        # Rewrite the archive with a flipped payload byte but the
-        # original metadata: the checksum no longer matches.
-        tampered = tmp_path / "tampered.tgz"
-        with tarfile.open(archive, "r:gz") as src, tarfile.open(
-            tampered, "w:gz"
-        ) as dst:
-            for member in src.getmembers():
-                data = src.extractfile(member).read()
-                if member.name.endswith("payload.bin"):
-                    data = bytes([data[0] ^ 0xFF]) + data[1:]
-                member.size = len(data)
-                dst.addfile(member, io.BytesIO(data))
-        other = ArtifactStore(tmp_path / "other")
-        with pytest.raises(ArtifactIntegrityError, match="checksum"):
-            other.import_archive(tampered)
-        assert not other.contains(key)
-
-    def test_incomplete_archive_member_raises(self, store, tmp_path):
-        put_entry(store)
-        archive = tmp_path / "artifacts.tgz"
-        store.export_archive(archive)
-        partial = tmp_path / "partial.tgz"
-        with tarfile.open(archive, "r:gz") as src, tarfile.open(
-            partial, "w:gz"
-        ) as dst:
-            for member in src.getmembers():
-                if member.name.endswith("meta.json"):
-                    continue
-                dst.addfile(
-                    member, io.BytesIO(src.extractfile(member).read())
-                )
-        with pytest.raises(ArtifactIntegrityError, match="incomplete"):
-            ArtifactStore(tmp_path / "other").import_archive(partial)
-
-    def test_missing_archive_raises(self, store, tmp_path):
-        with pytest.raises(StoreError, match="not found"):
-            store.import_archive(tmp_path / "nope.tgz")
+    def test_cli_exits_one_on_a_flipped_payload_byte(self, store, capsys):
+        key = put_entry(store, payload=b"payload-bytes")
+        argv = ["store", "verify", "--dir", str(store.root)]
+        assert main(argv) == 0
+        assert "verified 1 artifact(s), 0 corrupt" in capsys.readouterr().out
+        payload_path = store.entry_dir(key) / "payload.bin"
+        raw = bytearray(payload_path.read_bytes())
+        raw[0] ^= 0xFF
+        payload_path.write_bytes(bytes(raw))
+        assert main(argv) == 1
+        assert f"CORRUPT {key}" in capsys.readouterr().out

@@ -7,6 +7,7 @@ bitwise-identical weights.
 """
 
 import hashlib
+import io
 import multiprocessing
 
 import pytest
@@ -18,15 +19,22 @@ SEED = 20260806
 
 
 def _race_worker(store_dir, barrier, queue):
-    """Load-or-train against the shared store; report (created, digest)."""
-    from repro.store import ModelRegistry
-    from repro.store.adapters import encode_segmenter
+    """Load-or-train against the shared store; report (created, digest).
 
-    registry = ModelRegistry(store_dir)
+    A spawned child starts with a zero training counter, so ``created``
+    says whether this process trained.
+    """
+    from repro.core.segmentation import (
+        load_or_train_segmenter,
+        training_run_count,
+    )
+
     barrier.wait(timeout=60)
-    model, created = registry.segmenter(seed=SEED, **RECIPE)
-    digest = hashlib.sha256(encode_segmenter(model)).hexdigest()
-    queue.put((created, digest))
+    model = load_or_train_segmenter(store_dir, seed=SEED, **RECIPE)
+    buffer = io.BytesIO()
+    model.save(buffer)
+    digest = hashlib.sha256(buffer.getvalue()).hexdigest()
+    queue.put((training_run_count() == 1, digest))
 
 
 def _spawn_context():
@@ -72,10 +80,10 @@ def test_concurrent_cold_start_trains_exactly_once(tmp_path):
 @pytest.mark.slow
 def test_second_wave_of_processes_only_loads(tmp_path):
     """Processes started after publication never train."""
-    from repro.store import ModelRegistry
+    from repro.core.segmentation import load_or_train_segmenter
 
     store_dir = str(tmp_path / "store")
-    ModelRegistry(store_dir).segmenter(seed=SEED, **RECIPE)
+    load_or_train_segmenter(store_dir, seed=SEED, **RECIPE)
 
     context = _spawn_context()
     barrier = context.Barrier(2)

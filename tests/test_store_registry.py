@@ -1,7 +1,8 @@
-"""Model registry: load-or-train round trips, corruption fallbacks,
+"""Load-or-train segmenter weights: round trips, corruption fallbacks,
 and the zero-training warm service start."""
 
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -11,26 +12,21 @@ from repro.core.segmentation import (
     PhonemeSegmenter,
     SegmenterConfig,
     default_segmenter,
+    load_or_train_segmenter,
     train_default_segmenter,
     training_run_count,
 )
 from repro.errors import ModelError
-from repro.store import (
-    ArtifactStore,
-    KIND_SEGMENTER,
-    ModelRegistry,
-    registry_counters,
-)
-from repro.store import adapters
+from repro.store import ArtifactStore
 
-#: Tiny training recipe shared by the registry tests; cheap to train
-#: and still exercises the full save/load format.
+#: Tiny training recipe shared by these tests; cheap to train and
+#: still exercises the full save/load format.
 RECIPE = dict(n_speakers=2, n_per_phoneme=2, epochs=2)
 
 
 @pytest.fixture()
-def registry(tmp_path):
-    return ModelRegistry(tmp_path / "store")
+def store_dir(tmp_path):
+    return tmp_path / "store"
 
 
 def make_pair(seed, n_samples=8_000):
@@ -40,17 +36,32 @@ def make_pair(seed, n_samples=8_000):
     return va, wearable
 
 
+def saved_weights(segmenter):
+    buffer = io.BytesIO()
+    segmenter.save(buffer)
+    return buffer.getvalue()
+
+
+def quarantined(store):
+    """Entries the store has moved aside."""
+    quarantine_dir = store.root / "quarantine"
+    if not quarantine_dir.is_dir():
+        return []
+    return sorted(quarantine_dir.iterdir())
+
+
 class TestSegmenterArtifact:
-    def test_first_call_trains_second_loads(self, registry):
-        first, trained = registry.segmenter(seed=31, **RECIPE)
-        assert trained
-        second, trained = registry.segmenter(seed=31, **RECIPE)
-        assert not trained
+    def test_first_call_trains_second_loads(self, store_dir):
+        before = training_run_count()
+        first = load_or_train_segmenter(store_dir, seed=31, **RECIPE)
+        assert training_run_count() == before + 1
+        second = load_or_train_segmenter(store_dir, seed=31, **RECIPE)
+        assert training_run_count() == before + 1
         assert first is not second
 
-    def test_loaded_predictions_are_bitwise_identical(self, registry):
-        trained_model, _ = registry.segmenter(seed=31, **RECIPE)
-        loaded_model, _ = registry.segmenter(seed=31, **RECIPE)
+    def test_loaded_predictions_are_bitwise_identical(self, store_dir):
+        trained_model = load_or_train_segmenter(store_dir, seed=31, **RECIPE)
+        loaded_model = load_or_train_segmenter(store_dir, seed=31, **RECIPE)
         audio = np.random.default_rng(9).normal(0.0, 0.1, 16_000)
         np.testing.assert_array_equal(
             trained_model.frame_probabilities(audio),
@@ -60,79 +71,76 @@ class TestSegmenterArtifact:
             audio
         )
 
-    def test_different_recipes_get_different_entries(self, registry):
-        registry.segmenter(seed=31, **RECIPE)
-        _, trained = registry.segmenter(seed=32, **RECIPE)
-        assert trained
-        assert len(registry.store.entries()) == 2
+    def test_different_recipes_get_different_entries(self, store_dir):
+        load_or_train_segmenter(store_dir, seed=31, **RECIPE)
+        before = training_run_count()
+        load_or_train_segmenter(store_dir, seed=32, **RECIPE)
+        assert training_run_count() == before + 1
+        assert len(ArtifactStore(store_dir).verify()) == 2
 
-    def test_store_loaded_pipeline_matches_fresh_training(self, registry):
-        loaded_a, _ = registry.segmenter(seed=31, **RECIPE)
-        loaded, _ = registry.segmenter(seed=31, **RECIPE)
+    def test_store_loaded_pipeline_matches_fresh_training(self, store_dir):
+        load_or_train_segmenter(store_dir, seed=31, **RECIPE)
+        loaded = load_or_train_segmenter(store_dir, seed=31, **RECIPE)
         fresh = train_default_segmenter(seed=31, **RECIPE)
         va, wearable = make_pair(5)
         from_store = DefensePipeline(segmenter=loaded)
         from_training = DefensePipeline(segmenter=fresh)
         for rng_seed in (0, 1, 2):
-            assert from_store.verify(
+            assert from_store.analyze(
                 va, wearable, rng=rng_seed
-            ) == from_training.verify(va, wearable, rng=rng_seed)
+            ) == from_training.analyze(va, wearable, rng=rng_seed)
 
-    def test_undecodable_entry_quarantines_and_retrains(self, registry):
-        registry.segmenter(seed=31, **RECIPE)
-        store = registry.store
-        (key,) = [info.key for info in store.entries()]
+    def test_undecodable_entry_quarantines_and_retrains(self, store_dir):
+        load_or_train_segmenter(store_dir, seed=31, **RECIPE)
+        store = ArtifactStore(store_dir)
+        ((fingerprint, _),) = store.verify()
         # Valid checksum, garbage content: the read path accepts it and
         # the decode step must fall back.
-        store.put(key, b"not an npz archive")
+        store.put(fingerprint, b"not an npz archive")
         before = training_run_count()
-        model, _ = registry.segmenter(seed=31, **RECIPE)
+        model = load_or_train_segmenter(store_dir, seed=31, **RECIPE)
         assert training_run_count() == before + 1
-        assert len(store.quarantined()) == 1
+        assert len(quarantined(store)) == 1
         audio = np.random.default_rng(9).normal(0.0, 0.1, 8_000)
         assert model.frame_probabilities(audio).shape[0] > 0
+        # The retrained weights were re-published and verify cleanly.
+        assert store.verify() == [(fingerprint, None)]
 
-    def test_checksum_corruption_retrains(self, registry):
-        registry.segmenter(seed=31, **RECIPE)
-        store = registry.store
-        (info,) = store.entries()
-        payload_path = info.path / "payload.bin"
+    def test_checksum_corruption_retrains(self, store_dir):
+        load_or_train_segmenter(store_dir, seed=31, **RECIPE)
+        store = ArtifactStore(store_dir)
+        ((fingerprint, _),) = store.verify()
+        payload_path = store.entry_dir(fingerprint) / "payload.bin"
         raw = bytearray(payload_path.read_bytes())
         raw[100] ^= 0xFF
         payload_path.write_bytes(bytes(raw))
         before = training_run_count()
-        _, trained = registry.segmenter(seed=31, **RECIPE)
-        assert trained
+        load_or_train_segmenter(store_dir, seed=31, **RECIPE)
         assert training_run_count() == before + 1
-        assert len(store.quarantined()) == 1
+        assert len(quarantined(store)) == 1
         # The retrained model was re-published and loads cleanly.
-        _, trained = registry.segmenter(seed=31, **RECIPE)
-        assert not trained
+        load_or_train_segmenter(store_dir, seed=31, **RECIPE)
+        assert training_run_count() == before + 1
 
-    def test_unusable_store_degrades_to_training(self, tmp_path):
+    def test_unusable_store_degrades_to_training(self, tmp_path, caplog):
         blocked = tmp_path / "blocked"
         blocked.write_text("a file where the store root should be")
-        registry = ModelRegistry(blocked / "store")
-        model, trained = registry.segmenter(seed=31, **RECIPE)
-        assert trained
+        before = training_run_count()
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
+            model = load_or_train_segmenter(
+                blocked / "store", seed=31, **RECIPE
+            )
+        assert training_run_count() == before + 1
+        assert "unusable" in caplog.text
         audio = np.random.default_rng(9).normal(0.0, 0.1, 8_000)
         assert model.frame_probabilities(audio).shape[0] > 0
 
-    def test_counters_track_loads_and_trainings(self, registry):
-        before = registry_counters()
-        registry.segmenter(seed=31, **RECIPE)
-        registry.segmenter(seed=31, **RECIPE)
-        after = registry_counters()
-        assert after["trained"] == before["trained"] + 1
-        assert after["loaded"] == before["loaded"] + 1
-
 
 class TestLoadWeightsValidation:
-    """Satellite: load_weights must reject foreign architectures."""
+    """load_weights must reject foreign architectures."""
 
     def trained_payload(self):
-        model = train_default_segmenter(seed=31, **RECIPE)
-        return adapters.encode_segmenter(model)
+        return saved_weights(train_default_segmenter(seed=31, **RECIPE))
 
     def test_architecture_mismatch_raises_model_error(self):
         payload = self.trained_payload()
@@ -147,11 +155,8 @@ class TestLoadWeightsValidation:
         audio = np.random.default_rng(3).normal(0.0, 0.1, 8_000)
         assert segmenter.frame_probabilities(audio).shape[0] > 0
 
-    def test_missing_feature_statistics_raise(self, tmp_path):
-        model = train_default_segmenter(seed=31, **RECIPE)
-        buffer = io.BytesIO()
-        model.save(buffer)
-        with np.load(io.BytesIO(buffer.getvalue())) as archive:
+    def test_missing_feature_statistics_raise(self):
+        with np.load(io.BytesIO(self.trained_payload())) as archive:
             arrays = {
                 name: archive[name]
                 for name in archive.files
@@ -172,7 +177,7 @@ class TestZeroTrainingWarmStart:
     # the store (not the memo) serves the warm start.
     SEED = 4711
 
-    def test_thread_service_starts_without_training(self, tmp_path):
+    def test_thread_service_starts_without_training(self, store_dir):
         from repro.serve import (
             PipelineSpec,
             ServiceConfig,
@@ -180,10 +185,9 @@ class TestZeroTrainingWarmStart:
             VerificationService,
         )
 
-        store_dir = tmp_path / "store"
-        # Populate the store out-of-band (the registry bypasses the
-        # in-process memo, so this is the only training run).
-        ModelRegistry(store_dir).segmenter(seed=self.SEED, **RECIPE)
+        # Populate the store out-of-band (load_or_train_segmenter
+        # bypasses the in-process memo, so this is the only training).
+        load_or_train_segmenter(store_dir, seed=self.SEED, **RECIPE)
         spec = PipelineSpec(
             segmenter_seed=self.SEED,
             store_dir=str(store_dir),
@@ -201,9 +205,8 @@ class TestZeroTrainingWarmStart:
         assert training_run_count() == before
         assert response.verdict is not None
 
-    def test_store_backed_verdicts_match_no_store(self, tmp_path):
+    def test_store_backed_verdicts_match_no_store(self, store_dir):
         """The store changes cost, never verdicts."""
-        store_dir = tmp_path / "store"
         va, wearable = make_pair(5)
         with_store = DefensePipeline(
             segmenter=default_segmenter(
@@ -214,6 +217,6 @@ class TestZeroTrainingWarmStart:
             segmenter=train_default_segmenter(seed=self.SEED, **RECIPE)
         )
         for rng_seed in (0, 1):
-            assert with_store.verify(
+            assert with_store.analyze(
                 va, wearable, rng=rng_seed
-            ) == fresh.verify(va, wearable, rng=rng_seed)
+            ) == fresh.analyze(va, wearable, rng=rng_seed)
