@@ -72,18 +72,19 @@ runtime-smoke:
 	$(PYTHON) -m repro loadgen --segmenter none --workers 2 \
 		--worker-mode process --requests 8 --concurrency 4 --seed 0
 
-# Red-team smoke: two tiny campaigns (~2 generations each) exercise
-# the gradient-free and surrogate-gradient attackers end to end
-# against the black-box oracle, with the second deploying the
-# randomized defenses.
+# Red-team smoke: two tiny robustness curves (~2 generations each,
+# both detector arms) exercise the gradient-free and surrogate-gradient
+# attackers end to end against the black-box oracle; the second
+# hardens with the bench's defenses, and its attackers fall back to
+# gradient-free search by budget 14.
 redteam-smoke:
-	$(PYTHON) -m repro redteam attack --mode cmaes --budget 10 \
+	$(PYTHON) -m repro redteam curve --mode cmaes --budgets 0 10 \
 		--population 1 --bands 4 --slices 2 --probe-episodes 1 \
 		--eval-episodes 4 --workers 1 --executor inline --seed 3
-	$(PYTHON) -m repro redteam attack --mode surrogate --budget 14 \
+	$(PYTHON) -m repro redteam curve --mode surrogate --budgets 0 14 \
 		--population 1 --bands 4 --slices 2 --probe-episodes 1 \
 		--eval-episodes 4 --workers 1 --executor inline --seed 3 \
-		--harden
+		--jitter 0.08 --subset-fraction 0.5
 
 # Scenario smoke: the composable channel layer and the scenario
 # registry.  The two proof packs run end to end through the evaluate

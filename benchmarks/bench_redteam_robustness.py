@@ -34,7 +34,6 @@ HARDENING = HardeningConfig(threshold_jitter=0.08, subset_fraction=0.5)
 def _run_curve():
     config = RedTeamConfig(
         mode="cmaes",
-        budget=0,  # robustness_curve drives each arm to max(BUDGETS)
         population=2,
         space=AttackSpace(n_bands=4, n_slices=2),
         n_probe_episodes=1,

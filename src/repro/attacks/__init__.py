@@ -16,6 +16,7 @@ from repro.attacks.random_attack import RandomAttack
 from repro.attacks.replay import ReplayAttack
 from repro.attacks.synthesis import VoiceSynthesisAttack
 from repro.attacks.hidden_voice import HiddenVoiceAttack
+from repro.attacks.factory import make_attack_generator
 from repro.attacks.scenario import AttackScenario, ThruBarrierChannel
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "ReplayAttack",
     "VoiceSynthesisAttack",
     "HiddenVoiceAttack",
+    "make_attack_generator",
     "AttackScenario",
     "ThruBarrierChannel",
 ]

@@ -23,10 +23,9 @@ Commands
     Checksum every entry of the segmenter weight store; exit 1 on any
     corruption.  ``serve`` and ``loadgen`` read/publish trained
     segmenters there via ``--store-dir``.
-``redteam``
-    Run adaptive-adversary campaigns (``attack``, ``curve``,
-    ``report``): budgeted optimizing attackers vs the deployed
-    detector, hardened and unhardened.
+``redteam curve``
+    Run the adaptive-adversary robustness curve: budgeted optimizing
+    attackers vs the deployed detector, hardened and unhardened.
 """
 
 from __future__ import annotations

@@ -17,11 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.attacks.base import AttackKind
-from repro.attacks.hidden_voice import HiddenVoiceAttack
-from repro.attacks.random_attack import RandomAttack
-from repro.attacks.replay import ReplayAttack
+from repro.attacks.factory import make_attack_generator
 from repro.attacks.scenario import AttackScenario
-from repro.attacks.synthesis import VoiceSynthesisAttack
 from repro.acoustics.room import RoomConfig
 from repro.core.baselines import (
     AudioDomainBaseline,
@@ -180,30 +177,6 @@ class ScoreSet:
             target = self.attacks.setdefault(kind, {})
             for detector, values in buckets.items():
                 target.setdefault(detector, []).extend(values)
-
-
-def _make_attack_generators(
-    corpus: SyntheticCorpus,
-    victim: SpeakerProfile,
-    adversary: SpeakerProfile,
-    kinds: Sequence[AttackKind],
-    rng: np.random.Generator,
-) -> Dict[AttackKind, object]:
-    generators: Dict[AttackKind, object] = {}
-    for kind in kinds:
-        if kind is AttackKind.RANDOM:
-            generators[kind] = RandomAttack(corpus, adversary)
-        elif kind is AttackKind.REPLAY:
-            generators[kind] = ReplayAttack(corpus, victim)
-        elif kind is AttackKind.SYNTHESIS:
-            generators[kind] = VoiceSynthesisAttack(
-                corpus, victim, rng=child_rng(rng, "tts")
-            )
-        elif kind is AttackKind.HIDDEN_VOICE:
-            generators[kind] = HiddenVoiceAttack(corpus)
-        else:  # pragma: no cover - future kinds
-            raise ConfigurationError(f"unsupported attack kind {kind}")
-    return generators
 
 
 @dataclass(frozen=True)
@@ -400,9 +373,20 @@ def _score_attacks(
     config: CampaignConfig,
     rng: np.random.Generator,
 ) -> None:
-    generators = _make_attack_generators(
-        corpus, victim, adversary, attack_kinds, rng
-    )
+    generators = {
+        kind: make_attack_generator(
+            kind,
+            corpus,
+            victim,
+            adversary,
+            synthesis_rng=(
+                child_rng(rng, "tts")
+                if kind is AttackKind.SYNTHESIS
+                else None
+            ),
+        )
+        for kind in attack_kinds
+    }
     for kind, generator in generators.items():
         for index in range(config.n_attacks_per_kind):
             attack = generator.generate(

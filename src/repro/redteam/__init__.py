@@ -19,7 +19,6 @@ from repro.redteam.campaign import (
     CurvePoint,
     CurveResult,
     RedTeamConfig,
-    RedTeamResult,
     RedTeamWorld,
     attack_digest_unit,
     build_defense,
@@ -29,7 +28,6 @@ from repro.redteam.campaign import (
     optimize_attacker_unit,
     resolve_threshold,
     robustness_curve,
-    run_redteam,
 )
 from repro.redteam.oracle import (
     EvaluationResult,
@@ -43,12 +41,8 @@ from repro.redteam.optimizers import (
     RandomSearchOptimizer,
     default_popsize,
     make_optimizer,
-    optimizer_from_state,
 )
-from repro.redteam.reporting import (
-    format_curve,
-    format_redteam_result,
-)
+from repro.redteam.reporting import format_curve
 from repro.redteam.space import AttackSpace
 from repro.redteam.surrogate import (
     QuadraticProxy,
@@ -74,7 +68,6 @@ __all__ = [
     "QuadraticProxy",
     "RandomSearchOptimizer",
     "RedTeamConfig",
-    "RedTeamResult",
     "RedTeamWorld",
     "ScoreOracle",
     "SurrogateConfig",
@@ -87,11 +80,8 @@ __all__ = [
     "default_popsize",
     "drive_attacker",
     "format_curve",
-    "format_redteam_result",
     "make_optimizer",
     "optimize_attacker_unit",
-    "optimizer_from_state",
     "resolve_threshold",
     "robustness_curve",
-    "run_redteam",
 ]

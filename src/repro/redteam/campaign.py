@@ -28,7 +28,6 @@ process-parallel runs produce bitwise-identical histories.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,10 +38,8 @@ from repro.attacks import (
     AttackKind,
     AttackScenario,
     AttackSound,
-    HiddenVoiceAttack,
-    RandomAttack,
-    ReplayAttack,
-    VoiceSynthesisAttack,
+    IndexedAttackMixin,
+    make_attack_generator,
 )
 from repro.core.detector import DetectorConfig
 from repro.core.hardening import HardeningConfig
@@ -53,11 +50,7 @@ from repro.eval.metrics import eer_from_scores
 from repro.eval.rooms import ROOM_A
 from repro.phonemes.commands import VA_COMMANDS, phonemize
 from repro.phonemes.corpus import SyntheticCorpus
-from repro.redteam.oracle import (
-    EvaluationResult,
-    OracleConfig,
-    ScoreOracle,
-)
+from repro.redteam.oracle import OracleConfig, ScoreOracle
 from repro.redteam.optimizers import OPTIMIZERS, make_optimizer
 from repro.redteam.space import AttackSpace
 from repro.redteam.surrogate import SurrogateGradientAttacker
@@ -70,8 +63,8 @@ ATTACKER_MODES = tuple(sorted(OPTIMIZERS)) + (
     SurrogateGradientAttacker.name,
 )
 
-#: Default randomized-defense arm used when the caller does not supply
-#: one: mild threshold jitter plus a 60 % per-session phoneme subset.
+#: Default randomized defenses of the hardened arm: mild threshold
+#: jitter plus a 60 % per-session phoneme subset.
 DEFAULT_HARDENING = HardeningConfig(
     threshold_jitter=0.04, subset_fraction=0.6
 )
@@ -95,8 +88,6 @@ class RedTeamConfig:
     mode:
         Attacker: ``cmaes`` / ``random`` (gradient-free) or
         ``surrogate`` (proxy ascent with gradient-free fallback).
-    budget:
-        Oracle queries each population member may spend.
     population:
         Independent attacker restarts (best-of-population wins).
     attack_kind:
@@ -116,14 +107,13 @@ class RedTeamConfig:
     threshold:
         Detector threshold; ``None`` calibrates at the EER point.
     hardening:
-        Randomized defenses of the deployed detector (``None`` = the
-        paper's deterministic detector).
+        Randomized defenses of the hardened arm's detector; the
+        unhardened arm deploys the paper's deterministic detector.
     executor / n_workers:
         Runtime placement of the attacker population.
     """
 
     mode: str = "cmaes"
-    budget: int = 120
     population: int = 2
     attack_kind: AttackKind = AttackKind.REPLAY
     command: Optional[str] = None
@@ -134,7 +124,7 @@ class RedTeamConfig:
     n_calibration_reps: int = 6
     seed: int = 0
     threshold: Optional[float] = None
-    hardening: Optional[HardeningConfig] = None
+    hardening: HardeningConfig = DEFAULT_HARDENING
     executor: str = "process"
     n_workers: int = 2
 
@@ -144,8 +134,6 @@ class RedTeamConfig:
                 f"mode must be one of {ATTACKER_MODES}, "
                 f"got {self.mode!r}"
             )
-        if self.budget < 0:
-            raise ConfigurationError("budget must be >= 0")
         if self.population < 1:
             raise ConfigurationError("population must be >= 1")
         if self.n_eval_episodes < 1 or self.n_calibration_reps < 1:
@@ -166,6 +154,26 @@ class RedTeamWorld:
     command: str
 
 
+def _attack_generator(
+    seed: int, kind: AttackKind
+) -> Tuple[SyntheticCorpus, IndexedAttackMixin]:
+    """The campaign corpus and its ``kind`` generator, from ``seed``.
+
+    Speaker 0 is the victim and speaker 1 the adversary.
+    """
+    corpus = SyntheticCorpus(
+        n_speakers=4, seed=derive_seed(seed, "redteam-corpus")
+    )
+    generator = make_attack_generator(
+        kind,
+        corpus,
+        victim=corpus.speakers[0],
+        adversary=corpus.speakers[1],
+        synthesis_rng=derive_seed(seed, "redteam-synth"),
+    )
+    return corpus, generator
+
+
 def build_world(config: RedTeamConfig) -> RedTeamWorld:
     """Materialize the campaign scenario from the config seed.
 
@@ -173,25 +181,10 @@ def build_world(config: RedTeamConfig) -> RedTeamWorld:
     (``generate_indexed(seed, 0)``), so every worker process rebuilds
     bitwise the same waveform.
     """
-    corpus = SyntheticCorpus(
-        n_speakers=4, seed=derive_seed(config.seed, "redteam-corpus")
+    corpus, generator = _attack_generator(
+        config.seed, config.attack_kind
     )
-    victim = corpus.speakers[0]
-    adversary = corpus.speakers[1]
     command = config.command or VA_COMMANDS[0]
-    kind = config.attack_kind
-    if kind == AttackKind.REPLAY:
-        generator = ReplayAttack(corpus, victim)
-    elif kind == AttackKind.RANDOM:
-        generator = RandomAttack(corpus, adversary)
-    elif kind == AttackKind.SYNTHESIS:
-        generator = VoiceSynthesisAttack(
-            corpus,
-            victim,
-            rng=derive_seed(config.seed, "redteam-synth"),
-        )
-    else:
-        generator = HiddenVoiceAttack(corpus)
     attack = generator.generate_indexed(
         config.seed, 0, command=command
     )
@@ -311,11 +304,18 @@ def calibrate_detector(config: RedTeamConfig) -> CalibrationOutcome:
 
 @dataclass(frozen=True)
 class AttackerUnit:
-    """One population member's work order (picklable)."""
+    """One population member's work order (picklable).
+
+    ``budget`` is the oracle queries the member may spend and
+    ``hardening`` its arm's randomized defenses (``None`` for the
+    unhardened arm).
+    """
 
     config: RedTeamConfig
     member: int
     threshold: float
+    budget: int
+    hardening: Optional[HardeningConfig]
 
 
 @dataclass
@@ -331,7 +331,6 @@ class AttackerRun:
     mode: str
     history: List[Tuple[List[float], float]]
     queries_used: int
-    optimizer_state: Optional[Dict[str, object]] = None
     fell_back: bool = False
 
     @property
@@ -364,18 +363,15 @@ def drive_attacker(
     oracle: ScoreOracle,
     budget: int,
     seed: int,
-) -> Tuple[
-    List[Tuple[List[float], float]], Optional[Dict[str, object]], bool
-]:
+) -> Tuple[List[Tuple[List[float], float]], bool]:
     """Spend ``budget`` oracle queries under the requested mode.
 
-    Returns the per-query history, the final optimizer checkpoint (for
-    the ask/tell modes, when one can be taken), and whether the
-    surrogate mode fell back to gradient-free search.
+    Returns the per-query history and whether the surrogate mode fell
+    back to gradient-free search.
     """
     history: List[Tuple[List[float], float]] = []
     if budget <= 0:
-        return history, None, False
+        return history, False
     if mode == SurrogateGradientAttacker.name:
         attacker = SurrogateGradientAttacker(space, seed=seed)
         attacker.run(oracle, budget)
@@ -383,7 +379,7 @@ def drive_attacker(
             (theta.tolist(), score)
             for theta, score in attacker.history
         ]
-        return history, None, attacker.trace.fell_back
+        return history, attacker.trace.fell_back
 
     optimizer = make_optimizer(mode, space, seed=seed)
     while (oracle.queries_remaining or 0) > 0:
@@ -397,17 +393,14 @@ def drive_attacker(
         if len(take) < len(candidates):
             break  # Budget truncated the generation mid-ask.
         optimizer.tell(candidates, scores)
-    state = (
-        optimizer.to_state() if optimizer.can_checkpoint else None
-    )
-    return history, state, False
+    return history, False
 
 
 def optimize_attacker_unit(unit: AttackerUnit) -> AttackerRun:
     """Run one population member against its deployed detector arm."""
     config = unit.config
     world = build_world(config)
-    pipeline = build_defense(unit.threshold, config.hardening)
+    pipeline = build_defense(unit.threshold, unit.hardening)
     member_seed = derive_seed(
         config.seed, "redteam-member", config.mode, unit.member
     )
@@ -419,19 +412,18 @@ def optimize_attacker_unit(unit: AttackerUnit) -> AttackerRun:
         OracleConfig(
             spl_db=config.spl_db,
             n_probe_episodes=config.n_probe_episodes,
-            budget=config.budget,
+            budget=unit.budget,
             seed=member_seed,
         ),
     )
-    history, state, fell_back = drive_attacker(
-        config.mode, config.space, oracle, config.budget, member_seed
+    history, fell_back = drive_attacker(
+        config.mode, config.space, oracle, unit.budget, member_seed
     )
     return AttackerRun(
         member=unit.member,
         mode=config.mode,
         history=history,
         queries_used=oracle.queries_used,
-        optimizer_state=state,
         fell_back=fell_back,
     )
 
@@ -448,22 +440,7 @@ def attack_digest_unit(
     runtimes and require bitwise-identical answers.
     """
     seed, kind_value, index, command = payload
-    corpus = SyntheticCorpus(
-        n_speakers=4, seed=derive_seed(seed, "redteam-corpus")
-    )
-    kind = AttackKind(kind_value)
-    if kind == AttackKind.REPLAY:
-        generator = ReplayAttack(corpus, corpus.speakers[0])
-    elif kind == AttackKind.RANDOM:
-        generator = RandomAttack(corpus, corpus.speakers[1])
-    elif kind == AttackKind.SYNTHESIS:
-        generator = VoiceSynthesisAttack(
-            corpus,
-            corpus.speakers[0],
-            rng=derive_seed(seed, "redteam-synth"),
-        )
-    else:
-        generator = HiddenVoiceAttack(corpus)
+    _, generator = _attack_generator(seed, AttackKind(kind_value))
     attack = generator.generate_indexed(seed, index, command=command)
     return hashlib.sha256(
         np.ascontiguousarray(attack.waveform, dtype=np.float64).tobytes()
@@ -488,55 +465,6 @@ def _run_population(
 # ----------------------------------------------------------------------
 # Campaign entry points
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class RedTeamResult:
-    """Outcome of :func:`run_redteam` (one arm, one budget)."""
-
-    config: RedTeamConfig
-    threshold: float
-    runs: List[AttackerRun]
-    best_member: int
-    best_params: np.ndarray
-    best_probe_score: float
-    static_eval: EvaluationResult
-    optimized_eval: EvaluationResult
-
-    @property
-    def advantage(self) -> float:
-        """Optimized minus static attack success rate (fresh sessions)."""
-        return (
-            self.optimized_eval.success_rate
-            - self.static_eval.success_rate
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe summary (CLI ``--save`` / ``redteam report``)."""
-        return {
-            "kind": "redteam-attack",
-            "mode": self.config.mode,
-            "attack_kind": self.config.attack_kind.value,
-            "budget": self.config.budget,
-            "population": self.config.population,
-            "seed": self.config.seed,
-            "spl_db": self.config.spl_db,
-            "hardened": self.config.hardening is not None,
-            "threshold": self.threshold,
-            "space": self.config.space.to_dict(),
-            "best_member": self.best_member,
-            "best_params": self.best_params.tolist(),
-            "best_probe_score": self.best_probe_score,
-            "static_success_rate": self.static_eval.success_rate,
-            "optimized_success_rate": self.optimized_eval.success_rate,
-            "static_mean_score": self.static_eval.mean_score,
-            "optimized_mean_score": self.optimized_eval.mean_score,
-            "advantage": self.advantage,
-            "queries_used": [run.queries_used for run in self.runs],
-            "optimizer_states": [
-                run.optimizer_state for run in self.runs
-            ],
-        }
 
 
 def _evaluation_oracle(
@@ -566,50 +494,6 @@ def resolve_threshold(config: RedTeamConfig) -> float:
     return calibrate_detector(config).threshold
 
 
-def run_redteam(config: RedTeamConfig) -> RedTeamResult:
-    """One full red-team attack: optimize, then evaluate held-out."""
-    threshold = resolve_threshold(config)
-    world = build_world(config)
-    units = [
-        AttackerUnit(config=config, member=member, threshold=threshold)
-        for member in range(config.population)
-    ]
-    runs = _run_population(units, config.executor, config.n_workers)
-
-    best_member, best_params, best_probe = 0, config.space.identity(), None
-    for run in runs:
-        theta, score = run.best_at_budget(config.space, config.budget)
-        if score is not None and (
-            best_probe is None or score > best_probe
-        ):
-            best_member, best_params, best_probe = (
-                run.member,
-                theta,
-                score,
-            )
-
-    deployed = build_defense(threshold, config.hardening)
-    oracle = _evaluation_oracle(config, world, deployed)
-    static_eval = oracle.evaluate(
-        config.space.identity(), config.n_eval_episodes
-    )
-    optimized_eval = oracle.evaluate(
-        best_params, config.n_eval_episodes
-    )
-    return RedTeamResult(
-        config=config,
-        threshold=threshold,
-        runs=runs,
-        best_member=best_member,
-        best_params=best_params,
-        best_probe_score=(
-            float("nan") if best_probe is None else best_probe
-        ),
-        static_eval=static_eval,
-        optimized_eval=optimized_eval,
-    )
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     """One (arm, budget) cell of the robustness curve."""
@@ -621,26 +505,20 @@ class CurvePoint:
     detection_rate: float
     success_rate: float
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "arm": self.arm,
-            "budget": self.budget,
-            "probe_score": self.probe_score,
-            "mean_score": self.mean_score,
-            "detection_rate": self.detection_rate,
-            "success_rate": self.success_rate,
-        }
-
 
 @dataclass
 class CurveResult:
-    """Budget-vs-detection-rate curves, hardened vs unhardened."""
+    """Budget-vs-detection-rate curves, hardened vs unhardened.
+
+    ``fell_back`` counts, per arm, the population members whose
+    surrogate attacker fell back to gradient-free search.
+    """
 
     config: RedTeamConfig
     threshold: float
-    hardening: HardeningConfig
     budgets: Tuple[int, ...]
     points: List[CurvePoint]
+    fell_back: Dict[str, int]
 
     def arm_points(self, arm: str) -> List[CurvePoint]:
         """This arm's cells in ascending budget order."""
@@ -660,28 +538,6 @@ class CurveResult:
         cells = self.arm_points(arm)
         static = cells[0].success_rate  # Budget 0 row.
         return max(point.success_rate for point in cells) - static
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe summary (CLI ``--save`` / ``redteam report``)."""
-        return {
-            "kind": "redteam-curve",
-            "mode": self.config.mode,
-            "attack_kind": self.config.attack_kind.value,
-            "population": self.config.population,
-            "seed": self.config.seed,
-            "spl_db": self.config.spl_db,
-            "threshold": self.threshold,
-            "space": self.config.space.to_dict(),
-            "hardening": {
-                "threshold_jitter": self.hardening.threshold_jitter,
-                "subset_fraction": self.hardening.subset_fraction,
-                "min_subset": self.hardening.min_subset,
-            },
-            "budgets": list(self.budgets),
-            "points": [point.to_dict() for point in self.points],
-            "advantage_unhardened": self.advantage("unhardened"),
-            "advantage_hardened": self.advantage("hardened"),
-        }
 
 
 def robustness_curve(
@@ -704,32 +560,33 @@ def robustness_curve(
     max_budget = budgets[-1]
 
     threshold = resolve_threshold(config)
-    hardening = config.hardening or DEFAULT_HARDENING
     arms: List[Tuple[str, Optional[HardeningConfig]]] = [
         ("unhardened", None),
-        ("hardened", hardening),
+        ("hardened", config.hardening),
     ]
-    units: List[AttackerUnit] = []
-    for _, arm_hardening in arms:
-        arm_config = dataclasses.replace(
-            config, budget=max_budget, hardening=arm_hardening
+    units = [
+        AttackerUnit(
+            config=config,
+            member=member,
+            threshold=threshold,
+            budget=max_budget,
+            hardening=arm_hardening,
         )
-        units.extend(
-            AttackerUnit(
-                config=arm_config, member=member, threshold=threshold
-            )
-            for member in range(config.population)
-        )
+        for _, arm_hardening in arms
+        for member in range(config.population)
+    ]
     runs = _run_population(units, config.executor, config.n_workers)
 
     world = build_world(config)
     points: List[CurvePoint] = []
+    fell_back: Dict[str, int] = {}
     for arm_index, (arm, arm_hardening) in enumerate(arms):
         arm_runs = runs[
             arm_index
             * config.population : (arm_index + 1)
             * config.population
         ]
+        fell_back[arm] = sum(run.fell_back for run in arm_runs)
         deployed = build_defense(threshold, arm_hardening)
         oracle = _evaluation_oracle(config, world, deployed)
         for budget in budgets:
@@ -756,7 +613,7 @@ def robustness_curve(
     return CurveResult(
         config=config,
         threshold=threshold,
-        hardening=hardening,
         budgets=budgets,
         points=points,
+        fell_back=fell_back,
     )

@@ -2,26 +2,28 @@
 
 Subcommands
 -----------
-``attack``
-    Run one optimizing-attacker campaign against the deployed detector
-    (hardened with ``--harden``) and print the static-vs-optimized
-    comparison on held-out episodes.
 ``curve``
     Run both detector arms across a budget grid and print the
     budget-vs-detection-rate robustness table (the headline artifact:
     how much query budget buys the attacker, and how much the
     randomized defenses claw back).
-``report``
-    Pretty-print a JSON summary previously written with ``--save``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-from typing import Optional
 
+from repro.attacks import AttackKind
+from repro.core.hardening import HardeningConfig
 from repro.errors import ConfigurationError
+from repro.redteam.campaign import (
+    ATTACKER_MODES,
+    DEFAULT_HARDENING,
+    RedTeamConfig,
+    robustness_curve,
+)
+from repro.redteam.reporting import format_curve
+from repro.redteam.space import AttackSpace
 
 
 def add_redteam_parser(subparsers) -> None:
@@ -29,65 +31,76 @@ def add_redteam_parser(subparsers) -> None:
     redteam = subparsers.add_parser(
         "redteam", help="adaptive-adversary optimization campaigns"
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--mode", choices=["cmaes", "random", "surrogate"],
-        default="cmaes",
+    actions = redteam.add_subparsers(
+        dest="redteam_command", required=True
+    )
+    curve = actions.add_parser(
+        "curve", help="budget-vs-detection robustness table, both arms"
+    )
+    curve.add_argument(
+        "--mode", choices=ATTACKER_MODES, default="cmaes",
         help=(
             "attacker: cmaes / random (gradient-free) or surrogate "
             "(differentiable proxy with gradient-free fallback)"
         ),
     )
-    common.add_argument(
+    curve.add_argument(
         "--attack", dest="attack_kind",
         choices=["random", "replay", "synthesis", "hidden_voice"],
         default="replay",
         help="static attack the adversary starts from",
     )
-    common.add_argument(
+    curve.add_argument(
+        "--budgets", type=int, nargs="+",
+        default=[0, 20, 60, 120],
+        help="query-budget grid (0 = static attack, always included)",
+    )
+    curve.add_argument(
         "--population", type=int, default=2,
         help="independent attacker restarts (best one wins)",
     )
-    common.add_argument(
+    curve.add_argument(
         "--spl", type=float, default=85.0, metavar="DB",
         help="attack playback level behind the barrier",
     )
-    common.add_argument(
+    curve.add_argument(
         "--bands", type=int, default=8,
         help="spectral-envelope bands in the attack space",
     )
-    common.add_argument(
+    curve.add_argument(
         "--slices", type=int, default=4,
         help="temporal slices in the attack space",
     )
-    common.add_argument(
+    curve.add_argument(
         "--probe-episodes", type=int, default=2,
         help="common-random-number episodes averaged per oracle query",
     )
-    common.add_argument(
+    curve.add_argument(
         "--eval-episodes", type=int, default=24,
         help="held-out episodes per evaluation point",
     )
-    common.add_argument(
+    curve.add_argument(
         "--threshold", type=float, default=None,
         help="detector threshold (default: EER calibration)",
     )
-    common.add_argument(
-        "--jitter", type=float, default=0.04, metavar="J",
+    curve.add_argument(
+        "--jitter", type=float,
+        default=DEFAULT_HARDENING.threshold_jitter, metavar="J",
         help="hardened arm: per-session threshold jitter (+-J)",
     )
-    common.add_argument(
-        "--subset-fraction", type=float, default=0.6, metavar="F",
+    curve.add_argument(
+        "--subset-fraction", type=float,
+        default=DEFAULT_HARDENING.subset_fraction, metavar="F",
         help="hardened arm: per-session sensitive-phoneme fraction",
     )
-    common.add_argument(
+    curve.add_argument(
         "--workers", type=int, default=2,
         help=(
             "worker processes for the attacker population "
             "(results are identical for any count)"
         ),
     )
-    common.add_argument(
+    curve.add_argument(
         "--executor", choices=["process", "thread", "inline"],
         default="process",
         help=(
@@ -95,173 +108,34 @@ def add_redteam_parser(subparsers) -> None:
             "(results are identical for any kind)"
         ),
     )
-    common.add_argument(
-        "--save", default=None, metavar="FILE",
-        help="also write a JSON summary for `repro redteam report`",
-    )
-    common.add_argument("--seed", type=int, default=0)
-    actions = redteam.add_subparsers(
-        dest="redteam_command", required=True
-    )
-
-    attack = actions.add_parser(
-        "attack",
-        help="one optimizing-attacker campaign vs the deployed arm",
-        parents=[common],
-    )
-    attack.add_argument(
-        "--budget", type=int, default=120,
-        help="oracle queries each population member may spend",
-    )
-    attack.add_argument(
-        "--harden", action="store_true",
-        help="deploy the randomized defenses (default: paper detector)",
-    )
-
-    curve = actions.add_parser(
-        "curve",
-        help="budget-vs-detection robustness table, both arms",
-        parents=[common],
-    )
-    curve.add_argument(
-        "--budgets", type=int, nargs="+",
-        default=[0, 20, 60, 120],
-        help="query-budget grid (0 = static attack, always included)",
-    )
-
-    report = actions.add_parser(
-        "report", help="pretty-print a saved campaign JSON"
-    )
-    report.add_argument("file", help="JSON written with --save")
-
-
-def _build_config(
-    args: argparse.Namespace, budget: int, hardened: bool
-):
-    from repro.attacks import AttackKind
-    from repro.core.hardening import HardeningConfig
-    from repro.redteam.campaign import AttackSpace, RedTeamConfig
-
-    hardening = None
-    if hardened:
-        hardening = HardeningConfig(
-            threshold_jitter=args.jitter,
-            subset_fraction=args.subset_fraction,
-        )
-    return RedTeamConfig(
-        mode=args.mode,
-        budget=budget,
-        population=args.population,
-        attack_kind=AttackKind(args.attack_kind),
-        spl_db=args.spl,
-        space=AttackSpace(n_bands=args.bands, n_slices=args.slices),
-        n_probe_episodes=args.probe_episodes,
-        n_eval_episodes=args.eval_episodes,
-        seed=args.seed,
-        threshold=args.threshold,
-        hardening=hardening,
-        executor=args.executor,
-        n_workers=max(args.workers, 1),
-    )
-
-
-def _save(payload, path: Optional[str]) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-    print(f"saved JSON summary to {path}")
-
-
-def _cmd_attack(args: argparse.Namespace) -> int:
-    from repro.redteam.campaign import run_redteam
-    from repro.redteam.reporting import format_redteam_result
-
-    config = _build_config(args, args.budget, args.harden)
-    print(
-        f"Running {config.population} {config.mode} attacker(s), "
-        f"budget {config.budget} (this simulates "
-        f"~{config.population * config.budget} barrier episodes)..."
-    )
-    result = run_redteam(config)
-    print(format_redteam_result(result))
-    _save(result.to_dict(), args.save)
-    return 0
-
-
-def _cmd_curve(args: argparse.Namespace) -> int:
-    from repro.redteam.campaign import robustness_curve
-    from repro.redteam.reporting import format_curve
-
-    config = _build_config(args, max(args.budgets), hardened=False)
-    print(
-        f"Running both arms x {config.population} {config.mode} "
-        f"attacker(s) to budget {max(args.budgets)}..."
-    )
-    result = robustness_curve(config, args.budgets)
-    print(format_curve(result))
-    _save(result.to_dict(), args.save)
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as error:
-        raise SystemExit(f"error: cannot read {args.file}: {error}") from None
-    except json.JSONDecodeError as error:
-        raise SystemExit(f"error: {args.file} is not JSON: {error}") from None
-    kind = payload.get("kind")
-    if kind == "redteam-attack":
-        print(
-            f"redteam attack: mode={payload['mode']} "
-            f"kind={payload['attack_kind']} "
-            f"budget={payload['budget']} seed={payload['seed']} "
-            f"{'hardened' if payload['hardened'] else 'unhardened'}"
-        )
-        print(
-            f"threshold {payload['threshold']:.4f}; static success "
-            f"{payload['static_success_rate'] * 100:.1f}% -> optimized "
-            f"{payload['optimized_success_rate'] * 100:.1f}% "
-            f"(advantage {payload['advantage'] * 100:.1f}%)"
-        )
-        print(f"best θ: {payload['best_params']}")
-        return 0
-    if kind == "redteam-curve":
-        print(
-            f"redteam curve: mode={payload['mode']} "
-            f"kind={payload['attack_kind']} seed={payload['seed']}"
-        )
-        header = (
-            f"{'arm':12} {'budget':>6} {'detect':>8} {'success':>8}"
-        )
-        print(header)
-        for point in payload["points"]:
-            print(
-                f"{point['arm']:12} {point['budget']:>6} "
-                f"{point['detection_rate'] * 100:>7.1f}% "
-                f"{point['success_rate'] * 100:>7.1f}%"
-            )
-        print(
-            "advantage: unhardened "
-            f"{payload['advantage_unhardened'] * 100:.1f}%, hardened "
-            f"{payload['advantage_hardened'] * 100:.1f}%"
-        )
-        return 0
-    raise SystemExit(
-        f"error: {args.file} is not a redteam summary (kind={kind!r})"
-    )
+    curve.add_argument("--seed", type=int, default=0)
 
 
 def cmd_redteam(args: argparse.Namespace) -> int:
-    """Dispatch one ``redteam`` subcommand; returns the exit code."""
-    handlers = {
-        "attack": _cmd_attack,
-        "curve": _cmd_curve,
-        "report": _cmd_report,
-    }
+    """Run ``redteam curve`` and print its table; returns the exit code."""
     try:
-        return handlers[args.redteam_command](args)
+        config = RedTeamConfig(
+            mode=args.mode,
+            population=args.population,
+            attack_kind=AttackKind(args.attack_kind),
+            spl_db=args.spl,
+            space=AttackSpace(n_bands=args.bands, n_slices=args.slices),
+            n_probe_episodes=args.probe_episodes,
+            n_eval_episodes=args.eval_episodes,
+            seed=args.seed,
+            threshold=args.threshold,
+            hardening=HardeningConfig(
+                threshold_jitter=args.jitter,
+                subset_fraction=args.subset_fraction,
+            ),
+            executor=args.executor,
+            n_workers=max(args.workers, 1),
+        )
+        print(
+            f"Running both arms x {config.population} {config.mode} "
+            f"attacker(s) to budget {max(args.budgets)}..."
+        )
+        print(format_curve(robustness_curve(config, args.budgets)))
     except ConfigurationError as error:
         raise SystemExit(f"error: {error}") from None
+    return 0

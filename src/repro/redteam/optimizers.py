@@ -6,12 +6,11 @@ generation of candidate θ vectors (clipped into the attack-space box),
 driver loop (:mod:`repro.redteam.campaign`) owns the oracle and the
 budget; the optimizers own only search state.
 
-Determinism and checkpointing are structural, not bolted on: every
-random draw comes from a generator derived from
-``(seed, "gen", generation)``, so the candidate stream is a pure
-function of the optimizer's JSON-safe state dict.  ``to_state`` /
-``from_state`` round-trip mid-run and the continued run is bitwise
-identical to an uninterrupted one.
+Determinism is structural: every random draw comes from a generator
+derived from ``(seed, name, "gen", generation)``, so the candidate
+stream is a pure function of the seed and the answers told so far.
+Two optimizers with the same seed, told the same scores, propose
+bitwise-identical generations, in any process.
 
 :class:`CmaEsOptimizer` is a compact numpy implementation of the
 standard (μ/μ_w, λ)-CMA-ES (Hansen's tutorial parameterization):
@@ -23,7 +22,7 @@ has none to offer.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from repro.utils.rng import derive_seed
 class Optimizer:
     """Ask/tell optimizer over an :class:`AttackSpace` (maximizing)."""
 
-    #: Registry name used by configs, checkpoints, and the CLI.
+    #: Registry name used by configs and the CLI.
     name: str = "optimizer"
 
     def __init__(self, space: AttackSpace, seed: int = 0) -> None:
@@ -67,49 +66,16 @@ class Optimizer:
                 self.best_params = np.array(candidate, dtype=np.float64)
         self.generation += 1
 
-    @property
-    def can_checkpoint(self) -> bool:
-        """Whether the optimizer is between generations.
-
-        CMA-ES cannot snapshot between ``ask`` and ``tell`` (the
-        proposals are in flight); the driver checks here before calling
-        :meth:`to_state` after a partial, budget-truncated generation.
-        """
-        return getattr(self, "_pending", None) is None
-
     def _generation_rng(self) -> np.random.Generator:
         """The draw stream of the *current* generation.
 
-        Keyed on ``(seed, "gen", generation)`` so resuming from a
-        checkpoint replays the exact candidate sequence an
-        uninterrupted run would produce.
+        Keyed on ``(seed, name, "gen", generation)``, never on shared
+        generator state, so the candidate sequence depends only on the
+        seed and the scores told.
         """
         return np.random.default_rng(
             derive_seed(self.seed, self.name, "gen", self.generation)
         )
-
-    # -- checkpointing -------------------------------------------------
-
-    def to_state(self) -> Dict[str, object]:
-        """JSON-safe snapshot of the search state."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "space": self.space.to_dict(),
-            "generation": self.generation,
-            "best_params": self.best_params.tolist(),
-            "best_score": (
-                None if math.isinf(self.best_score) else self.best_score
-            ),
-        }
-
-    def _restore_base(self, state: Dict[str, object]) -> None:
-        self.generation = int(state["generation"])
-        self.best_params = np.asarray(
-            state["best_params"], dtype=np.float64
-        )
-        best = state["best_score"]
-        self.best_score = -math.inf if best is None else float(best)
 
 
 class RandomSearchOptimizer(Optimizer):
@@ -141,31 +107,13 @@ class RandomSearchOptimizer(Optimizer):
         rng = self._generation_rng()
         return [self.space.random(rng) for _ in range(self.popsize)]
 
-    def to_state(self) -> Dict[str, object]:
-        state = super().to_state()
-        state["popsize"] = self.popsize
-        return state
-
-    @classmethod
-    def from_state(
-        cls, state: Dict[str, object]
-    ) -> "RandomSearchOptimizer":
-        optimizer = cls(
-            AttackSpace.from_dict(dict(state["space"])),
-            seed=int(state["seed"]),
-            popsize=int(state["popsize"]),
-        )
-        optimizer._restore_base(state)
-        return optimizer
-
 
 class CmaEsOptimizer(Optimizer):
     """(μ/μ_w, λ)-CMA-ES restricted to the attack-space box.
 
     Maximizes the oracle score; proposals outside the box are clipped
     (the box is generous relative to the search scale, so clipping
-    bias stays negligible).  All state — mean, step size, covariance,
-    evolution paths — serializes to a JSON-safe dict.
+    bias stays negligible).
     """
 
     name = "cmaes"
@@ -320,44 +268,6 @@ class CmaEsOptimizer(Optimizer):
         self._pending = None
         super().tell(candidates, scores)
 
-    # -- checkpointing -------------------------------------------------
-
-    def to_state(self) -> Dict[str, object]:
-        if self._pending is not None:
-            raise ConfigurationError(
-                "cannot checkpoint between ask and tell; finish the "
-                "generation first"
-            )
-        state = super().to_state()
-        state.update(
-            popsize=self.popsize,
-            sigma=self.sigma,
-            mean=self.mean.tolist(),
-            cov=self.cov.tolist(),
-            path_sigma=self.path_sigma.tolist(),
-            path_cov=self.path_cov.tolist(),
-        )
-        return state
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "CmaEsOptimizer":
-        optimizer = cls(
-            AttackSpace.from_dict(dict(state["space"])),
-            seed=int(state["seed"]),
-            popsize=int(state["popsize"]),
-        )
-        optimizer._restore_base(state)
-        optimizer.sigma = float(state["sigma"])
-        optimizer.mean = np.asarray(state["mean"], dtype=np.float64)
-        optimizer.cov = np.asarray(state["cov"], dtype=np.float64)
-        optimizer.path_sigma = np.asarray(
-            state["path_sigma"], dtype=np.float64
-        )
-        optimizer.path_cov = np.asarray(
-            state["path_cov"], dtype=np.float64
-        )
-        return optimizer
-
 
 #: Optimizer registry: config/CLI mode name → class.
 OPTIMIZERS = {
@@ -383,15 +293,3 @@ def make_optimizer(
             f"choose from {sorted(OPTIMIZERS)}"
         ) from None
     return factory(space, seed=seed)
-
-
-def optimizer_from_state(state: Dict[str, object]) -> Optimizer:
-    """Rebuild any registered optimizer from its checkpoint dict."""
-    name = str(state.get("name"))
-    try:
-        factory = OPTIMIZERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"checkpoint names unknown optimizer {name!r}"
-        ) from None
-    return factory.from_state(state)

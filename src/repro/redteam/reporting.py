@@ -1,79 +1,21 @@
-"""Plain-text reports for red-team campaigns and robustness curves."""
+"""Plain-text report of a red-team robustness curve."""
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 from repro.eval.reporting import format_table
-from repro.redteam.campaign import CurveResult, RedTeamResult
+from repro.redteam.campaign import CurveResult
 
 
 def _rate(value: float) -> str:
     return f"{value * 100:.1f}%"
 
 
-def format_redteam_result(result: RedTeamResult) -> str:
-    """Render one :func:`~repro.redteam.campaign.run_redteam` outcome."""
-    config = result.config
-    arm = "hardened" if config.hardening is not None else "unhardened"
-    lines = [
-        (
-            f"redteam attack: mode={config.mode} "
-            f"kind={config.attack_kind.value} arm={arm} "
-            f"budget={config.budget} population={config.population} "
-            f"seed={config.seed}"
-        ),
-        (
-            f"deployed threshold {result.threshold:.4f}, attack SPL "
-            f"{config.spl_db:.0f} dB, {config.n_eval_episodes} held-out "
-            f"eval episodes"
-        ),
-    ]
-    rows = [
-        (
-            "static (θ=0)",
-            "-",
-            f"{result.static_eval.mean_score:.4f}",
-            _rate(result.static_eval.detection_rate),
-            _rate(result.static_eval.success_rate),
-        ),
-        (
-            f"optimized (member {result.best_member})",
-            (
-                "-"
-                if math.isnan(result.best_probe_score)
-                else f"{result.best_probe_score:.4f}"
-            ),
-            f"{result.optimized_eval.mean_score:.4f}",
-            _rate(result.optimized_eval.detection_rate),
-            _rate(result.optimized_eval.success_rate),
-        ),
-    ]
-    lines.append(
-        format_table(
-            ["attack", "probe score", "eval score", "detected", "success"],
-            rows,
-        )
-    )
-    lines.append(
-        f"attacker advantage: {_rate(result.advantage)} "
-        f"(optimized - static success rate)"
-    )
-    fell_back = [run.member for run in result.runs if run.fell_back]
-    if fell_back:
-        lines.append(
-            "surrogate fell back to gradient-free for member(s) "
-            + ", ".join(str(member) for member in fell_back)
-        )
-    lines.append("best θ: " + config.space.describe(result.best_params))
-    return "\n".join(lines)
-
-
 def format_curve(result: CurveResult) -> str:
     """Render a robustness curve: budget vs detection, both arms."""
     config = result.config
-    hardening = result.hardening
+    hardening = config.hardening
     lines = [
         (
             f"redteam robustness curve: mode={config.mode} "
@@ -123,4 +65,12 @@ def format_curve(result: CurveResult) -> str:
         f"unhardened {_rate(result.advantage('unhardened'))}, "
         f"hardened {_rate(result.advantage('hardened'))}"
     )
+    if any(result.fell_back.values()):
+        lines.append(
+            "surrogate fell back to gradient-free search: "
+            + ", ".join(
+                f"{arm} {count} of {config.population} members"
+                for arm, count in result.fell_back.items()
+            )
+        )
     return "\n".join(lines)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -210,30 +209,3 @@ class AttackSpace:
             )
             return f"bands[{bands}] slices[{slices}]"
         return f"bands[{bands}]"
-
-    # ------------------------------------------------------------------
-    # Checkpoint plumbing
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe config (checkpoint and report headers)."""
-        return {
-            "n_bands": self.n_bands,
-            "band_low_hz": self.band_low_hz,
-            "band_high_hz": self.band_high_hz,
-            "max_band_gain_db": self.max_band_gain_db,
-            "n_slices": self.n_slices,
-            "max_slice_gain_db": self.max_slice_gain_db,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "AttackSpace":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            n_bands=int(payload["n_bands"]),
-            band_low_hz=float(payload["band_low_hz"]),
-            band_high_hz=float(payload["band_high_hz"]),
-            max_band_gain_db=float(payload["max_band_gain_db"]),
-            n_slices=int(payload["n_slices"]),
-            max_slice_gain_db=float(payload["max_slice_gain_db"]),
-        )

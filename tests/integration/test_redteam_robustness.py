@@ -25,7 +25,6 @@ BUDGET = 10
 def _config():
     return RedTeamConfig(
         mode="random",
-        budget=0,  # robustness_curve overrides per arm
         population=1,
         space=SPACE,
         n_probe_episodes=1,
@@ -68,12 +67,6 @@ def test_optimizer_beats_static_and_hardening_reduces_advantage():
         for point in points:
             assert 0.0 <= point.detection_rate <= 1.0
             assert point.success_rate == 1.0 - point.detection_rate
-
-    # The curve is reproducible: a JSON round-trip keeps the numbers.
-    payload = curve.to_dict()
-    assert payload["kind"] == "redteam-curve"
-    assert payload["advantage_unhardened"] == unhardened_advantage
-    assert len(payload["points"]) == 2 * len(curve.budgets)
 
 
 def test_curve_is_deterministic_for_a_fixed_seed():

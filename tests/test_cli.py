@@ -63,6 +63,36 @@ def test_loadgen_command(capsys):
     assert "latency p50/p95/p99" in captured
 
 
+def test_redteam_curve_reports_hardening_and_surrogate_fallback(capsys):
+    """The hardened arm deploys the flags' defenses, and the fallback
+    of the surrogate attacker to gradient-free search is counted per
+    arm (both arms fall back within 14 queries at this seed)."""
+    exit_code = main(
+        [
+            "redteam", "curve",
+            "--mode", "surrogate",
+            "--budgets", "0", "14",
+            "--population", "1",
+            "--bands", "4",
+            "--slices", "2",
+            "--probe-episodes", "1",
+            "--eval-episodes", "4",
+            "--workers", "1",
+            "--executor", "inline",
+            "--seed", "3",
+            "--jitter", "0.08",
+            "--subset-fraction", "0.5",
+        ]
+    )
+    captured = capsys.readouterr().out
+    assert exit_code == 0
+    assert "hardened arm: jitter ±0.080, phoneme subset 50%" in captured
+    assert (
+        "surrogate fell back to gradient-free search: "
+        "unhardened 1 of 1 members, hardened 1 of 1 members"
+    ) in captured
+
+
 @pytest.mark.parametrize(
     "flags",
     [

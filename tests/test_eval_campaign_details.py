@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.attacks.base import AttackKind
+from repro.attacks import AttackKind, make_attack_generator
 from repro.errors import ConfigurationError
 from repro.eval.campaign import (
     CampaignConfig,
     DetectorBank,
     ScoreSet,
-    _make_attack_generators,
 )
 from repro.phonemes.corpus import SyntheticCorpus
-
-import numpy as np
 
 
 class TestCampaignConfig:
@@ -36,16 +33,14 @@ class TestCampaignConfig:
 
 class TestAttackGeneratorFactory:
     def test_all_kinds_constructible(self, corpus):
-        rng = np.random.default_rng(0)
-        generators = _make_attack_generators(
-            corpus,
-            corpus.speakers[0],
-            corpus.speakers[1],
-            list(AttackKind),
-            rng,
-        )
-        assert set(generators) == set(AttackKind)
-        for kind, generator in generators.items():
+        for kind in AttackKind:
+            generator = make_attack_generator(
+                kind,
+                corpus,
+                corpus.speakers[0],
+                corpus.speakers[1],
+                synthesis_rng=0,
+            )
             sound = generator.generate(rng=1)
             assert sound.kind is kind
 

@@ -110,11 +110,6 @@ def test_random_respects_bounds_and_is_seeded():
     assert np.all(np.abs(a) <= space.upper_bounds)
 
 
-def test_dict_round_trip():
-    space = AttackSpace(n_bands=3, n_slices=5, max_band_gain_db=9.0)
-    assert AttackSpace.from_dict(space.to_dict()) == space
-
-
 def test_invalid_configs_raise():
     with pytest.raises(ConfigurationError):
         AttackSpace(n_bands=0)
