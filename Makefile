@@ -28,19 +28,25 @@ test-fast:
 smoke:
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 --workers 2
 
-# Serving smoke: tiny closed-loop runs against the warm-pool service.
-# Each command exits non-zero on any failed request, and the metrics
-# table (latency percentiles per stage) prints on stdout.  The first
-# two warm the BLSTM segmenter under the fast and the paper recipe;
-# the last keeps 8 clients on one worker, so requests wait for the
-# busy worker and leave the queue as multi-request batches.
+# Serving smoke: tiny runs against the warm-pool service.  Each
+# command exits non-zero on any failed request, and the metrics table
+# (latency percentiles per stage) prints on stdout.  `serve` runs the
+# service self-test.  The first two loadgen runs warm the BLSTM
+# segmenter under the fast and the paper recipe; the third keeps 8
+# clients on one worker, so requests wait for the busy worker and
+# leave the queue as multi-request batches.  The last is an open loop
+# far faster than one worker against a two-slot queue: the producer
+# blocks in submit, and every request must still be served.
 serve-smoke:
+	$(PYTHON) -m repro serve --segmenter none --requests 4
 	$(PYTHON) -m repro loadgen --segmenter fast --workers 2 \
 		--requests 12 --concurrency 4 --seed 0
 	$(PYTHON) -m repro loadgen --segmenter paper --workers 2 \
 		--requests 8 --concurrency 4 --seed 0
 	$(PYTHON) -m repro loadgen --segmenter none --workers 1 \
 		--requests 24 --concurrency 8 --seed 0
+	$(PYTHON) -m repro loadgen --segmenter none --workers 1 \
+		--queue-capacity 2 --mode open --rate 200 --requests 24
 
 # Store smoke: two serve-smoke runs against a persistent artifact
 # store.  The first run may train and publish; the second must load

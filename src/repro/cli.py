@@ -149,24 +149,11 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         serving.add_argument(
             "--queue-capacity", type=int, default=64,
-            help="bound of the admission queue",
-        )
-        serving.add_argument(
-            "--policy",
-            choices=["block", "reject", "shed-oldest"],
-            default="block",
-            help="backpressure policy when the queue is full",
+            help="bound of the admission queue (submit blocks when full)",
         )
         serving.add_argument(
             "--batch-size", type=int, default=8,
             help="largest micro-batch dispatched to one worker",
-        )
-        serving.add_argument(
-            "--deadline", type=float, default=None, metavar="S",
-            help=(
-                "per-request deadline in seconds; expired requests "
-                "degrade to the full-recording fallback"
-            ),
         )
         serving.add_argument(
             "--segmenter",
@@ -499,8 +486,8 @@ def _cmd_attack_study(args: argparse.Namespace) -> int:
 def _resolve_service_config(args: argparse.Namespace):
     """Validate serving arguments up front, before any worker warms.
 
-    Invalid durations and bounds (zero ``--queue-capacity``,
-    non-positive or NaN ``--deadline``, ...) raise
+    Invalid bounds (zero ``--queue-capacity``, ``--batch-size``, ...)
+    raise
     :class:`repro.errors.ConfigurationError` inside
     ``ServiceConfig``; this maps them to the same ``SystemExit``
     shape as the negative ``--workers`` rejection.
@@ -513,9 +500,7 @@ def _resolve_service_config(args: argparse.Namespace):
             n_workers=args.workers,
             worker_mode=args.worker_mode,
             queue_capacity=args.queue_capacity,
-            backpressure=args.policy,
             max_batch_size=args.batch_size,
-            default_deadline_s=args.deadline,
         )
     except ConfigurationError as error:
         raise SystemExit(f"error: {error}") from None
@@ -611,7 +596,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             n_requests=args.requests,
             concurrency=min(args.requests, 4),
             seed=args.seed,
-            deadline_s=args.deadline,
         )
     except ConfigurationError as error:
         raise SystemExit(f"error: {error}") from None
@@ -649,7 +633,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             concurrency=args.concurrency,
             rate_rps=args.rate,
             seed=args.seed,
-            deadline_s=args.deadline,
         )
     except ConfigurationError as error:
         raise SystemExit(f"error: {error}") from None
@@ -658,13 +641,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         report = run_loadgen(service, loadgen_config)
         metrics = service.metrics()
         store_report_args = (spec, service)
-    degraded = (
-        f" ({report.n_degraded} degraded)" if report.n_degraded else ""
-    )
     print(
         f"loadgen[{report.mode}]: {report.n_issued} issued, "
-        f"{report.n_served} served{degraded}, "
-        f"{report.n_rejected} rejected, {report.n_shed} shed, "
+        f"{report.n_served} served, "
         f"{report.n_failed} failed in {report.wall_s:.2f}s "
         f"({report.throughput_rps:.2f} req/s)"
     )

@@ -128,9 +128,6 @@ PIPELINE_STAGES: Tuple[str, ...] = (
     "detect",
 )
 
-#: Fallback annotation when a request skipped segmentation because its
-#: deadline had already expired (serving degradation).
-FALLBACK_DEADLINE_SKIP = "deadline-skip"
 #: Fallback annotation when segmentation yielded too little material
 #: and the analysis used the full recordings instead.
 FALLBACK_FULL_RECORDING = "full-recording"
@@ -152,7 +149,6 @@ class BatchAnalysisItem:
     wearable_audio: np.ndarray
     rng: SeedLike = None
     oracle_utterance: Optional[Utterance] = None
-    skip_segmentation: bool = False
 
 
 @dataclass
@@ -258,7 +254,6 @@ class DefensePipeline:
         wearable_audio: np.ndarray,
         rng: SeedLike = None,
         oracle_utterance: Optional[Utterance] = None,
-        skip_segmentation: bool = False,
     ) -> DefenseVerdict:
         """Analyze one voice command captured by both devices.
 
@@ -274,11 +269,6 @@ class DefensePipeline:
         oracle_utterance:
             When given (ablation/testing), segments come from the
             utterance's ground-truth alignment instead of the BRNN.
-        skip_segmentation:
-            Bypass phoneme segmentation and analyze the full recordings
-            (the fallback path short material already takes).  The
-            serving layer uses this to degrade gracefully when a
-            request's deadline has expired.
 
         Returns
         -------
@@ -291,7 +281,6 @@ class DefensePipeline:
                     wearable_audio=wearable_audio,
                     rng=rng,
                     oracle_utterance=oracle_utterance,
-                    skip_segmentation=skip_segmentation,
                 )
             ]
         )
@@ -299,9 +288,8 @@ class DefensePipeline:
             raise outcome.error
         return outcome.verdict
 
-    # ``verify`` is the serving layer's vocabulary for the same
-    # operation: one request in, one verdict out.  perfbench's
-    # served-score check (``check_served``) calls it by this name.
+    # ``verify`` is an alias kept for perfbench's served-score check
+    # (``check_served``), which calls the pipeline by this name.
     verify = analyze
 
     def analyze_batch(
@@ -316,7 +304,7 @@ class DefensePipeline:
         each, for a batch of one too:
 
         * **segmentation** — every request that needs the BLSTM (no
-          oracle utterance, no ``skip_segmentation``) contributes its
+          oracle utterance) contributes its
           synced VA recording to one
           :meth:`~repro.core.segmentation.PhonemeSegmenter.segments_batch`
           call;
@@ -336,8 +324,6 @@ class DefensePipeline:
         * **stage timings** — a healthy outcome's ``timings`` has the
           :data:`PIPELINE_STAGES` keys; a shared call's wall time is
           amortized equally across the requests in it;
-        * **deadline checks** — callers mark expired requests with
-          ``skip_segmentation=True``;
         * **error isolation** — a failing request records its
           exception and one error event, naming the stage, in its own
           :class:`BatchAnalysisOutcome`; its batch-mates still
@@ -486,11 +472,7 @@ class DefensePipeline:
         request.pair = request.outcome.aligned = (va, wearable)
 
     def _uses_model(self, item: BatchAnalysisItem) -> bool:
-        return (
-            self.segmenter is not None
-            and item.oracle_utterance is None
-            and not item.skip_segmentation
-        )
+        return self.segmenter is not None and item.oracle_utterance is None
 
     def _find_segments(self, requests: Sequence[_Request]) -> None:
         found = self.segmenter.segments_batch(
@@ -502,21 +484,18 @@ class DefensePipeline:
     def _segment(self, request: _Request) -> None:
         """Cut the sensitive-phoneme material out of both recordings.
 
-        Annotates the deadline-skip and full-recording fallbacks and
-        raises :class:`SignalError` on empty recordings.  The material
-        must satisfy ``min_audio_s`` *and* survive cross-domain
-        conversion with at least one full STFT window (``n_fft`` at the
-        sensor's vibration rate); anything shorter would raise in
-        feature extraction, so the full recordings are used instead.
+        Annotates the full-recording fallback and raises
+        :class:`SignalError` on empty recordings.  The material must
+        satisfy ``min_audio_s`` *and* survive cross-domain conversion
+        with at least one full STFT window (``n_fft`` at the sensor's
+        vibration rate); anything shorter would raise in feature
+        extraction, so the full recordings are used instead.
         """
         item = request.item
         config = self.config
         segments = request.segments
         if segments is None:
-            if item.skip_segmentation:
-                segments = []
-                request.fallback = FALLBACK_DEADLINE_SKIP
-            elif (
+            if (
                 item.oracle_utterance is not None
                 and self.segmenter is not None
             ):

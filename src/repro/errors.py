@@ -98,11 +98,12 @@ class BudgetExceededError(ReproError):
 
 
 class ServiceOverloadError(ReproError):
-    """The online verification service shed or refused a request.
+    """The online verification service could not admit a request.
 
-    Raised when a bounded request queue is full under the ``reject``
-    backpressure policy (or a ``block`` enqueue timed out), and attached
-    to the responses of requests dropped by the ``shed-oldest`` policy.
+    Raised only by a ``put`` on a closed
+    :class:`~repro.serve.queue.BoundedRequestQueue`: a ``submit`` after
+    the service began stopping, or one still blocked on a full queue
+    when it did.
     """
 
 

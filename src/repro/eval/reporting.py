@@ -156,15 +156,10 @@ def format_service_metrics(metrics) -> str:
     pipeline stage plus queue wait and end-to-end latency (all in
     milliseconds).
     """
-    degraded = (
-        f" ({metrics.n_degraded} degraded)" if metrics.n_degraded else ""
-    )
     lines = [
         (
             f"service: {metrics.n_submitted} submitted, "
-            f"{metrics.n_served} served{degraded}, "
-            f"{metrics.n_rejected} rejected, {metrics.n_shed} shed, "
-            f"{metrics.n_failed} failed"
+            f"{metrics.n_served} served, {metrics.n_failed} failed"
         ),
         (
             f"batches: {metrics.n_batches} "

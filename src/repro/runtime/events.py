@@ -39,7 +39,7 @@ class StageEvent:
         Number of requests the stage served at once.
     fallback:
         Name of the fallback taken, or ``None`` on the primary path
-        (e.g. ``full-recording``, ``deadline-skip``, ``inline``).
+        (e.g. ``full-recording``, ``per-request``, ``inline``).
     error:
         Error class name when the stage raised, else ``None``.
     scope:

@@ -1,11 +1,13 @@
 """Online verification serving layer.
 
 Turns the batch-oriented defense pipeline into an online service that
-answers individual :class:`VerificationRequest`s with bounded latency:
-a bounded admission queue with configurable backpressure, from which
+answers individual :class:`VerificationRequest`s: a bounded FIFO
+admission queue whose ``submit`` blocks while it is full, from which
 each free worker takes the oldest request plus the compatible requests
 queued behind it as one micro-batch, and a warm worker pool that trains
-the phoneme segmenter once per worker at startup.  See DESIGN.md
+the phoneme segmenter once per worker at startup.  Every request runs
+the same pipeline the spec builds, so queue timing never changes a
+verdict.  See DESIGN.md
 § "Online serving architecture".
 """
 
@@ -21,7 +23,7 @@ from repro.serve.metrics import (
     MetricsCollector,
     ServiceMetrics,
 )
-from repro.serve.queue import BackpressurePolicy, BoundedRequestQueue
+from repro.serve.queue import BoundedRequestQueue
 from repro.serve.request import (
     RequestStatus,
     VerificationRequest,
@@ -31,7 +33,6 @@ from repro.serve.service import ServiceConfig, VerificationService
 from repro.serve.workers import PipelineSpec, WarmWorkerPool
 
 __all__ = [
-    "BackpressurePolicy",
     "BoundedRequestQueue",
     "LatencySummary",
     "LoadgenConfig",

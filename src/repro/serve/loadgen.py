@@ -11,8 +11,9 @@ classic load-testing shapes:
     adapts to service speed (throughput measurement).
 ``open``
     Requests arrive on a fixed schedule at ``rate_rps`` regardless of
-    completions (latency-under-offered-load measurement; backpressure
-    behaviour becomes visible here).
+    completions (latency-under-offered-load measurement).  Once the
+    service's queue is full, the issuing thread blocks in ``submit``
+    and later arrivals slip behind their schedule.
 
 Request seeds are derived per index with
 :func:`repro.utils.rng.derive_seed`, so a loadgen run's verdicts are
@@ -56,9 +57,6 @@ class LoadgenConfig:
     concurrency: int = 4
     rate_rps: float = 20.0
     seed: int = 0
-    pool_size: int = 6
-    attack_fraction: float = 0.5
-    deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_requests < 1:
@@ -77,19 +75,6 @@ class LoadgenConfig:
             raise ConfigurationError(
                 f"rate_rps must be > 0, got {self.rate_rps}"
             )
-        if self.pool_size < 1:
-            raise ConfigurationError(
-                f"pool_size must be >= 1, got {self.pool_size}"
-            )
-        if not 0.0 <= self.attack_fraction <= 1.0:
-            raise ConfigurationError(
-                f"attack_fraction must lie in [0, 1], "
-                f"got {self.attack_fraction}"
-            )
-        if self.deadline_s is not None and not self.deadline_s > 0:
-            raise ConfigurationError(
-                f"deadline_s must be > 0 (or None), got {self.deadline_s}"
-            )
 
 
 @dataclass
@@ -105,12 +90,8 @@ class RecordingPool:
         return self.pairs[index % len(self.pairs)]
 
 
-def build_recording_pool(
-    seed: int = 0,
-    pool_size: int = 6,
-    attack_fraction: float = 0.5,
-) -> RecordingPool:
-    """Generate a deterministic mix of legitimate and attack pairs."""
+def build_recording_pool(seed: int = 0, pool_size: int = 6) -> RecordingPool:
+    """Generate a deterministic half-attack mix of recording pairs."""
     from repro.attacks import AttackScenario, ReplayAttack
     from repro.eval.rooms import ROOM_A
     from repro.phonemes import SyntheticCorpus, phonemize
@@ -121,7 +102,7 @@ def build_recording_pool(
     user = corpus.speakers[0]
     scenario = AttackScenario(room_config=ROOM_A)
     replay = ReplayAttack(corpus, user)
-    n_attacks = int(round(pool_size * attack_fraction))
+    n_attacks = round(pool_size / 2)
     pairs: List[Tuple[np.ndarray, np.ndarray, bool]] = []
     for index in range(pool_size):
         is_attack = index < n_attacks
@@ -156,17 +137,13 @@ def build_recording_pool(
 class LoadgenReport:
     """Outcome of one load-generation run.
 
-    ``n_issued == n_served + n_rejected + n_shed + n_failed`` always
-    holds — a request has exactly one terminal status (pinned by the
-    serving tests).
+    ``n_issued == n_served + n_failed`` always holds — a request has
+    exactly one terminal status (pinned by the serving tests).
     """
 
     mode: str
     n_issued: int = 0
     n_served: int = 0
-    n_degraded: int = 0
-    n_rejected: int = 0
-    n_shed: int = 0
     n_failed: int = 0
     wall_s: float = 0.0
     latencies_s: List[float] = field(default_factory=list)
@@ -186,13 +163,7 @@ class LoadgenReport:
         """Fold one response into the tallies (thread-unsafe; lock)."""
         if response.status is RequestStatus.SERVED:
             self.n_served += 1
-            if response.degraded:
-                self.n_degraded += 1
             self.latencies_s.append(response.total_s)
-        elif response.status is RequestStatus.SHED:
-            self.n_shed += 1
-        elif response.status is RequestStatus.REJECTED:
-            self.n_rejected += 1
         else:
             self.n_failed += 1
 
@@ -207,7 +178,6 @@ def _make_request(
         wearable_audio=wearable,
         seed=derive_seed(config.seed, "request", index),
         request_id=f"{kind}-{index}",
-        deadline_s=config.deadline_s,
     )
 
 
@@ -223,11 +193,7 @@ def run_loadgen(
     view.
     """
     config = config or LoadgenConfig()
-    pool = pool or build_recording_pool(
-        seed=config.seed,
-        pool_size=config.pool_size,
-        attack_fraction=config.attack_fraction,
-    )
+    pool = pool or build_recording_pool(seed=config.seed)
     report = LoadgenReport(mode=config.mode)
     report_lock = threading.Lock()
     start = time.monotonic()
@@ -239,8 +205,9 @@ def run_loadgen(
         try:
             return service.submit(request)
         except ServiceOverloadError:
+            # The service stopped while this request waited for room.
             with report_lock:
-                report.n_rejected += 1
+                report.n_failed += 1
             return None
 
     if config.mode == "closed":

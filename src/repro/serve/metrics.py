@@ -1,4 +1,4 @@
-"""Service metrics: latency percentiles, throughput, refusal counts.
+"""Service metrics: latency percentiles, throughput, request counts.
 
 A :class:`MetricsCollector` accumulates per-request observations behind
 a lock; :meth:`MetricsCollector.snapshot` freezes them into a
@@ -9,7 +9,7 @@ plain-text style as the campaign runner's stats block.
 Stage-level observability arrives as :class:`repro.runtime.StageEvent`
 streams from the workers (:meth:`MetricsCollector.record_stage_events`)
 — the same protocol the campaign runner aggregates — so fallback
-annotations (deadline skips, full-recording degrades) are counted
+annotations (full-recording degrades, per-request retries) are counted
 uniformly across the serving and evaluation surfaces.
 """
 
@@ -62,11 +62,9 @@ class ServiceMetrics:
 
     Attributes
     ----------
-    n_submitted / n_served / n_degraded / n_rejected / n_shed /
-    n_failed:
-        Request accounting.  Every submitted request lands in exactly
-        one of served / rejected / shed / failed (degraded requests are
-        a subset of served).
+    n_submitted / n_served / n_failed:
+        Request accounting.  Every submitted request ends either served
+        or failed.
     n_batches / mean_batch_size:
         Micro-batching effectiveness.  Each batch is one
         ``DefensePipeline.analyze_batch`` call (one shared segmentation
@@ -75,7 +73,11 @@ class ServiceMetrics:
         Requests queued (admitted, not yet dispatched) at snapshot
         time.
     wall_s / throughput_rps:
-        Time since service start and served requests per second.
+        Serving time — from the end of the pool warm-up in
+        :meth:`~repro.serve.service.VerificationService.start` to
+        :meth:`~repro.serve.service.VerificationService.stop`, or to the
+        snapshot while the service runs — and served requests per
+        second of it.
     total_latency / queue_wait:
         End-to-end and queued-time percentiles.
     stage_latency:
@@ -85,9 +87,6 @@ class ServiceMetrics:
 
     n_submitted: int
     n_served: int
-    n_degraded: int
-    n_rejected: int
-    n_shed: int
     n_failed: int
     n_batches: int
     mean_batch_size: float
@@ -100,29 +99,30 @@ class ServiceMetrics:
         default_factory=dict
     )
     #: ``{"stage:fallback": count}`` over the workers' StageEvent
-    #: streams — deadline skips and full-recording degrades, through
-    #: one protocol.
+    #: streams — full-recording degrades and per-request retries,
+    #: through one protocol.
     stage_fallbacks: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def n_resolved(self) -> int:
         """Requests that reached a terminal status."""
-        return (
-            self.n_served + self.n_rejected + self.n_shed + self.n_failed
-        )
+        return self.n_served + self.n_failed
 
 
 class MetricsCollector:
-    """Thread-safe accumulator behind the service's metrics endpoint."""
+    """Thread-safe accumulator behind the service's metrics endpoint.
+
+    The serving clock runs from :meth:`start_clock` to
+    :meth:`stop_clock`; a collector whose clock never started reports
+    zero wall time.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._started_at = time.monotonic()
+        self._started_at: Optional[float] = None
+        self._stopped_at: Optional[float] = None
         self.n_submitted = 0
         self.n_served = 0
-        self.n_degraded = 0
-        self.n_rejected = 0
-        self.n_shed = 0
         self.n_failed = 0
         self.n_batches = 0
         self.n_batched_requests = 0
@@ -131,17 +131,20 @@ class MetricsCollector:
         self._stage_latencies: Dict[str, List[float]] = {}
         self._stage_fallbacks: Dict[str, int] = {}
 
+    def start_clock(self) -> None:
+        """Start the serving clock (the service is ready for traffic)."""
+        with self._lock:
+            self._started_at = time.monotonic()
+            self._stopped_at = None
+
+    def stop_clock(self) -> None:
+        """Freeze the serving clock (the service has stopped)."""
+        with self._lock:
+            self._stopped_at = time.monotonic()
+
     def record_submitted(self) -> None:
         with self._lock:
             self.n_submitted += 1
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self.n_rejected += 1
-
-    def record_shed(self) -> None:
-        with self._lock:
-            self.n_shed += 1
 
     def record_failed(self) -> None:
         with self._lock:
@@ -175,12 +178,9 @@ class MetricsCollector:
         total_s: float,
         queue_wait_s: float,
         stage_timings_s: Mapping[str, float],
-        degraded: bool,
     ) -> None:
         with self._lock:
             self.n_served += 1
-            if degraded:
-                self.n_degraded += 1
             self._total_latencies.append(total_s)
             self._queue_waits.append(queue_wait_s)
             for stage, seconds in stage_timings_s.items():
@@ -191,7 +191,11 @@ class MetricsCollector:
     def snapshot(self, queue_depth: int = 0) -> ServiceMetrics:
         """Freeze the current counters into a :class:`ServiceMetrics`."""
         with self._lock:
-            wall_s = time.monotonic() - self._started_at
+            start, end = self._started_at, self._stopped_at
+            if start is None:
+                wall_s = 0.0
+            else:
+                wall_s = (time.monotonic() if end is None else end) - start
             mean_batch = (
                 self.n_batched_requests / self.n_batches
                 if self.n_batches
@@ -200,9 +204,6 @@ class MetricsCollector:
             return ServiceMetrics(
                 n_submitted=self.n_submitted,
                 n_served=self.n_served,
-                n_degraded=self.n_degraded,
-                n_rejected=self.n_rejected,
-                n_shed=self.n_shed,
                 n_failed=self.n_failed,
                 n_batches=self.n_batches,
                 mean_batch_size=mean_batch,

@@ -1,162 +1,60 @@
-"""Bounded request queue with configurable backpressure.
+"""Bounded FIFO request queue whose ``put`` blocks at capacity.
 
 The queue is the service's admission-control point and its only
-waiting room: when producers outrun the worker pool, the configured
-:class:`BackpressurePolicy` decides whether ``put`` blocks for space,
-rejects the newcomer with :class:`~repro.errors.ServiceOverloadError`,
-or sheds the oldest queued entry to make room.  A free worker takes
-its micro-batch straight from the queue (``take_batch``), so the
-capacity bounds every request not yet dispatched.  Counters are
-maintained so the metrics snapshot can report exactly how much load
-was refused — the property suite pins ``enqueued == admitted`` and
-``shed`` arithmetic against the queue bound.
+waiting room: when producers outrun the worker pool, ``put`` blocks
+until a worker takes a batch and frees space.  A free worker takes its
+micro-batch straight from the queue (``take_batch``), so the capacity
+bounds every request not yet dispatched.  ``close`` refuses further
+``put``s and wakes every blocked producer with
+:class:`~repro.errors.ServiceOverloadError`.
 """
 
 from __future__ import annotations
 
-import enum
 import threading
 import time
 from collections import deque
-from typing import (
-    Callable,
-    Deque,
-    Generic,
-    Hashable,
-    List,
-    Optional,
-    TypeVar,
-)
+from typing import Callable, Deque, Generic, Hashable, List, Optional, TypeVar
 
 from repro.errors import ConfigurationError, ServiceOverloadError
 
 T = TypeVar("T")
 
 
-class BackpressurePolicy(enum.Enum):
-    """What ``put`` does when the queue is at capacity."""
-
-    #: Wait (up to ``block_timeout_s``) for a consumer to make room;
-    #: raise :class:`ServiceOverloadError` if the wait times out.
-    BLOCK = "block"
-    #: Refuse the new entry immediately with
-    #: :class:`ServiceOverloadError`.
-    REJECT = "reject"
-    #: Evict the oldest queued entry and admit the new one; the evicted
-    #: entry is returned to the caller so its future can be resolved.
-    SHED_OLDEST = "shed-oldest"
-
-
 class BoundedRequestQueue(Generic[T]):
-    """Thread-safe FIFO with a hard capacity and backpressure counters.
+    """Thread-safe FIFO with a hard capacity.
 
     Parameters
     ----------
     capacity:
         Maximum number of queued entries (>= 1).
-    policy:
-        Behaviour at capacity (see :class:`BackpressurePolicy`).
-    block_timeout_s:
-        Longest a ``BLOCK``-policy ``put`` may wait; ``None`` waits
-        forever.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        policy: BackpressurePolicy = BackpressurePolicy.BLOCK,
-        block_timeout_s: Optional[float] = None,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if int(capacity) < 1:
             raise ConfigurationError(
                 f"queue capacity must be >= 1, got {capacity}"
             )
-        if block_timeout_s is not None and not block_timeout_s >= 0:
-            raise ConfigurationError(
-                f"block_timeout_s must be >= 0 (or None), "
-                f"got {block_timeout_s}"
-            )
         self.capacity = int(capacity)
-        self.policy = policy
-        self.block_timeout_s = block_timeout_s
         self._entries: Deque[T] = deque()
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
-        self.n_enqueued = 0
-        self.n_rejected = 0
-        self.n_shed = 0
 
-    # ------------------------------------------------------------------
-    # Producer side
-    # ------------------------------------------------------------------
+    def put(self, entry: T) -> None:
+        """Admit ``entry``, blocking while the queue is full.
 
-    def put(self, entry: T) -> Optional[T]:
-        """Admit ``entry``, applying the backpressure policy.
-
-        Returns the entry evicted to make room (``SHED_OLDEST`` only),
-        or ``None``.  Raises :class:`ServiceOverloadError` when the
-        entry cannot be admitted (``REJECT``, or a ``BLOCK`` timeout)
-        and when the queue has been closed.
+        Raises :class:`ServiceOverloadError` when the queue is closed,
+        including while the caller is blocked.
         """
         with self._lock:
+            while not self._closed and len(self._entries) >= self.capacity:
+                self._not_full.wait()
             if self._closed:
                 raise ServiceOverloadError("queue is closed")
-            if len(self._entries) >= self.capacity:
-                shed = self._make_room()
-            else:
-                shed = None
             self._entries.append(entry)
-            self.n_enqueued += 1
             self._not_empty.notify()
-            return shed
-
-    def _make_room(self) -> Optional[T]:
-        """Resolve a full queue per policy; caller holds the lock."""
-        if self.policy is BackpressurePolicy.REJECT:
-            self.n_rejected += 1
-            raise ServiceOverloadError(
-                f"queue full ({self.capacity} entries, policy=reject)"
-            )
-        if self.policy is BackpressurePolicy.SHED_OLDEST:
-            self.n_shed += 1
-            return self._entries.popleft()
-        # BLOCK: wait for a consumer.
-        deadline = (
-            None
-            if self.block_timeout_s is None
-            else time.monotonic() + self.block_timeout_s
-        )
-        while len(self._entries) >= self.capacity:
-            if self._closed:
-                raise ServiceOverloadError("queue closed while blocked")
-            if deadline is None:
-                self._not_full.wait()
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._not_full.wait(remaining):
-                    if len(self._entries) < self.capacity:
-                        break
-                    self.n_rejected += 1
-                    raise ServiceOverloadError(
-                        f"queue full after blocking "
-                        f"{self.block_timeout_s:.3f}s"
-                    )
-        return None
-
-    # ------------------------------------------------------------------
-    # Consumer side
-    # ------------------------------------------------------------------
-
-    def get(self, timeout_s: Optional[float] = None) -> Optional[T]:
-        """Pop the oldest entry, waiting up to ``timeout_s``.
-
-        Returns ``None`` on timeout or when the queue is closed and
-        drained.
-        """
-        batch = self.take_batch(1, lambda entry: None, timeout_s)
-        return batch[0] if batch else None
 
     def take_batch(
         self,
@@ -203,14 +101,6 @@ class BoundedRequestQueue(Generic[T]):
                 self._entries = rest
             self._not_full.notify(len(batch))
             return batch
-
-    def drain(self) -> List[T]:
-        """Pop every queued entry at once."""
-        with self._lock:
-            entries = list(self._entries)
-            self._entries.clear()
-            self._not_full.notify_all()
-            return entries
 
     def close(self) -> None:
         """Refuse future ``put``s and wake every waiter."""

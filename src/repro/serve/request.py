@@ -27,8 +27,6 @@ class RequestStatus(enum.Enum):
     """Terminal outcome of one verification request."""
 
     SERVED = "served"
-    REJECTED = "rejected"
-    SHED = "shed"
     FAILED = "failed"
 
 
@@ -45,16 +43,11 @@ class VerificationRequest:
         The verdict is a pure function of (pipeline spec, recordings,
         seed), so the same request is answered identically by any
         worker in any batch — and by a direct
-        :meth:`repro.core.pipeline.DefensePipeline.verify` call.
+        :meth:`repro.core.pipeline.DefensePipeline.analyze` call.
     request_id:
         Caller-chosen identifier echoed in the response.
     audio_rate:
         Sampling rate of both recordings.
-    deadline_s:
-        Relative deadline from submission.  A request still unserved
-        when it expires is *not* dropped: the worker degrades to the
-        full-recording fallback path (segmentation skipped) so the
-        caller always gets a verdict.
     wearer_moving:
         Simulate body-motion interference during the wearable replay
         (changes the pipeline configuration, hence part of the batch
@@ -68,7 +61,6 @@ class VerificationRequest:
     seed: int = 0
     request_id: str = ""
     audio_rate: float = 16_000.0
-    deadline_s: Optional[float] = None
     wearer_moving: bool = False
     oracle_utterance: Optional[Utterance] = None
 
@@ -76,10 +68,6 @@ class VerificationRequest:
         if not 0 < self.audio_rate < math.inf:
             raise ConfigurationError(
                 f"audio_rate must be finite and > 0, got {self.audio_rate}"
-            )
-        if self.deadline_s is not None and not self.deadline_s > 0:
-            raise ConfigurationError(
-                f"deadline_s must be > 0 (or None), got {self.deadline_s}"
             )
         self.va_audio = np.asarray(self.va_audio, dtype=np.float64)
         self.wearable_audio = np.asarray(
@@ -107,12 +95,9 @@ class VerificationResponse:
         Echo of the request's identifier.
     status:
         Terminal outcome.  ``SERVED`` always carries a verdict;
-        ``REJECTED``/``SHED`` never do.
+        ``FAILED`` never does.
     verdict:
         The defense's decision for served requests.
-    degraded:
-        The request missed its deadline and was answered via the
-        full-recording fallback (segmentation skipped).
     stage_timings_s:
         Per-pipeline-stage wall-clock seconds (see
         :data:`repro.core.pipeline.PIPELINE_STAGES`).
@@ -120,13 +105,12 @@ class VerificationResponse:
         Time from submission to dispatch (queued, including any wait
         for a free worker), and submission-to-response latency.
     error:
-        Failure description for ``FAILED``/``SHED``/``REJECTED``.
+        Failure description for ``FAILED``.
     """
 
     request_id: str
     status: RequestStatus
     verdict: Optional[DefenseVerdict] = None
-    degraded: bool = False
     stage_timings_s: Dict[str, float] = field(default_factory=dict)
     queue_wait_s: float = 0.0
     total_s: float = 0.0

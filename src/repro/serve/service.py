@@ -2,25 +2,22 @@
 
 :class:`VerificationService` is the in-process serving engine.
 ``submit`` admits a :class:`~repro.serve.request.VerificationRequest`
-into a bounded queue (applying the configured backpressure policy) and
-returns a future.  A dispatcher thread is work-conserving: as soon as a
+into a bounded FIFO queue, blocking while it is full, and returns a
+future.  A dispatcher thread is work-conserving: as soon as a
 worker of the :class:`WarmWorkerPool` is free, it takes the oldest
 queued request plus up to ``max_batch_size - 1`` later requests with
 the same batch key and hands them to that worker as one micro-batch.
 While every worker is busy, requests wait in the queue, so batches form
 from the backlog alone and ``queue_capacity`` bounds every request not
 yet dispatched.  Every submitted request reaches exactly one terminal
-status: served (possibly degraded past its deadline), rejected, shed,
-or failed.
+status: served or failed.
 
 Determinism contract
 --------------------
 A served verdict is a pure function of (pipeline spec, recordings,
 request seed): batch composition, worker count, worker mode, and queue
-timing never change it.  Only deadline expiry does — visibly, via
-``degraded=True`` — because it switches the request to the
-full-recording fallback.  ``tests/test_serve_service.py`` pins service
-verdicts bitwise against direct ``DefensePipeline.verify`` calls.
+timing never change it.  ``tests/test_serve_service.py`` pins service
+verdicts bitwise against direct ``DefensePipeline.analyze`` calls.
 """
 
 from __future__ import annotations
@@ -29,29 +26,17 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Union
+from typing import Dict, Hashable, List, Optional, Set
 
-from repro.errors import ConfigurationError, ServiceOverloadError
+from repro.errors import ConfigurationError
 from repro.serve.metrics import MetricsCollector, ServiceMetrics
-from repro.serve.queue import BackpressurePolicy, BoundedRequestQueue
+from repro.serve.queue import BoundedRequestQueue
 from repro.serve.request import (
     RequestStatus,
     VerificationRequest,
     VerificationResponse,
 )
 from repro.serve.workers import PipelineSpec, WarmWorkerPool, WorkerResult
-
-
-def _duration(name: str, value: Optional[float], allow_none: bool) -> None:
-    """Reject non-positive durations up front (CLI and config path)."""
-    if value is None:
-        if not allow_none:
-            raise ConfigurationError(f"{name} must be set")
-        return
-    if not value > 0:
-        raise ConfigurationError(
-            f"{name} must be > 0, got {value}"
-        )
 
 
 @dataclass
@@ -65,27 +50,16 @@ class ServiceConfig:
     worker_mode:
         ``"thread"`` or ``"process"`` (see :class:`WarmWorkerPool`).
     queue_capacity:
-        Bound of the admission queue.
-    backpressure:
-        Policy at capacity: ``block`` / ``reject`` / ``shed-oldest``
-        (enum or its string value).
-    block_timeout_s:
-        Longest a blocking ``submit`` waits for queue space.
+        Bound of the admission queue; ``submit`` blocks while it is
+        full.
     max_batch_size:
         Most requests a free worker takes from the queue at once.
-    default_deadline_s:
-        Deadline applied to requests that do not carry their own.
     """
 
     n_workers: int = 2
     worker_mode: str = "thread"
     queue_capacity: int = 64
-    backpressure: Union[BackpressurePolicy, str] = (
-        BackpressurePolicy.BLOCK
-    )
-    block_timeout_s: Optional[float] = None
     max_batch_size: int = 8
-    default_deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -102,29 +76,10 @@ class ServiceConfig:
                 f"queue_capacity must be >= 1, "
                 f"got {self.queue_capacity}"
             )
-        if isinstance(self.backpressure, str):
-            try:
-                self.backpressure = BackpressurePolicy(self.backpressure)
-            except ValueError:
-                choices = ", ".join(
-                    policy.value for policy in BackpressurePolicy
-                )
-                raise ConfigurationError(
-                    f"unknown backpressure policy "
-                    f"{self.backpressure!r}; choose one of: {choices}"
-                ) from None
         if self.max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, "
                 f"got {self.max_batch_size}"
-            )
-        _duration(
-            "default_deadline_s", self.default_deadline_s, allow_none=True
-        )
-        if self.block_timeout_s is not None and not self.block_timeout_s >= 0:
-            raise ConfigurationError(
-                f"block_timeout_s must be >= 0 (or None), "
-                f"got {self.block_timeout_s}"
             )
 
 
@@ -169,9 +124,7 @@ class VerificationService:
         self.config = config or ServiceConfig()
         self.metrics_collector = MetricsCollector()
         self._queue: "BoundedRequestQueue[_Entry]" = BoundedRequestQueue(
-            capacity=self.config.queue_capacity,
-            policy=self.config.backpressure,
-            block_timeout_s=self.config.block_timeout_s,
+            self.config.queue_capacity
         )
         self._pool = WarmWorkerPool(
             self.spec,
@@ -201,13 +154,19 @@ class VerificationService:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Warm the worker pool and start the dispatcher."""
+        """Warm the worker pool, start the dispatcher and the clock.
+
+        The metrics clock starts once warm-up is done, so
+        ``ServiceMetrics.wall_s`` and ``throughput_rps`` cover serving
+        time only; :attr:`warmup_s` reports the warm-up.
+        """
         with self._lifecycle_lock:
             if self._started:
                 return
             warmup_start = time.monotonic()
             self._pool.start()
             self.warmup_s = time.monotonic() - warmup_start
+            self.metrics_collector.start_clock()
             self._thread = threading.Thread(
                 target=self._dispatch_loop,
                 name="verify-dispatcher",
@@ -225,7 +184,8 @@ class VerificationService:
         draining dispatcher can no longer observe a half-torn-down
         ``_thread``/``_pool`` pair.  Everything still queued is
         dispatched in batches of at most ``max_batch_size``, whether or
-        not a worker is free.
+        not a worker is free.  The metrics clock stops once the drain
+        is done.
         """
         with self._lifecycle_lock:
             if not self._started:
@@ -242,6 +202,7 @@ class VerificationService:
                     self._inflight_drained.wait()
             self._pool.shutdown(wait=True)
             self._started = False
+            self.metrics_collector.stop_clock()
 
     @property
     def n_workers(self) -> int:
@@ -264,45 +225,22 @@ class VerificationService:
     ) -> "Future[VerificationResponse]":
         """Admit one request; returns a future for its response.
 
-        Raises :class:`ServiceOverloadError` when the queue refuses the
-        request (``reject`` policy, or a ``block`` timeout).  Requests
-        dropped by ``shed-oldest`` are *not* raised here — their
-        already-returned futures resolve with a ``SHED`` response.
+        Blocks while the queue is full.  Raises
+        :class:`~repro.errors.ServiceOverloadError` if :meth:`stop`
+        closes the queue first.
         """
         if not self._started:
             raise ConfigurationError(
                 "service not started; call start() or use it as a "
                 "context manager"
             )
-        if (
-            request.deadline_s is None
-            and self.config.default_deadline_s is not None
-        ):
-            request.deadline_s = self.config.default_deadline_s
-        self.metrics_collector.record_submitted()
         entry = _Entry(
             request=request,
             future=Future(),
             submitted_at=time.monotonic(),
         )
-        try:
-            shed = self._queue.put(entry)
-        except ServiceOverloadError:
-            self.metrics_collector.record_rejected()
-            raise
-        if shed is not None:
-            self.metrics_collector.record_shed()
-            shed.future.set_result(
-                VerificationResponse(
-                    request_id=shed.request.request_id,
-                    status=RequestStatus.SHED,
-                    total_s=time.monotonic() - shed.submitted_at,
-                    error=(
-                        "shed by backpressure policy 'shed-oldest' "
-                        f"(queue capacity {self._queue.capacity})"
-                    ),
-                )
-            )
+        self._queue.put(entry)
+        self.metrics_collector.record_submitted()
         return entry.future
 
     def verify(
@@ -409,14 +347,12 @@ class VerificationService:
                     total_s=total_s,
                     queue_wait_s=queue_wait_s,
                     stage_timings_s=result.stage_timings_s,
-                    degraded=result.degraded,
                 )
                 entry.future.set_result(
                     VerificationResponse(
                         request_id=entry.request.request_id,
                         status=RequestStatus.SERVED,
                         verdict=result.verdict,
-                        degraded=result.degraded,
                         stage_timings_s=result.stage_timings_s,
                         queue_wait_s=queue_wait_s,
                         total_s=total_s,

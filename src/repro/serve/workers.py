@@ -8,7 +8,7 @@ request, as the one-shot CLI paths used to — and keeps the resulting
 batches.  Per-request determinism is preserved: a verdict depends only
 on the pipeline spec, the recordings, and the request's integer seed,
 so any worker (thread or process, warm or cold) returns bitwise the
-same answer as a direct ``DefensePipeline.verify`` call.
+same answer as a direct ``DefensePipeline.analyze`` call.
 
 Execution runs on the unified :class:`repro.runtime.Runtime`:
 
@@ -187,7 +187,6 @@ class WorkerResult:
 
     request_id: str
     verdict: object = None
-    degraded: bool = False
     stage_timings_s: Dict[str, float] = field(default_factory=dict)
     exec_s: float = 0.0
     error: Optional[str] = None
@@ -238,25 +237,19 @@ def execute_batch(
     """Run one micro-batch on this worker's warm pipeline.
 
     ``payload`` is the pipeline spec, the batch key, and
-    ``(request, age_at_dispatch_s)`` pairs.  Every batch, a batch of one
-    included, is one
+    ``(request, age_at_dispatch_s)`` pairs; the age is not read here
+    (perfbench's span attributes unpack the pairs).  Every batch, a
+    batch of one included, is one
     :meth:`~repro.core.pipeline.DefensePipeline.analyze_batch` call: a
     single masked BLSTM segmentation forward and one bucketed sensing
     pass shared by the whole batch, with verdicts bitwise identical to
     serving each request alone.  A request that fails inside the batch
     fails alone; its batch-mates still get their verdicts.
-
-    Deadlines are checked once, at batch start: a request whose deadline
-    already expired is not dropped — it degrades to the full-recording
-    fallback (segmentation skipped).
     """
     spec, key, items = payload
+    requests = [request for request, _ in items]
     pipeline = _worker_pipeline(spec, key)
     start = time.perf_counter()
-    degraded_flags = [
-        request.deadline_s is not None and age_s >= request.deadline_s
-        for request, age_s in items
-    ]
     with capture_stage_events() as captured:
         outcomes = pipeline.analyze_batch(
             [
@@ -265,9 +258,8 @@ def execute_batch(
                     wearable_audio=request.wearable_audio,
                     rng=int(request.seed),
                     oracle_utterance=request.oracle_utterance,
-                    skip_segmentation=degraded,
                 )
-                for (request, _), degraded in zip(items, degraded_flags)
+                for request in requests
             ]
         )
     exec_s = time.perf_counter() - start
@@ -275,9 +267,8 @@ def execute_batch(
         WorkerResult(
             request_id=request.request_id,
             verdict=outcome.verdict,
-            degraded=degraded,
             stage_timings_s=outcome.timings,
-            exec_s=exec_s / len(items),
+            exec_s=exec_s / len(requests),
             error=(
                 None
                 if outcome.error is None
@@ -285,9 +276,7 @@ def execute_batch(
             ),
             events=list(outcome.events),
         )
-        for (request, _), degraded, outcome in zip(
-            items, degraded_flags, outcomes
-        )
+        for request, outcome in zip(requests, outcomes)
     ]
     # Batch-scoped events (the shared segmentation and sensing calls)
     # belong to the batch, not any one request; attach them once so the

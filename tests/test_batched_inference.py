@@ -450,19 +450,19 @@ class TestAnalyzeBatch:
         "members, rows, batch_sizes",
         [
             (
-                (0, 1, 2, 3),
-                [("segments_batch", 2), ("convert_batch", 8)],
-                [2, 4],
+                (0, 1, 2),
+                [("segments_batch", 2), ("convert_batch", 6)],
+                [2, 3],
             ),
-            ((2,), [("segments_batch", 1), ("convert_batch", 2)], []),
+            ((1,), [("segments_batch", 1), ("convert_batch", 2)], []),
         ],
     )
     def test_one_call_per_kernel(
         self, pipeline, corpus, members, rows, batch_sizes, monkeypatch
     ):
-        # One oracle, one deadline-skipped and two model-segmented
-        # requests: the two model rows share one forward, and all
-        # eight recordings share one sensing call.  A lone request
+        # One oracle and two model-segmented requests: the two model
+        # rows share one forward, and all six recordings share one
+        # sensing call.  A lone request
         # runs the same two calls, and no batch-scope event.
         utterance = corpus.utterance(["s", "aa", "sh", "iy"], rng=3)
         noise = np.random.default_rng(4).normal(
@@ -475,9 +475,6 @@ class TestAnalyzeBatch:
                 wearable_audio=0.8 * oracle_va,
                 rng=1,
                 oracle_utterance=utterance,
-            ),
-            BatchAnalysisItem(
-                *make_pair(2), rng=2, skip_segmentation=True
             ),
             BatchAnalysisItem(*make_pair(3), rng=3),
             BatchAnalysisItem(*make_pair(4, n_samples=9_000), rng=4),
@@ -494,25 +491,6 @@ class TestAnalyzeBatch:
             for event in events.events
             if event.scope == "batch"
         ) == batch_sizes
-
-    def test_skip_segmentation_matches_sequential(self, pipeline):
-        va, wearable = make_pair(17)
-        items = [
-            BatchAnalysisItem(
-                va_audio=va,
-                wearable_audio=wearable,
-                rng=17,
-                skip_segmentation=True,
-            ),
-            BatchAnalysisItem(
-                va_audio=va, wearable_audio=wearable, rng=18
-            ),
-        ]
-        outcomes = pipeline.analyze_batch(items)
-        assert outcomes[0].verdict == pipeline.analyze(
-            va, wearable, rng=17, skip_segmentation=True
-        )
-        assert outcomes[0].verdict.n_segments == 0
 
 
 def make_request(seed, n_samples=8_000, **kwargs):

@@ -5,9 +5,9 @@ import pytest
 
 from repro.attacks.base import AttackKind
 from repro.core.pipeline import (
-    FALLBACK_DEADLINE_SKIP,
     FALLBACK_FULL_RECORDING,
     BatchAnalysisItem,
+    DefenseConfig,
     DefensePipeline,
     PIPELINE_STAGES,
 )
@@ -51,6 +51,17 @@ class _TinySegmenter:
         return [[(0.0, 0.001)] for _ in audios]
 
 
+class _HalfSecondSegmenter:
+    """Stub segmenter yielding one half-second segment."""
+
+    def segments_batch(self, audios):
+        return [[(0.0, 0.5)] for _ in audios]
+
+
+#: Longer than the recordings: any segment material is too short.
+LONG_MIN_AUDIO = DefenseConfig(audio_rate=RATE, min_audio_s=10.0)
+
+
 def timed_verdict(pipeline, va, wearable, **kwargs):
     """A lone request's verdict and stage timings."""
     (outcome,) = pipeline.analyze_batch(
@@ -80,15 +91,24 @@ class TestPipelineEmission:
             for event in captured.events
         )
 
-    def test_deadline_skip_annotation(self, pipeline, recordings):
+    def test_min_audio_full_recording_annotation(self, recordings):
+        # Segment material that fits the STFT but not min_audio_s falls
+        # back to the full recordings: one annotated segment event, and
+        # the verdict of the segmenter-free pipeline.
         va, wearable = recordings
+        pipeline = DefensePipeline(
+            segmenter=_HalfSecondSegmenter(), config=LONG_MIN_AUDIO
+        )
         with capture_stage_events() as captured:
-            pipeline.analyze(va, wearable, rng=0, skip_segmentation=True)
+            verdict = pipeline.analyze(va, wearable, rng=0)
         segment_events = [
             e for e in captured.events if e.stage == "segment"
         ]
         assert len(segment_events) == 1
-        assert segment_events[0].fallback == FALLBACK_DEADLINE_SKIP
+        assert segment_events[0].fallback == FALLBACK_FULL_RECORDING
+        full = DefensePipeline(segmenter=None, config=LONG_MIN_AUDIO)
+        assert verdict == full.analyze(va, wearable, rng=0)
+        assert verdict.n_segments == 0
 
     def test_full_recording_annotation(self, recordings):
         va, wearable = recordings
@@ -131,7 +151,7 @@ class TestAggregator:
             StageEvent(stage="sync", wall_s=0.010),
             StageEvent(stage="sync", wall_s=0.030),
             StageEvent(
-                stage="segment", wall_s=0.0, fallback="deadline-skip"
+                stage="segment", wall_s=0.0, fallback="full-recording"
             ),
             StageEvent(stage="detect", wall_s=0.020, error="SignalError"),
         ]
@@ -142,7 +162,7 @@ class TestAggregator:
             aggregator.emit(event)
         assert aggregator.stage_totals()["sync"] == pytest.approx(0.040)
         assert aggregator.fallback_counts() == {
-            "segment:deadline-skip": 1
+            "segment:full-recording": 1
         }
         assert aggregator.error_counts() == {"detect:SignalError": 1}
 
@@ -186,7 +206,6 @@ class TestSinkParity:
             total_s=sum(timings.values()),
             queue_wait_s=0.0,
             stage_timings_s=timings,
-            degraded=False,
         )
         collector.record_stage_events(captured.events)
         snapshot = collector.snapshot()
@@ -210,24 +229,24 @@ class TestSinkParity:
             assert stage in text
 
     def test_service_metrics_formatting_includes_fallbacks(
-        self, pipeline, recordings
+        self, recordings
     ):
         va, wearable = recordings
+        pipeline = DefensePipeline(
+            segmenter=_HalfSecondSegmenter(), config=LONG_MIN_AUDIO
+        )
         with capture_stage_events() as captured:
-            _, timings = timed_verdict(
-                pipeline, va, wearable, rng=0, skip_segmentation=True
-            )
+            _, timings = timed_verdict(pipeline, va, wearable, rng=0)
         collector = MetricsCollector()
         collector.record_served(
             total_s=sum(timings.values()),
             queue_wait_s=0.0,
             stage_timings_s=timings,
-            degraded=True,
         )
         collector.record_stage_events(captured.events)
         snapshot = collector.snapshot()
         assert snapshot.stage_fallbacks == {
-            "segment:deadline-skip": 1
+            "segment:full-recording": 1
         }
         text = format_service_metrics(snapshot)
-        assert "fallbacks: segment:deadline-skip x1" in text
+        assert "fallbacks: segment:full-recording x1" in text

@@ -124,9 +124,7 @@ class TestEveryScenarioRuns:
             attack_sound, spl_db=spec.attack_spl_db, rng=11
         )
         pipeline = spec.build_pipeline(segmenter=None)
-        verdict = pipeline.analyze(
-            va, wearable, rng=5, skip_segmentation=True
-        )
+        verdict = pipeline.analyze(va, wearable, rng=5)
         assert np.isfinite(verdict.score)
         assert -1.0 <= verdict.score <= 1.0
 

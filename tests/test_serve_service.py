@@ -1,4 +1,4 @@
-"""Verification service: determinism, deadlines, backpressure, metrics."""
+"""Verification service: lifecycle, dispatch, determinism, metrics."""
 
 import statistics
 import threading
@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.pipeline import PIPELINE_STAGES, DefensePipeline
 from repro.core.segmentation import training_run_count
-from repro.errors import ConfigurationError, ServiceOverloadError
+from repro.errors import ConfigurationError
 from repro.serve import (
     PipelineSpec,
     RequestStatus,
@@ -227,7 +227,7 @@ class TestDeterminismContract:
             responses = [future.result() for future in futures]
         for seed, response in zip(seeds, responses):
             va, wearable = make_pair(seed)
-            direct = pipeline.verify(va, wearable, rng=seed)
+            direct = pipeline.analyze(va, wearable, rng=seed)
             assert response.status is RequestStatus.SERVED
             assert response.verdict == direct
 
@@ -245,101 +245,6 @@ class TestDeterminismContract:
         assert serve_all(max_batch=1) == serve_all(max_batch=4)
 
 
-class TestDeadlines:
-    def test_expired_deadline_degrades_not_drops(self, fast_spec):
-        # A deadline far smaller than the queue wait forces every
-        # request onto the full-recording fallback path.
-        config = ServiceConfig(n_workers=1, max_batch_size=64)
-        with VerificationService(fast_spec, config) as service:
-            futures = [
-                service.submit(
-                    make_request(seed, deadline_s=1e-6)
-                )
-                for seed in range(4)
-            ]
-            responses = [future.result() for future in futures]
-        assert all(r.status is RequestStatus.SERVED for r in responses)
-        assert all(r.degraded for r in responses)
-
-    def test_degraded_verdict_matches_skip_segmentation(self):
-        spec = PipelineSpec(
-            segmenter_seed=3, n_speakers=2, n_per_phoneme=2, epochs=2
-        )
-        pipeline = spec.build_pipeline(AUDIO_RATE, False)
-        va, wearable = make_pair(99)
-        with VerificationService(
-            spec, ServiceConfig(n_workers=1)
-        ) as service:
-            response = service.verify(
-                make_request(99, deadline_s=1e-6)
-            )
-        assert response.degraded
-        direct = pipeline.verify(
-            va, wearable, rng=99, skip_segmentation=True
-        )
-        assert response.verdict == direct
-
-    def test_default_deadline_applied_from_config(self, fast_spec):
-        config = ServiceConfig(n_workers=1, default_deadline_s=120.0)
-        with VerificationService(fast_spec, config) as service:
-            request = make_request(7)
-            assert request.deadline_s is None
-            service.verify(request)
-            assert request.deadline_s == 120.0
-
-
-class TestBackpressure:
-    def test_reject_policy_raises_and_counts(self, fast_spec):
-        config = ServiceConfig(
-            n_workers=1,
-            queue_capacity=1,
-            backpressure="reject",
-            max_batch_size=64,
-        )
-        with VerificationService(fast_spec, config) as service:
-            futures = []
-            rejected = 0
-            for seed in range(30):
-                try:
-                    futures.append(service.submit(make_request(seed)))
-                except ServiceOverloadError:
-                    rejected += 1
-            responses = [future.result() for future in futures]
-        assert all(
-            response.status is RequestStatus.SERVED
-            for response in responses
-        )
-        metrics = service.metrics()
-        assert metrics.n_rejected == rejected
-        assert metrics.n_served == len(responses)
-        assert metrics.n_submitted == 30
-
-    def test_shed_policy_resolves_shed_futures(self, fast_spec):
-        config = ServiceConfig(
-            n_workers=1,
-            queue_capacity=1,
-            backpressure="shed-oldest",
-            max_batch_size=64,
-        )
-        with VerificationService(fast_spec, config) as service:
-            futures = [
-                service.submit(make_request(seed)) for seed in range(20)
-            ]
-            responses = [future.result() for future in futures]
-        by_status = {}
-        for response in responses:
-            by_status.setdefault(response.status, []).append(response)
-        metrics = service.metrics()
-        assert metrics.n_shed == len(
-            by_status.get(RequestStatus.SHED, [])
-        )
-        # Every submitted request reached exactly one terminal state.
-        assert metrics.n_resolved == metrics.n_submitted == 20
-        for shed in by_status.get(RequestStatus.SHED, []):
-            assert shed.verdict is None
-            assert "shed" in shed.error
-
-
 class TestMetrics:
     def test_snapshot_well_formed(self, fast_spec):
         with VerificationService(
@@ -355,6 +260,27 @@ class TestMetrics:
         assert metrics.total_latency.p50_s <= metrics.total_latency.p99_s
         for stage in PIPELINE_STAGES:
             assert metrics.stage_latency[stage].count == 5
+
+    def test_clock_runs_from_start_to_stop(self, fast_spec):
+        service = VerificationService(
+            fast_spec, ServiceConfig(n_workers=1)
+        )
+        # Time between construction and start() is not serving time.
+        time.sleep(0.3)
+        before_start = time.monotonic()
+        service.start()
+        try:
+            service.verify(make_request(1))
+            running = service.metrics()
+            elapsed = time.monotonic() - before_start
+        finally:
+            service.stop()
+        assert 0.0 < running.wall_s <= elapsed
+        assert running.throughput_rps == pytest.approx(1 / running.wall_s)
+        # After stop() the clock is frozen.
+        stopped = service.metrics().wall_s
+        time.sleep(0.2)
+        assert service.metrics().wall_s == stopped
 
     def test_failed_requests_counted_not_raised(self, fast_spec):
         with VerificationService(
@@ -411,14 +337,8 @@ class TestConfigValidation:
         [
             {"n_workers": 0},
             {"queue_capacity": 0},
-            {"block_timeout_s": float("nan")},
             {"max_batch_size": 0},
-            {"default_deadline_s": 0.0},
-            {"default_deadline_s": -1.0},
-            {"block_timeout_s": -0.5},
-            {"backpressure": "drop-newest"},
             {"worker_mode": "fork"},
-            {"default_deadline_s": float("nan")},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -434,8 +354,6 @@ class TestRequestValidation:
             {"audio_rate": -1.0},
             {"audio_rate": float("nan")},
             {"audio_rate": float("inf")},
-            {"deadline_s": 0.0},
-            {"deadline_s": float("nan")},
         ],
     )
     def test_invalid_request_rejected(self, kwargs):

@@ -48,9 +48,9 @@ class TestWarmSegmenterCache:
             segmenter=train_default_segmenter(seed=31, **RECIPE)
         )
         for rng_seed in (0, 1, 2):
-            assert warm.verify(va, wearable, rng=rng_seed) == fresh.verify(
+            assert warm.analyze(
                 va, wearable, rng=rng_seed
-            )
+            ) == fresh.analyze(va, wearable, rng=rng_seed)
 
     def test_warm_pipelines_share_segmenter(self):
         first = DefensePipeline(
@@ -72,7 +72,7 @@ class TestVerifyAlias:
 
 
 class TestAnalyzeTimed:
-    """Stage timings and degradation of a lone request."""
+    """Stage timings of a lone request."""
 
     def test_reports_every_stage(self):
         va, wearable = make_pair(7)
@@ -84,20 +84,6 @@ class TestAnalyzeTimed:
         assert set(timings) == set(PIPELINE_STAGES)
         assert all(seconds >= 0 for seconds in timings.values())
         assert verdict == pipeline.analyze(va, wearable, rng=4)
-
-    def test_skip_segmentation_falls_back_to_full_recording(self):
-        va, wearable = make_pair(8)
-        pipeline = DefensePipeline(
-            segmenter=default_segmenter(seed=31, **RECIPE)
-        )
-        degraded = pipeline.analyze(
-            va, wearable, rng=5, skip_segmentation=True
-        )
-        baseline = DefensePipeline(
-            segmenter=None, config=pipeline.config
-        ).analyze(va, wearable, rng=5)
-        assert degraded == baseline
-        assert degraded.n_segments == 0
 
 
 class TestPipelineSpecHardening:
