@@ -64,19 +64,15 @@ store-smoke:
 	test $$status -eq 0 && printf '%s\n' "$$out" | grep -q ", 0 trained)"
 	$(PYTHON) -m repro store verify --dir $(STORE_SMOKE_DIR)
 
-# Runtime smoke: the unified execution layer.  A 2-worker campaign
-# and a 2-worker serve run must both succeed under the thread AND
-# process executors (the campaign score set is bitwise identical
-# across all of them).
+# Runtime smoke: the worker count is the only execution option.  A
+# 2-worker campaign runs on a process pool (its score set is bitwise
+# identical to the serial run), and a 2-worker loadgen serves on two
+# worker threads.
 runtime-smoke:
 	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 \
-		--workers 2 --executor thread
-	$(PYTHON) -m repro evaluate replay --commands 1 --attacks 1 \
-		--workers 2 --executor process
+		--workers 2
 	$(PYTHON) -m repro loadgen --segmenter none --workers 2 \
-		--worker-mode thread --requests 8 --concurrency 4 --seed 0
-	$(PYTHON) -m repro loadgen --segmenter none --workers 2 \
-		--worker-mode process --requests 8 --concurrency 4 --seed 0
+		--requests 8 --concurrency 4 --seed 0
 
 # Red-team smoke: two tiny robustness curves (~2 generations each,
 # both detector arms) exercise the gradient-free and surrogate-gradient
@@ -86,10 +82,10 @@ runtime-smoke:
 redteam-smoke:
 	$(PYTHON) -m repro redteam curve --mode cmaes --budgets 0 10 \
 		--population 1 --bands 4 --slices 2 --probe-episodes 1 \
-		--eval-episodes 4 --workers 1 --executor inline --seed 3
+		--eval-episodes 4 --workers 1 --seed 3
 	$(PYTHON) -m repro redteam curve --mode surrogate --budgets 0 14 \
 		--population 1 --bands 4 --slices 2 --probe-episodes 1 \
-		--eval-episodes 4 --workers 1 --executor inline --seed 3 \
+		--eval-episodes 4 --workers 1 --seed 3 \
 		--jitter 0.08 --subset-fraction 0.5
 
 # Scenario smoke: the composable channel layer and the scenario

@@ -41,7 +41,6 @@ def _run_curve():
         n_calibration_reps=2,
         seed=3,
         hardening=HARDENING,
-        executor="process",
         n_workers=2,
     )
     return robustness_curve(config, BUDGETS)

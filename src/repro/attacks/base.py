@@ -32,8 +32,8 @@ def attack_stream(
     :func:`~repro.utils.rng.derive_seed`, so the ``index``-th attack of
     a kind is the same waveform no matter which worker generates it, in
     which order, or in which process — the reproducibility contract
-    red-team populations replayed under process-parallel
-    :class:`repro.runtime.Runtime` execution rely on.
+    red-team populations mapped over a process pool by
+    :func:`repro.runtime.map_units` rely on.
     """
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")

@@ -103,14 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "(0 = one per CPU core; results are identical for any count)"
         ),
     )
-    evaluate.add_argument(
-        "--executor", choices=["process", "thread", "inline"],
-        default="process",
-        help=(
-            "runtime executor for multi-worker runs "
-            "(results are identical for any kind)"
-        ),
-    )
 
     study = sub.add_parser(
         "attack-study", help="Table I-style VA vulnerability study"
@@ -124,14 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "(0 = one per CPU core; results are identical for any count)"
         ),
     )
-    study.add_argument(
-        "--executor", choices=["process", "thread", "inline"],
-        default="process",
-        help=(
-            "runtime executor for multi-worker runs "
-            "(results are identical for any kind)"
-        ),
-    )
 
     for name, help_text in (
         ("serve", "online verification service self-test"),
@@ -142,10 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         serving.add_argument(
             "--workers", type=int, default=2,
             help="warm verification workers (>= 1)",
-        )
-        serving.add_argument(
-            "--worker-mode", choices=["thread", "process"],
-            default="thread",
         )
         serving.add_argument(
             "--queue-capacity", type=int, default=64,
@@ -310,7 +290,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _resolve_workers(count: int) -> Optional[int]:
-    """Map the --workers flag to a CampaignRunner worker count.
+    """Map the --workers flag to a worker count (``None`` = one per
+    CPU core).
 
     Rejects negatives up front, before any expensive setup runs.
     """
@@ -398,10 +379,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         rooms=rooms,
         config=config,
         detectors=detectors,
-        runner=CampaignRunner(
-            n_workers=1 if workers is None else workers,
-            executor=args.executor,
-        ),
+        runner=CampaignRunner(n_workers=workers),
     )
     for detector, metrics in result.metrics.items():
         print(f"{detector:20}: {metrics}")
@@ -459,19 +437,11 @@ def _cmd_attack_study(args: argparse.Namespace) -> int:
         for name, spec in VA_DEVICES.items()
         for level in levels
     ]
-    import os
+    from repro.runtime import map_units
 
-    from repro.runtime import Runtime
-
-    workers = _resolve_workers(args.workers)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    kind = "inline" if workers == 1 else args.executor
-    runtime = Runtime(kind, n_workers=workers)
-    try:
-        counts = runtime.map_units(_attack_study_cell, payloads)
-    finally:
-        runtime.shutdown()
+    counts, _ = map_units(
+        _attack_study_cell, payloads, _resolve_workers(args.workers)
+    )
 
     print(f"{'device':14} {'65 dB':>8} {'75 dB':>8}")
     for index, name in enumerate(VA_DEVICES):
@@ -498,7 +468,6 @@ def _resolve_service_config(args: argparse.Namespace):
     try:
         return ServiceConfig(
             n_workers=args.workers,
-            worker_mode=args.worker_mode,
             queue_capacity=args.queue_capacity,
             max_batch_size=args.batch_size,
         )
@@ -554,29 +523,18 @@ def _resolve_store_dir(explicit: Optional[str]) -> Optional[str]:
     return explicit or os.environ.get("REPRO_STORE_DIR") or None
 
 
-def _print_store_report(spec, service) -> None:
-    """One-line artifact-store summary after a serving run.
-
-    The training counter is per-process; with process workers the
-    training happens in the worker processes, so only the on-disk
-    entry count is meaningful there.
-    """
+def _print_store_report(spec) -> None:
+    """One-line artifact-store summary after a serving run."""
     if spec.store_dir is None:
         return
     from repro.core.segmentation import training_run_count
     from repro.store import ArtifactStore
 
     n_entries = len(ArtifactStore(spec.store_dir).verify())
-    if service.config.worker_mode == "thread":
-        print(
-            f"store: {spec.store_dir} ({n_entries} artifact(s), "
-            f"{training_run_count()} trained)"
-        )
-    else:
-        print(
-            f"store: {spec.store_dir} ({n_entries} artifact(s); training "
-            "is counted in the worker processes)"
-        )
+    print(
+        f"store: {spec.store_dir} ({n_entries} artifact(s), "
+        f"{training_run_count()} trained)"
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -599,18 +557,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except ConfigurationError as error:
         raise SystemExit(f"error: {error}") from None
+    # The recording pool is client material: build it before the
+    # service's clock starts.
+    pool = build_recording_pool(
+        seed=args.seed, pool_size=min(args.requests, 6)
+    )
     print(f"Warming {config.n_workers} worker(s)...")
     with VerificationService(spec, config) as service:
-        pool = build_recording_pool(
-            seed=args.seed, pool_size=min(args.requests, 6)
-        )
         report = run_loadgen(service, selftest, pool=pool)
         metrics = service.metrics()
         print(
             f"self-test: {report.n_served}/{report.n_issued} served, "
             f"{report.n_failed} failed"
         )
-        _print_store_report(spec, service)
+        _print_store_report(spec)
     print(format_service_metrics(metrics))
     return 1 if report.n_failed else 0
 
@@ -621,6 +581,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.serve import (
         LoadgenConfig,
         VerificationService,
+        build_recording_pool,
         run_loadgen,
     )
 
@@ -636,18 +597,20 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
     except ConfigurationError as error:
         raise SystemExit(f"error: {error}") from None
+    # The recording pool is client material: build it before the
+    # service's clock starts.
+    pool = build_recording_pool(seed=args.seed)
     print(f"Warming {config.n_workers} worker(s)...")
     with VerificationService(spec, config) as service:
-        report = run_loadgen(service, loadgen_config)
+        report = run_loadgen(service, loadgen_config, pool=pool)
         metrics = service.metrics()
-        store_report_args = (spec, service)
     print(
         f"loadgen[{report.mode}]: {report.n_issued} issued, "
         f"{report.n_served} served, "
         f"{report.n_failed} failed in {report.wall_s:.2f}s "
         f"({report.throughput_rps:.2f} req/s)"
     )
-    _print_store_report(*store_report_args)
+    _print_store_report(spec)
     if report.latencies_s:
         print(
             "latency p50/p95/p99: "

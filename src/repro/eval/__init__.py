@@ -20,7 +20,6 @@ from repro.eval.campaign import (
     DetectorBank,
     ScoreSet,
     build_campaign_units,
-    collect_scores,
     score_campaign_unit,
 )
 from repro.eval.experiment import (
@@ -69,7 +68,6 @@ __all__ = [
     "ScoreSet",
     "UnitStats",
     "build_campaign_units",
-    "collect_scores",
     "score_campaign_unit",
     "ExperimentResult",
     "run_attack_experiment",

@@ -219,8 +219,7 @@ def build_campaign_units(
 
     For each room, each assigned participant takes a turn as victim with
     the next participant in the pool as the adversary (the paper's
-    take-turns protocol); the unit order is deterministic and matches
-    the serial iteration order of :func:`collect_scores`.
+    take-turns protocol); the unit order is deterministic.
     """
     units: List[CampaignUnit] = []
     assignments = pool.room_assignments([room.name for room in rooms])
@@ -287,36 +286,6 @@ def score_campaign_unit(
         attack_rng,
     )
     return scores
-
-
-def collect_scores(
-    rooms: Sequence[RoomConfig],
-    pool: ParticipantPool,
-    detectors: DetectorBank,
-    attack_kinds: Sequence[AttackKind],
-    config: CampaignConfig,
-    corpus: Optional[SyntheticCorpus] = None,
-    n_workers: Optional[int] = 1,
-) -> ScoreSet:
-    """Run a campaign and return every detector's score distributions.
-
-    For each room, each assigned participant speaks
-    ``n_commands_per_participant`` commands (legitimate samples) and is
-    attacked ``n_attacks_per_kind`` times per attack kind, with the next
-    participant in the pool as the adversary.
-
-    ``n_workers`` shards the room × victim units across a process pool
-    (``None`` = one worker per CPU core, ``1`` = serial); because every
-    unit is independently seeded, the returned scores are identical for
-    any worker count.  See :class:`repro.eval.runner.CampaignRunner` for
-    the engine and per-unit timing.
-    """
-    from repro.eval.runner import CampaignRunner
-
-    runner = CampaignRunner(n_workers=n_workers)
-    return runner.run(
-        rooms, pool, detectors, attack_kinds, config, corpus=corpus
-    ).scores
 
 
 def _score_legitimate(

@@ -4,8 +4,8 @@ Every headline experiment funnels through the campaign's room × victim
 units, and every unit derives its own seed from ``(config.seed, room,
 victim)`` — so units can be scored in any order, in any process, and
 still reproduce the serial run bit for bit.  :class:`CampaignRunner`
-exploits that: it shards units across a :class:`repro.runtime.Runtime`
-(process pool, thread pool, or inline), folds the per-unit
+exploits that: it maps units through :func:`repro.runtime.map_units`
+(inline for one worker, a process pool otherwise), folds the per-unit
 :class:`ScoreSet`s back together in deterministic unit order with
 :meth:`ScoreSet.merge`, and records per-unit wall-clock, throughput,
 and per-stage pipeline time from the units' :class:`StageEvent`
@@ -15,24 +15,21 @@ Determinism contract
 --------------------
 For a fixed ``CampaignConfig.seed``, participant pool, rooms, and attack
 kinds, ``CampaignRunner(n_workers=k).run(...)`` returns an identical
-:class:`ScoreSet` for every ``k`` **and every executor kind** — the
-same detectors, the same score lists in the same order.  The regression
-suite (``tests/test_eval_runner.py``, ``tests/test_runtime.py``) pins
-this.
+:class:`ScoreSet` for every ``k`` — the same detectors, the same score
+lists in the same order.  The regression suite
+(``tests/test_eval_runner.py``, ``tests/test_runtime.py``) pins this.
 
 Fault tolerance
 ---------------
 If the process pool cannot spawn (restricted environments, unpicklable
 detector banks) or workers die mid-campaign,
-:meth:`repro.runtime.Runtime.map_units` finishes the remaining units
-inline in-process; results are unchanged because units are
-order-independent.
+:func:`repro.runtime.map_units` finishes the remaining units inline
+in-process; results are unchanged because units are order-independent.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -50,14 +47,7 @@ from repro.eval.campaign import (
 )
 from repro.eval.participants import ParticipantPool
 from repro.phonemes.corpus import SyntheticCorpus
-from repro.runtime import (
-    INLINE,
-    PROCESS,
-    THREAD,
-    Runtime,
-    capture_stage_events,
-    validate_kind,
-)
+from repro.runtime import capture_stage_events, map_units, resolve_workers
 
 logger = logging.getLogger(__name__)
 
@@ -144,9 +134,9 @@ class CampaignResult:
 # Worker plumbing.  The runtime initializer parks the (read-only)
 # detector bank and corpus in module globals so they are pickled once
 # per worker instead of once per unit, and so each worker's corpus
-# utterance cache stays warm across the units it executes.  Inline and
-# thread execution run the same initializer in-process, so one code
-# path serves every executor kind.
+# utterance cache stays warm across the units it executes.  Inline
+# runs call the same initializer in-process, so one code path serves
+# both.
 # ----------------------------------------------------------------------
 
 _WORKER_DETECTORS: Optional[DetectorBank] = None
@@ -183,13 +173,8 @@ class CampaignRunner:
     ----------
     n_workers:
         ``1`` runs in-process (serial); ``None`` uses one worker per CPU
-        core (``os.cpu_count()``); any other value caps the pool size.
-        The worker count never exceeds the number of units.
-    executor:
-        Executor kind for multi-worker runs: ``"process"`` (default,
-        falls back inline if the pool cannot spawn or breaks),
-        ``"thread"``, or ``"inline"``.  Single-worker runs are always
-        inline.
+        core (``os.cpu_count()``); any other value caps the process
+        pool size.  The worker count never exceeds the number of units.
 
     Examples
     --------
@@ -198,17 +183,12 @@ class CampaignRunner:
     >>> # result.scores, result.stats.samples_per_s
     """
 
-    def __init__(
-        self,
-        n_workers: Optional[int] = None,
-        executor: str = PROCESS,
-    ) -> None:
-        if n_workers is not None and int(n_workers) < 1:
+    def __init__(self, n_workers: Optional[int] = None) -> None:
+        if n_workers is not None and not n_workers >= 1:  # NaN too
             raise ConfigurationError(
                 f"n_workers must be >= 1 (or None), got {n_workers}"
             )
         self.n_workers = None if n_workers is None else int(n_workers)
-        self.executor = validate_kind(executor)
 
     def run(
         self,
@@ -243,19 +223,15 @@ class CampaignRunner:
         one pool) use this instead of :meth:`run`.
         """
         units = list(units)
-        workers = self._resolve_workers(len(units))
-        kind = INLINE if workers <= 1 else self.executor
-        runtime = Runtime(
-            kind,
-            n_workers=workers,
+        workers = resolve_workers(self.n_workers, len(units))
+        start = time.perf_counter()
+        outputs, fell_back = map_units(
+            _score_unit_in_worker,
+            units,
+            workers,
             initializer=_init_worker,
             initargs=(detectors, corpus),
         )
-        start = time.perf_counter()
-        try:
-            outputs = runtime.map_units(_score_unit_in_worker, units)
-        finally:
-            runtime.shutdown()
         score_sets: List[ScoreSet] = []
         unit_stats: List[UnitStats] = []
         for unit, (scores, wall_s, stage_s) in zip(units, outputs):
@@ -270,32 +246,18 @@ class CampaignRunner:
             )
         stats = CampaignStats(
             n_workers=workers,
-            mode=self._mode_label(runtime),
+            mode=_mode_label(workers, fell_back),
             wall_s=time.perf_counter() - start,
             units=unit_stats,
         )
         return score_sets, stats
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
 
-    @staticmethod
-    def _mode_label(runtime: Runtime) -> str:
-        """Human-readable execution mode, preserving the historical
-        vocabulary (``serial`` / ``process-pool`` /
-        ``process-pool+serial-fallback``) plus ``thread-pool``."""
-        realized = runtime.realized_kind
-        if realized == PROCESS:
-            return "process-pool"
-        if realized == THREAD:
-            return "thread-pool"
-        if runtime.fell_back:
-            return "process-pool+serial-fallback"
+def _mode_label(workers: int, fell_back: bool) -> str:
+    """Execution mode: ``serial``, ``process-pool`` or
+    ``process-pool+serial-fallback``."""
+    if workers <= 1:
         return "serial"
-
-    def _resolve_workers(self, n_units: int) -> int:
-        workers = self.n_workers
-        if workers is None:
-            workers = os.cpu_count() or 1
-        return max(1, min(workers, n_units)) if n_units else 1
+    if fell_back:
+        return "process-pool+serial-fallback"
+    return "process-pool"

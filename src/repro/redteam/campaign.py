@@ -13,7 +13,7 @@ The loop the curves come from:
    curves isolate the effect of the randomized defenses.
 3. **Population** — ``population`` independent attackers per arm, each
    with its own member seed, optimized in parallel through
-   :class:`repro.runtime.Runtime` (a broken process pool finishes
+   :func:`repro.runtime.map_units` (a broken process pool finishes
    inline).  Each attacker drives a budgeted
    :class:`~repro.redteam.oracle.ScoreOracle` and records its full
    per-query history, so one run to the maximum budget yields the
@@ -54,7 +54,7 @@ from repro.redteam.oracle import OracleConfig, ScoreOracle
 from repro.redteam.optimizers import OPTIMIZERS, make_optimizer
 from repro.redteam.space import AttackSpace
 from repro.redteam.surrogate import SurrogateGradientAttacker
-from repro.runtime import Runtime
+from repro.runtime import map_units
 from repro.utils.rng import derive_seed
 
 #: Attacker modes the campaign accepts (gradient-free registry plus the
@@ -109,8 +109,9 @@ class RedTeamConfig:
     hardening:
         Randomized defenses of the hardened arm's detector; the
         unhardened arm deploys the paper's deterministic detector.
-    executor / n_workers:
-        Runtime placement of the attacker population.
+    n_workers:
+        Worker processes for the attacker population (``1`` runs
+        inline).
     """
 
     mode: str = "cmaes"
@@ -125,7 +126,6 @@ class RedTeamConfig:
     seed: int = 0
     threshold: Optional[float] = None
     hardening: HardeningConfig = DEFAULT_HARDENING
-    executor: str = "process"
     n_workers: int = 2
 
     def __post_init__(self) -> None:
@@ -436,8 +436,8 @@ def attack_digest_unit(
     A provenance/reproducibility probe: because every attack is
     generated on its own :func:`~repro.attacks.attack_stream`, the
     digest is a pure function of ``(seed, kind, index, command)`` —
-    the determinism tests map this unit over process and inline
-    runtimes and require bitwise-identical answers.
+    the determinism tests map this unit inline and over a process pool
+    and require bitwise-identical answers.
     """
     seed, kind_value, index, command = payload
     _, generator = _attack_generator(seed, AttackKind(kind_value))
@@ -445,21 +445,6 @@ def attack_digest_unit(
     return hashlib.sha256(
         np.ascontiguousarray(attack.waveform, dtype=np.float64).tobytes()
     ).hexdigest()
-
-
-def _run_population(
-    units: Sequence[AttackerUnit],
-    executor: str,
-    n_workers: int,
-) -> List[AttackerRun]:
-    """Map attacker units over the runtime, in order."""
-    units = list(units)
-    kind = "inline" if n_workers == 1 or len(units) == 1 else executor
-    runtime = Runtime(kind, n_workers=min(n_workers, len(units)))
-    try:
-        return runtime.map_units(optimize_attacker_unit, units)
-    finally:
-        runtime.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +560,7 @@ def robustness_curve(
         for _, arm_hardening in arms
         for member in range(config.population)
     ]
-    runs = _run_population(units, config.executor, config.n_workers)
+    runs, _ = map_units(optimize_attacker_unit, units, config.n_workers)
 
     world = build_world(config)
     points: List[CurvePoint] = []

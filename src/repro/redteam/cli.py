@@ -100,14 +100,6 @@ def add_redteam_parser(subparsers) -> None:
             "(results are identical for any count)"
         ),
     )
-    curve.add_argument(
-        "--executor", choices=["process", "thread", "inline"],
-        default="process",
-        help=(
-            "runtime executor for multi-worker runs "
-            "(results are identical for any kind)"
-        ),
-    )
     curve.add_argument("--seed", type=int, default=0)
 
 
@@ -128,7 +120,6 @@ def cmd_redteam(args: argparse.Namespace) -> int:
                 threshold_jitter=args.jitter,
                 subset_fraction=args.subset_fraction,
             ),
-            executor=args.executor,
             n_workers=max(args.workers, 1),
         )
         print(

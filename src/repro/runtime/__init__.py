@@ -1,9 +1,8 @@
-"""Unified execution layer: the executor and the StageEvent
+"""Unified execution layer: batch unit mapping and the StageEvent
 observability protocol.
 
-All pool construction in the library lives here; ``core``, ``eval``,
-``serve``, and the CLI submit units of work through a
-:class:`Runtime` and observe them through :class:`StageEvent` records.
+Batch work in ``eval``, ``redteam`` and the CLI runs its units through
+:func:`map_units` and is observed through :class:`StageEvent` records.
 """
 
 from repro.runtime.events import (
@@ -12,28 +11,14 @@ from repro.runtime.events import (
     capture_stage_events,
     emit_event,
 )
-from repro.runtime.executor import (
-    EXECUTOR_KINDS,
-    INLINE,
-    POOL_ERRORS,
-    PROCESS,
-    THREAD,
-    InlineExecutor,
-    Runtime,
-    validate_kind,
-)
+from repro.runtime.executor import POOL_ERRORS, map_units, resolve_workers
 
 __all__ = [
-    "EXECUTOR_KINDS",
-    "INLINE",
-    "InlineExecutor",
     "POOL_ERRORS",
-    "PROCESS",
-    "Runtime",
     "StageEvent",
     "StageEventAggregator",
-    "THREAD",
     "capture_stage_events",
     "emit_event",
-    "validate_kind",
+    "map_units",
+    "resolve_workers",
 ]

@@ -4,7 +4,7 @@
 ``submit`` admits a :class:`~repro.serve.request.VerificationRequest`
 into a bounded FIFO queue, blocking while it is full, and returns a
 future.  A dispatcher thread is work-conserving: as soon as a
-worker of the :class:`WarmWorkerPool` is free, it takes the oldest
+worker thread of the :class:`WarmWorkerPool` is free, it takes the oldest
 queued request plus up to ``max_batch_size - 1`` later requests with
 the same batch key and hands them to that worker as one micro-batch.
 While every worker is busy, requests wait in the queue, so batches form
@@ -15,8 +15,8 @@ status: served or failed.
 Determinism contract
 --------------------
 A served verdict is a pure function of (pipeline spec, recordings,
-request seed): batch composition, worker count, worker mode, and queue
-timing never change it.  ``tests/test_serve_service.py`` pins service
+request seed): batch composition, worker count, and queue timing never
+change it.  ``tests/test_serve_service.py`` pins service
 verdicts bitwise against direct ``DefensePipeline.analyze`` calls.
 """
 
@@ -46,9 +46,10 @@ class ServiceConfig:
     Attributes
     ----------
     n_workers:
-        Warm workers in the pool.
+        Warm worker threads in the pool.
     worker_mode:
-        ``"thread"`` or ``"process"`` (see :class:`WarmWorkerPool`).
+        Must be ``"thread"``, the only worker kind; kept so existing
+        callers that pass it still construct.
     queue_capacity:
         Bound of the admission queue; ``submit`` blocks while it is
         full.
@@ -62,24 +63,15 @@ class ServiceConfig:
     max_batch_size: int = 8
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1:
+        for name in ("n_workers", "queue_capacity", "max_batch_size"):
+            value = getattr(self, name)
+            if not value >= 1:  # also rejects NaN
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {value}"
+                )
+        if self.worker_mode != "thread":
             raise ConfigurationError(
-                f"n_workers must be >= 1, got {self.n_workers}"
-            )
-        if self.worker_mode not in ("thread", "process"):
-            raise ConfigurationError(
-                f"worker_mode must be 'thread' or 'process', "
-                f"got {self.worker_mode!r}"
-            )
-        if self.queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1, "
-                f"got {self.queue_capacity}"
-            )
-        if self.max_batch_size < 1:
-            raise ConfigurationError(
-                f"max_batch_size must be >= 1, "
-                f"got {self.max_batch_size}"
+                f"worker_mode must be 'thread', got {self.worker_mode!r}"
             )
 
 
@@ -127,9 +119,7 @@ class VerificationService:
             self.config.queue_capacity
         )
         self._pool = WarmWorkerPool(
-            self.spec,
-            n_workers=self.config.n_workers,
-            mode=self.config.worker_mode,
+            self.spec, n_workers=self.config.n_workers
         )
         # Batches handed to the pool and not yet resolved.  The
         # dispatcher waits on the condition for a free worker; stop()

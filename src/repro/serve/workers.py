@@ -2,31 +2,22 @@
 
 Workers are expensive to make ready: the defense's bidirectional-LSTM
 segmenter must be trained before the first verdict.  The pool therefore
-trains **once per worker at startup** via a pool initializer — not per
+trains **once at startup**, in :meth:`WarmWorkerPool.start` — not per
 request, as the one-shot CLI paths used to — and keeps the resulting
 :class:`~repro.core.pipeline.DefensePipeline` instances alive across
-batches.  Per-request determinism is preserved: a verdict depends only
-on the pipeline spec, the recordings, and the request's integer seed,
-so any worker (thread or process, warm or cold) returns bitwise the
-same answer as a direct ``DefensePipeline.analyze`` call.
-
-Execution runs on the unified :class:`repro.runtime.Runtime`:
-
-``thread``
-    Workers share this process's memoized segmenter (training happens
-    once per process).  LSTM inference is read-only, so sharing is
-    safe.
-``process``
-    Each worker process builds the warm pipeline in its initializer.
-    A warm-up probe forces spawn/initializer failures to surface at
-    start, where they raise: hosts that cannot spawn processes serve
-    with the default ``thread`` mode.
+batches.  Batches run on a thread pool that shares this process's
+memoized segmenter; LSTM inference is read-only, so sharing is safe.
+Per-request determinism is preserved: a verdict depends only on the
+pipeline spec, the recordings, and the request's integer seed, so any
+worker returns bitwise the same answer as a direct
+``DefensePipeline.analyze`` call.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -39,19 +30,13 @@ from repro.core.pipeline import (
 )
 from repro.core.segmentation import PhonemeSegmenter, default_segmenter
 from repro.errors import ConfigurationError
-from repro.runtime import (
-    PROCESS,
-    THREAD,
-    Runtime,
-    StageEvent,
-    capture_stage_events,
-)
+from repro.runtime import StageEvent, capture_stage_events
 from repro.serve.request import VerificationRequest
 from repro.store import artifact_fingerprint
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Picklable recipe for building a warm verification pipeline.
+    """Recipe for building a warm verification pipeline.
 
     Attributes
     ----------
@@ -77,15 +62,13 @@ class PipelineSpec:
         Minimum concatenated-segment material before the pipeline
         falls back to full recordings.
     store_dir:
-        Artifact-store directory workers consult before training (a
-        plain string so the spec stays picklable for process-pool
-        initializers); ``None`` trains in-process as before.
+        Artifact-store directory workers consult before training;
+        ``None`` trains in-process.
     scenario:
         Name of a registered :class:`repro.scenarios.ScenarioSpec`
         selecting the replay-side channel graph (the wearable sensor
-        model) workers serve with.  A *name*, not a spec, so the spec
-        stays picklable; workers re-resolve it from the registry.
-        Part of the fingerprint — different channel graphs produce
+        model) workers serve with; workers resolve it from the
+        registry.  Part of the fingerprint — different channel graphs produce
         different verdicts and must never share a batch class.
     """
 
@@ -107,7 +90,7 @@ class PipelineSpec:
 
             get_scenario(self.scenario)  # raises with the known list
         # Build the hardening config eagerly so invalid knobs fail at
-        # spec construction, not in a worker initializer.
+        # spec construction, not at pool start.
         self.hardening
 
     @property
@@ -178,7 +161,7 @@ class PipelineSpec:
 
 @dataclass
 class WorkerResult:
-    """Picklable per-request outcome returned by a worker.
+    """Per-request outcome returned by a worker.
 
     ``events`` carries the request's :class:`StageEvent` stream (stage
     timings, fallback annotations, error classes), which the service
@@ -194,24 +177,16 @@ class WorkerResult:
 
 
 # ----------------------------------------------------------------------
-# Worker-process / worker-thread pipeline cache.  The pool initializer
-# trains the segmenter eagerly (warm start); batches then reuse
-# per-(spec, rate, motion) pipelines.  Keys include the spec
-# fingerprint so several services with different specs can coexist in
-# one process (thread mode) without crosstalk.
+# Worker pipeline cache.  The pool trains the segmenter at start (warm
+# start); batches then reuse per-(spec, rate, motion) pipelines.  Keys
+# include the spec fingerprint so several services with different
+# specs can coexist in one process without crosstalk.
 # ----------------------------------------------------------------------
 
 _WORKER_PIPELINES: Dict[
     Tuple[str, float, bool], DefensePipeline
 ] = {}
 _WORKER_LOCK = threading.Lock()
-
-
-def _init_worker(spec: PipelineSpec) -> None:
-    """Pool initializer: make the worker warm before the first batch."""
-    # Train eagerly so the first request does not pay the cost; the
-    # result is memoized by default_segmenter for this process.
-    spec.build_segmenter()
 
 
 def _worker_pipeline(
@@ -288,80 +263,54 @@ def execute_batch(
 
 
 class WarmWorkerPool:
-    """Persistent executor whose workers hold trained pipelines.
-
-    A thin façade over :class:`repro.runtime.Runtime`: the pool picks
-    the warm-up probe and the worker initializer, and the runtime owns
-    pool construction.
+    """Thread pool whose workers share one process's warm pipelines.
 
     Parameters
     ----------
     spec:
-        Pipeline recipe every worker warms up with.
+        Pipeline recipe the pool warms up with.
     n_workers:
         Pool size (>= 1).
-    mode:
-        ``"thread"`` (default) or ``"process"``; a process pool that
-        cannot spawn raises from :meth:`start`.
     """
 
-    def __init__(
-        self,
-        spec: PipelineSpec,
-        n_workers: int = 2,
-        mode: str = "thread",
-    ) -> None:
+    def __init__(self, spec: PipelineSpec, n_workers: int = 2) -> None:
         if int(n_workers) < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {n_workers}"
             )
-        if mode not in (THREAD, PROCESS):
-            raise ConfigurationError(
-                f"mode must be 'thread' or 'process', got {mode!r}"
-            )
         self.spec = spec
         self.n_workers = int(n_workers)
-        self.mode = mode
-        self._runtime: Optional[Runtime] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
 
     def start(self) -> None:
-        """Spawn the executor and warm every worker.
+        """Warm up in the calling thread, then start the threads.
 
-        The runtime probes every worker with one empty batch, so each
-        worker's initializer (segmenter training or store load) runs
-        here rather than on the first request.  In process mode this
-        also surfaces spawn and initializer failures here, instead of
-        mid-traffic.
+        Building the default batch key's pipeline trains (or loads from
+        the store) the segmenter here rather than on the first request.
         """
-        if self._runtime is not None:
+        if self._executor is not None:
             return
-        runtime = Runtime(
-            kind=self.mode,
-            n_workers=self.n_workers,
-            initializer=_init_worker,
-            initargs=(self.spec,),
-            probe=(
-                execute_batch,
-                ((self.spec, (16_000.0, False), []),),
-            ),
+        _worker_pipeline(self.spec, (16_000.0, False))
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.n_workers, thread_name_prefix="verify-worker"
         )
-        runtime.start()
-        self._runtime = runtime
 
     def submit(
         self,
         key: Hashable,
         requests: List[VerificationRequest],
         ages_s: List[float],
-    ):
+    ) -> "Future[List[WorkerResult]]":
         """Dispatch one micro-batch; returns the executor future."""
-        if self._runtime is None:
+        if self._executor is None:
             raise ConfigurationError("pool not started; call start()")
         items = list(zip(requests, ages_s))
-        return self._runtime.submit(execute_batch, (self.spec, key, items))
+        # ``execute_batch`` is looked up here, at call time, so a
+        # wrapper installed on the module attribute sees every batch.
+        return self._executor.submit(execute_batch, (self.spec, key, items))
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the executor (idempotent)."""
-        if self._runtime is not None:
-            self._runtime.shutdown(wait=wait)
-            self._runtime = None
+        if self._executor is not None:
+            self._executor.shutdown(wait=wait, cancel_futures=not wait)
+            self._executor = None

@@ -31,7 +31,6 @@ def _config():
         n_eval_episodes=12,
         n_calibration_reps=2,
         seed=3,
-        executor="inline",
         n_workers=1,
         hardening=HardeningConfig(
             threshold_jitter=0.08, subset_fraction=0.5

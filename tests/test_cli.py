@@ -1,5 +1,7 @@
 """CLI entry points (fast commands only)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import main
@@ -78,7 +80,6 @@ def test_redteam_curve_reports_hardening_and_surrogate_fallback(capsys):
             "--probe-episodes", "1",
             "--eval-episodes", "4",
             "--workers", "1",
-            "--executor", "inline",
             "--seed", "3",
             "--jitter", "0.08",
             "--subset-fraction", "0.5",
@@ -125,3 +126,49 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
+
+
+def test_evaluate_workers_zero_means_one_per_core(monkeypatch):
+    """``--workers 0`` hands the runner ``None``: one worker per core."""
+    import repro.eval.experiment as experiment
+
+    runners = []
+
+    def fake_experiment(kind, rooms, config, detectors, runner):
+        runners.append(runner)
+        return SimpleNamespace(metrics={}, stats=None)
+
+    monkeypatch.setattr(experiment, "run_attack_experiment", fake_experiment)
+    assert main(["evaluate", "replay", "--workers", "0"]) == 0
+    [runner] = runners
+    assert runner.n_workers is None
+
+
+@pytest.mark.parametrize("command", ["serve", "loadgen"])
+def test_recording_pool_is_built_before_the_service_starts(
+    command, monkeypatch
+):
+    """Client material is built outside the service's clock, so the
+    service's req/s and loadgen's count the same serving time."""
+    import repro.serve as serve
+
+    calls = []
+    build_pool = serve.build_recording_pool
+    start = serve.VerificationService.start
+
+    def recording_build_pool(*args, **kwargs):
+        calls.append("pool")
+        return build_pool(*args, **kwargs)
+
+    def recording_start(self):
+        calls.append("start")
+        return start(self)
+
+    monkeypatch.setattr(serve, "build_recording_pool", recording_build_pool)
+    monkeypatch.setattr(serve.VerificationService, "start", recording_start)
+    exit_code = main(
+        [command, "--segmenter", "none", "--workers", "1",
+         "--requests", "2", "--seed", "11"]
+    )
+    assert exit_code == 0
+    assert calls == ["pool", "start"]

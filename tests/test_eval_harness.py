@@ -11,7 +11,6 @@ from repro.eval.campaign import (
     FULL_SYSTEM,
     ScoreSet,
     VIBRATION_BASELINE,
-    collect_scores,
 )
 from repro.eval.participants import ParticipantPool
 from repro.eval.reporting import (
@@ -21,6 +20,7 @@ from repro.eval.reporting import (
     sparkline,
 )
 from repro.eval.rooms import ROOM_A, ROOM_B, ROOM_C, ROOM_D, ROOMS
+from repro.eval.runner import CampaignRunner
 from repro.errors import ConfigurationError
 
 
@@ -114,9 +114,9 @@ class TestMiniCampaign:
         config = CampaignConfig(
             n_commands_per_participant=2, n_attacks_per_kind=2, seed=4
         )
-        scores = collect_scores(
+        scores = CampaignRunner(n_workers=1).run(
             [ROOM_A], pool, detectors, [AttackKind.REPLAY], config
-        )
+        ).scores
         assert len(scores.legit[FULL_SYSTEM]) == 4
         assert len(
             scores.attacks[AttackKind.REPLAY][FULL_SYSTEM]

@@ -12,7 +12,6 @@ from repro.eval.campaign import (
     FULL_SYSTEM,
     ScoreSet,
     build_campaign_units,
-    collect_scores,
     score_campaign_unit,
 )
 from repro.eval.participants import ParticipantPool
@@ -20,6 +19,7 @@ from repro.eval.reporting import format_runner_stats
 from repro.eval.rooms import ROOM_A
 from repro.eval.runner import CampaignRunner
 from repro.phonemes.corpus import SyntheticCorpus
+from repro.runtime import resolve_workers
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +58,14 @@ class TestDeterminismContract:
         assert parallel.scores.legit == serial_result.scores.legit
         assert parallel.scores.attacks == serial_result.scores.attacks
 
-    def test_collect_scores_n_workers_param(self, campaign, serial_result):
+    def test_two_workers_match_serial_bitwise(
+        self, campaign, serial_result
+    ):
         pool, detectors, config, corpus = campaign
-        scores = collect_scores(
+        scores = CampaignRunner(n_workers=2).run(
             [ROOM_A], pool, detectors, [AttackKind.REPLAY], config,
-            corpus=corpus, n_workers=2,
-        )
+            corpus=corpus,
+        ).scores
         assert scores.legit == serial_result.scores.legit
         assert scores.attacks == serial_result.scores.attacks
 
@@ -105,9 +107,9 @@ class TestStateLeakRegression:
                 n_attacks_per_kind=1,
                 seed=22,
             )
-            scores = collect_scores(
+            scores = CampaignRunner(n_workers=1).run(
                 [ROOM_A], pool, detectors, [AttackKind.REPLAY], config
-            )
+            ).scores
             attack_sets.append(scores.attacks[AttackKind.REPLAY])
         assert attack_sets[0] == attack_sets[1]
 
@@ -135,23 +137,28 @@ class TestRunnerStats:
 
 class TestWorkerResolution:
     def test_invalid_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            CampaignRunner(n_workers=0)
+        for n_workers in (0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                CampaignRunner(n_workers=n_workers)
 
     def test_workers_capped_at_unit_count(self, campaign):
         pool, detectors, config, corpus = campaign
         units = build_campaign_units(
             [ROOM_A], pool, [AttackKind.REPLAY], config
         )
-        runner = CampaignRunner(n_workers=64)
-        assert runner._resolve_workers(len(units)) == len(units)
-        assert CampaignRunner(n_workers=1)._resolve_workers(4) == 1
+        assert resolve_workers(64, len(units)) == len(units)
+        assert resolve_workers(1, 4) == 1
+        result = CampaignRunner(n_workers=64).run(
+            [ROOM_A], pool, detectors, [AttackKind.REPLAY], config,
+            corpus=corpus,
+        )
+        assert result.stats.n_workers == len(units)
 
     def test_default_is_cpu_count_aware(self):
         import os
 
-        runner = CampaignRunner()
-        assert runner._resolve_workers(1024) == (os.cpu_count() or 1)
+        assert CampaignRunner().n_workers is None
+        assert resolve_workers(None, 1024) == (os.cpu_count() or 1)
 
 
 class TestGracefulFallback:
@@ -242,16 +249,16 @@ class TestSegmentationModes:
         assert untrained.legit == trained.legit
         assert untrained.attacks == trained.attacks
 
-    def test_online_scores_match_across_thread_workers(
+    def test_online_scores_match_across_process_workers(
         self, small_segmenter
     ):
         inline = self._run(small_segmenter, use_oracle=False)
-        threaded = self._run(
+        parallel = self._run(
             small_segmenter,
             use_oracle=False,
-            runner=CampaignRunner(n_workers=2, executor="thread"),
+            runner=CampaignRunner(n_workers=2),
         )
-        assert threaded.stats.mode == "thread-pool"
-        assert threaded.stats.n_workers == 2
-        assert inline.scores.legit == threaded.scores.legit
-        assert inline.scores.attacks == threaded.scores.attacks
+        assert parallel.stats.mode == "process-pool"
+        assert parallel.stats.n_workers == 2
+        assert inline.scores.legit == parallel.scores.legit
+        assert inline.scores.attacks == parallel.scores.attacks

@@ -1,4 +1,5 @@
-"""Runtime layer: executors, inline fallback, determinism."""
+"""Runtime layer: inline vs process mapping, inline fallback,
+determinism."""
 
 import pickle
 
@@ -12,11 +13,9 @@ from repro.eval.participants import ParticipantPool
 from repro.eval.rooms import ROOM_A
 from repro.eval.runner import CampaignRunner
 from repro.phonemes.corpus import SyntheticCorpus
-from repro.runtime import (
-    EXECUTOR_KINDS,
-    Runtime,
-    capture_stage_events,
-)
+from repro.runtime import capture_stage_events, map_units
+from repro.serve import PipelineSpec, ServiceConfig, WarmWorkerPool
+import repro.serve.workers as workers_module
 
 
 def _double(x):
@@ -37,67 +36,73 @@ def _die_in_worker(payload):
     return x + 1
 
 
-class TestExecutorsBasic:
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    def test_map_preserves_submission_order(self, kind):
-        runtime = Runtime(kind, n_workers=2)
-        try:
-            assert runtime.map_units(_double, list(range(8))) == [
-                2 * x for x in range(8)
-            ]
-            assert runtime.realized_kind == kind
-            assert not runtime.fell_back
-        finally:
-            runtime.shutdown()
+#: Worker counts that select each execution path.
+PATHS = pytest.mark.parametrize(
+    "n_workers", [1, 2], ids=["inline", "process"]
+)
 
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    def test_array_payload_crosses_bitwise(self, kind):
+
+class TestExecutorsBasic:
+    @PATHS
+    def test_map_preserves_submission_order(self, n_workers):
+        results, fell_back = map_units(_double, list(range(8)), n_workers)
+        assert results == [2 * x for x in range(8)]
+        assert not fell_back
+
+    @PATHS
+    def test_array_payload_crosses_bitwise(self, n_workers):
         """A batch-sized array (well over 64 KiB) survives the pool
         boundary bit for bit, by plain pickle in process mode."""
         audio = np.random.default_rng(0).standard_normal(48_397)
-        runtime = Runtime(kind, n_workers=1)
-        try:
-            [back] = runtime.map_units(_double, [audio])
-            assert runtime.realized_kind == kind
-        finally:
-            runtime.shutdown()
+        (back, _), fell_back = map_units(_double, [audio, audio], n_workers)
+        assert not fell_back
         assert back.dtype == audio.dtype
         assert back.tobytes() == (audio * 2).tobytes()
 
     def test_submit_returns_future(self):
-        with Runtime("inline") as runtime:
-            assert runtime.submit(_double, 21).result() == 42
+        # Serve's worker threads hand back executor futures.
+        pool = WarmWorkerPool(PipelineSpec(use_segmenter=False), n_workers=1)
+        pool.start()
+        try:
+            assert pool.submit((16_000.0, False), [], []).result() == []
+        finally:
+            pool.shutdown()
 
     def test_initializer_runs_inline(self):
         seen = []
-        with Runtime("inline", initializer=seen.append, initargs=(7,)):
-            pass
+        map_units(_double, [1, 2], 1, initializer=seen.append, initargs=(7,))
         assert seen == [7]
 
     def test_invalid_kind_and_workers(self):
+        # The worker count is the only option; serve's legacy
+        # worker_mode field accepts its one kind alone.
+        for n_workers in (0, -1, float("nan")):
+            with pytest.raises(ConfigurationError):
+                map_units(_double, [1], n_workers)
         with pytest.raises(ConfigurationError):
-            Runtime("fiber")
-        with pytest.raises(ConfigurationError):
-            Runtime("thread", n_workers=0)
+            ServiceConfig(worker_mode="process")
 
 
 class TestErrorPropagation:
-    def test_inline_and_thread_raise_original(self):
-        for kind in ("inline", "thread"):
-            runtime = Runtime(kind, n_workers=2)
-            try:
-                with pytest.raises(ValueError):
-                    runtime.map_units(_boom, [1])
-            finally:
-                runtime.shutdown()
+    def test_inline_and_thread_raise_original(self, monkeypatch):
+        # One worker, or one unit, runs inline.
+        for n_workers in (1, 2):
+            with pytest.raises(ValueError):
+                map_units(_boom, [1], n_workers)
+        # Serve's worker threads carry the original exception too; the
+        # pool looks execute_batch up on its module at call time.
+        monkeypatch.setattr(workers_module, "execute_batch", _boom)
+        pool = WarmWorkerPool(PipelineSpec(use_segmenter=False), n_workers=2)
+        pool.start()
+        try:
+            with pytest.raises(ValueError):
+                pool.submit((16_000.0, False), [], []).result()
+        finally:
+            pool.shutdown()
 
     def test_process_wraps_errors_picklable(self):
-        runtime = Runtime("process", n_workers=2)
-        try:
-            with pytest.raises(WorkerError) as excinfo:
-                runtime.map_units(_boom, [5])
-        finally:
-            runtime.shutdown()
+        with pytest.raises(WorkerError) as excinfo:
+            map_units(_boom, [5, 5], 2)
         error = excinfo.value
         assert error.error_type == "ValueError"
         assert "bad unit 5" in error.message
@@ -122,33 +127,29 @@ class TestFallbackLadder:
         # same payloads succeed.
         import os
 
-        runtime = Runtime("process", n_workers=2)
         parent = os.getpid()
-        try:
-            with capture_stage_events() as captured:
-                result = runtime.map_units(
-                    _die_in_worker, [(parent, 1), (parent, 2), (parent, 3)]
-                )
-            assert result == [2, 3, 4]
-            assert runtime.realized_kind == "inline"
-            assert runtime.fell_back
-        finally:
-            runtime.shutdown()
+        with capture_stage_events() as captured:
+            result, fell_back = map_units(
+                _die_in_worker, [(parent, 1), (parent, 2), (parent, 3)], 2
+            )
+        assert result == [2, 3, 4]
+        assert fell_back
         [event] = [e for e in captured.events if e.scope == "runtime"]
         assert event.fallback == "inline"
         assert event.error == "BrokenProcessPool"
 
     def test_thread_pool_failure_raises(self, monkeypatch):
-        import repro.runtime.executor as executor_module
-
+        # Only a process pool falls back: serve's worker threads that
+        # cannot start fail the service start.
         def broken(*args, **kwargs):
             raise OSError("no threads available")
 
-        monkeypatch.setattr(executor_module, "ThreadPoolExecutor", broken)
-        runtime = Runtime("thread", n_workers=2)
+        monkeypatch.setattr(workers_module, "ThreadPoolExecutor", broken)
+        pool = WarmWorkerPool(PipelineSpec(use_segmenter=False), n_workers=2)
         with pytest.raises(OSError):
-            runtime.map_units(_double, [1])
-        assert not runtime.fell_back
+            pool.start()
+        with pytest.raises(ConfigurationError):
+            pool.submit((16_000.0, False), [], [])
 
     def test_unspawnable_campaign_pool_finishes_serially(
         self, tiny_campaign, monkeypatch
@@ -166,7 +167,7 @@ class TestFallbackLadder:
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", broken)
         with capture_stage_events() as captured:
-            result = CampaignRunner(n_workers=2, executor="process").run(
+            result = CampaignRunner(n_workers=2).run(
                 [ROOM_A], pool, detectors, [AttackKind.REPLAY], config,
                 corpus=corpus,
             )
@@ -179,7 +180,7 @@ class TestFallbackLadder:
 
 @pytest.fixture(scope="module")
 def tiny_campaign():
-    """A two-unit campaign small enough to run under every executor."""
+    """A two-unit campaign small enough to run inline and in processes."""
     pool = ParticipantPool(n_participants=4, seed=11)
     detectors = DetectorBank(segmenter=None, include_baselines=False)
     config = CampaignConfig(
@@ -207,21 +208,12 @@ class TestCrossExecutorDeterminism:
         pool, detectors, config, corpus = tiny_campaign
         digests = {}
         modes = {}
-        serial = CampaignRunner(n_workers=1).run(
-            [ROOM_A], pool, detectors, [AttackKind.REPLAY], config,
-            corpus=corpus,
-        )
-        digests["serial"] = _campaign_digest(serial)
-        modes["serial"] = serial.stats.mode
-        for kind in ("inline", "thread", "process"):
-            result = CampaignRunner(n_workers=2, executor=kind).run(
+        for label, n_workers in (("serial", 1), ("process", 2)):
+            result = CampaignRunner(n_workers=n_workers).run(
                 [ROOM_A], pool, detectors, [AttackKind.REPLAY], config,
                 corpus=corpus,
             )
-            digests[kind] = _campaign_digest(result)
-            modes[kind] = result.stats.mode
+            digests[label] = _campaign_digest(result)
+            modes[label] = result.stats.mode
         assert len(set(digests.values())) == 1, digests
-        assert modes["serial"] == "serial"
-        assert modes["inline"] == "serial"
-        assert modes["thread"] == "thread-pool"
-        assert modes["process"] == "process-pool"
+        assert modes == {"serial": "serial", "process": "process-pool"}

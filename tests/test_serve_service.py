@@ -298,39 +298,6 @@ class TestMetrics:
         assert service.metrics().n_failed == 1
 
 
-class TestWorkerModes:
-    @pytest.mark.slow
-    def test_process_mode_matches_thread_mode(self, fast_spec):
-        seeds = [3, 4, 5]
-
-        def run(mode):
-            config = ServiceConfig(n_workers=2, worker_mode=mode)
-            with VerificationService(fast_spec, config) as service:
-                return [
-                    service.verify(make_request(seed)).verdict
-                    for seed in seeds
-                ]
-
-        assert run("thread") == run("process")
-
-    def test_unspawnable_process_pool_fails_at_start(
-        self, fast_spec, monkeypatch
-    ):
-        import repro.runtime.executor as executor_module
-
-        def broken(*args, **kwargs):
-            raise OSError("no processes available")
-
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", broken)
-        service = VerificationService(
-            fast_spec, ServiceConfig(n_workers=2, worker_mode="process")
-        )
-        with pytest.raises(OSError):
-            service.start()
-        with pytest.raises(ConfigurationError):
-            service.submit(make_request(0))
-
-
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -339,11 +306,19 @@ class TestConfigValidation:
             {"queue_capacity": 0},
             {"max_batch_size": 0},
             {"worker_mode": "fork"},
+            {"n_workers": float("nan")},
+            {"queue_capacity": float("nan")},
+            {"max_batch_size": float("nan")},
+            {"worker_mode": "process"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ServiceConfig(**kwargs)
+
+    def test_thread_worker_mode_constructs(self):
+        # Serve always runs on threads; the field takes that one value.
+        assert ServiceConfig(worker_mode="thread").worker_mode == "thread"
 
 
 class TestRequestValidation:
