@@ -150,8 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help=(
                 "registered scenario pack workers build their sensor "
                 "and detector config from (e.g. ultrasound-solid, "
-                "metamaterial-barrier); part of the batch-"
-                "compatibility fingerprint"
+                "metamaterial-barrier)"
             ),
         )
         serving.add_argument(
@@ -645,7 +644,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_redteam(args: argparse.Namespace) -> int:
     from repro.redteam.cli import cmd_redteam
 
-    return cmd_redteam(args)
+    return cmd_redteam(args, _resolve_workers(args.workers))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -638,7 +638,7 @@ def default_segmenter(
     """Memoized :func:`train_default_segmenter`.
 
     Repeated calls with the same recipe return the *same* trained
-    instance, so warm worker pools, examples, and CLI commands stop
+    instance, so serving, examples, and CLI commands stop
     retraining the bidirectional LSTM per invocation.  Inference is
     read-only (the forward pass never consumes model state), so sharing
     one instance across threads is safe.  Only integer (or ``None``)

@@ -111,7 +111,7 @@ class RedTeamConfig:
         unhardened arm deploys the paper's deterministic detector.
     n_workers:
         Worker processes for the attacker population (``1`` runs
-        inline).
+        inline, ``None`` one per core).
     """
 
     mode: str = "cmaes"
@@ -126,7 +126,7 @@ class RedTeamConfig:
     seed: int = 0
     threshold: Optional[float] = None
     hardening: HardeningConfig = DEFAULT_HARDENING
-    n_workers: int = 2
+    n_workers: Optional[int] = 2
 
     def __post_init__(self) -> None:
         if self.mode not in ATTACKER_MODES:
@@ -140,8 +140,8 @@ class RedTeamConfig:
             raise ConfigurationError(
                 "need n_eval_episodes >= 1 and n_calibration_reps >= 1"
             )
-        if self.n_workers < 1:
-            raise ConfigurationError("n_workers must be >= 1")
+        if self.n_workers is not None and not self.n_workers >= 1:
+            raise ConfigurationError("n_workers must be >= 1 or None")
 
 
 @dataclass

@@ -12,6 +12,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+from typing import Optional
 
 from repro.attacks import AttackKind
 from repro.core.hardening import HardeningConfig
@@ -97,14 +98,20 @@ def add_redteam_parser(subparsers) -> None:
         "--workers", type=int, default=2,
         help=(
             "worker processes for the attacker population "
-            "(results are identical for any count)"
+            "(0 = one per CPU core; results are identical for any count)"
         ),
     )
     curve.add_argument("--seed", type=int, default=0)
 
 
-def cmd_redteam(args: argparse.Namespace) -> int:
-    """Run ``redteam curve`` and print its table; returns the exit code."""
+def cmd_redteam(
+    args: argparse.Namespace, n_workers: Optional[int]
+) -> int:
+    """Run ``redteam curve`` and print its table; returns the exit code.
+
+    ``n_workers`` is the resolved ``--workers`` flag (``None`` = one
+    per core).
+    """
     try:
         config = RedTeamConfig(
             mode=args.mode,
@@ -120,7 +127,7 @@ def cmd_redteam(args: argparse.Namespace) -> int:
                 threshold_jitter=args.jitter,
                 subset_fraction=args.subset_fraction,
             ),
-            n_workers=max(args.workers, 1),
+            n_workers=n_workers,
         )
         print(
             f"Running both arms x {config.population} {config.mode} "

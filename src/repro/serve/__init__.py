@@ -2,12 +2,11 @@
 
 Turns the batch-oriented defense pipeline into an online service that
 answers individual :class:`VerificationRequest`s: a bounded FIFO
-admission queue whose ``submit`` blocks while it is full, from which
-each free worker takes the oldest request plus the compatible requests
-queued behind it as one micro-batch, and a warm worker pool that trains
-the phoneme segmenter once per worker at startup.  Every request runs
-the same pipeline the spec builds, so queue timing never changes a
-verdict.  See DESIGN.md
+admission queue whose ``submit`` blocks while it is full, and worker
+threads that each take the oldest queued requests as one micro-batch.
+The service builds its one pipeline, training the phoneme segmenter
+once, when it starts, and every worker runs that pipeline, so queue
+timing never changes a verdict.  See DESIGN.md
 § "Online serving architecture".
 """
 
@@ -30,7 +29,7 @@ from repro.serve.request import (
     VerificationResponse,
 )
 from repro.serve.service import ServiceConfig, VerificationService
-from repro.serve.workers import PipelineSpec, WarmWorkerPool
+from repro.serve.workers import PipelineSpec
 
 __all__ = [
     "BoundedRequestQueue",
@@ -46,7 +45,6 @@ __all__ = [
     "VerificationRequest",
     "VerificationResponse",
     "VerificationService",
-    "WarmWorkerPool",
     "build_recording_pool",
     "run_loadgen",
 ]

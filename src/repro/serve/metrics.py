@@ -73,7 +73,7 @@ class ServiceMetrics:
         Requests queued (admitted, not yet dispatched) at snapshot
         time.
     wall_s / throughput_rps:
-        Serving time — from the end of the pool warm-up in
+        Serving time — from the end of the warm-up in
         :meth:`~repro.serve.service.VerificationService.start` to
         :meth:`~repro.serve.service.VerificationService.stop`, or to the
         snapshot while the service runs — and served requests per

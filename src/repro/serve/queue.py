@@ -1,10 +1,10 @@
 """Bounded FIFO request queue whose ``put`` blocks at capacity.
 
 The queue is the service's admission-control point and its only
-waiting room: when producers outrun the worker pool, ``put`` blocks
-until a worker takes a batch and frees space.  A free worker takes its
-micro-batch straight from the queue (``take_batch``), so the capacity
-bounds every request not yet dispatched.  ``close`` refuses further
+waiting room: when producers outrun the workers, ``put`` blocks until
+a worker takes a batch and frees space.  A free worker takes its
+micro-batch, the oldest entries, straight from the queue
+(``take_batch``), so the capacity bounds every request not yet taken.  ``close`` refuses further
 ``put``s and wakes every blocked producer with
 :class:`~repro.errors.ServiceOverloadError`.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Generic, Hashable, List, Optional, TypeVar
+from typing import Deque, Generic, List, Optional, TypeVar
 
 from repro.errors import ConfigurationError, ServiceOverloadError
 
@@ -57,19 +57,13 @@ class BoundedRequestQueue(Generic[T]):
             self._not_empty.notify()
 
     def take_batch(
-        self,
-        max_size: int,
-        key_of: Callable[[T], Hashable],
-        timeout_s: Optional[float] = None,
+        self, max_size: int, timeout_s: Optional[float] = None
     ) -> List[T]:
-        """Pop the oldest entry plus up to ``max_size - 1`` compatible ones.
+        """Pop the oldest entries, at most ``max_size`` of them.
 
         Waits up to ``timeout_s`` (``None``: forever) for the queue to
-        be non-empty, then takes the head entry and the later entries
-        whose ``key_of`` equals the head's, oldest first, until the
-        batch holds ``max_size``.  Entries of other keys keep their
-        places.  Returns ``[]`` on timeout or when the queue is closed
-        and drained.
+        be non-empty.  Returns ``[]`` on timeout or when the queue is
+        closed and drained.
         """
         if max_size < 1:
             raise ConfigurationError(
@@ -89,17 +83,9 @@ class BoundedRequestQueue(Generic[T]):
                     if remaining <= 0:
                         return []
                     self._not_empty.wait(remaining)
-            batch = [self._entries.popleft()]
-            if max_size > 1 and self._entries:
-                key = key_of(batch[0])
-                rest: Deque[T] = deque()
-                for entry in self._entries:
-                    if len(batch) < max_size and key_of(entry) == key:
-                        batch.append(entry)
-                    else:
-                        rest.append(entry)
-                self._entries = rest
-            self._not_full.notify(len(batch))
+            size = min(max_size, len(self._entries))
+            batch = [self._entries.popleft() for _ in range(size)]
+            self._not_full.notify(size)
             return batch
 
     def close(self) -> None:

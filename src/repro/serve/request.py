@@ -1,25 +1,21 @@
 """Request/response types of the online verification service.
 
-A :class:`VerificationRequest` carries the two device recordings plus
-scenario metadata for one voice command; the service answers with a
+A :class:`VerificationRequest` carries the two device recordings of
+one voice command; the service answers with a
 :class:`VerificationResponse` holding the :class:`DefenseVerdict` and
-per-stage wall-clock timings.  Requests are grouped into micro-batches
-by :attr:`VerificationRequest.batch_key` — only requests with the same
-audio rate and pipeline-affecting flags may share a batch, because they
-are executed by the same warm pipeline instance.
+per-stage wall-clock timings.  Both recordings are at 16 kHz, the rate
+of the service's one warm pipeline.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.pipeline import DefenseVerdict
-from repro.errors import ConfigurationError
 from repro.phonemes.corpus import Utterance
 
 
@@ -46,12 +42,6 @@ class VerificationRequest:
         :meth:`repro.core.pipeline.DefensePipeline.analyze` call.
     request_id:
         Caller-chosen identifier echoed in the response.
-    audio_rate:
-        Sampling rate of both recordings.
-    wearer_moving:
-        Simulate body-motion interference during the wearable replay
-        (changes the pipeline configuration, hence part of the batch
-        key).
     oracle_utterance:
         Optional ground-truth alignment for ablation-style serving.
     """
@@ -60,29 +50,13 @@ class VerificationRequest:
     wearable_audio: np.ndarray
     seed: int = 0
     request_id: str = ""
-    audio_rate: float = 16_000.0
-    wearer_moving: bool = False
     oracle_utterance: Optional[Utterance] = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.audio_rate < math.inf:
-            raise ConfigurationError(
-                f"audio_rate must be finite and > 0, got {self.audio_rate}"
-            )
         self.va_audio = np.asarray(self.va_audio, dtype=np.float64)
         self.wearable_audio = np.asarray(
             self.wearable_audio, dtype=np.float64
         )
-
-    @property
-    def batch_key(self) -> Tuple[float, bool]:
-        """Batch-compatibility class of this request.
-
-        Requests in one micro-batch run through one pipeline instance,
-        so everything that selects the pipeline configuration must be
-        part of this key.
-        """
-        return (float(self.audio_rate), bool(self.wearer_moving))
 
 
 @dataclass

@@ -3,14 +3,13 @@
 :class:`VerificationService` is the in-process serving engine.
 ``submit`` admits a :class:`~repro.serve.request.VerificationRequest`
 into a bounded FIFO queue, blocking while it is full, and returns a
-future.  A dispatcher thread is work-conserving: as soon as a
-worker thread of the :class:`WarmWorkerPool` is free, it takes the oldest
-queued request plus up to ``max_batch_size - 1`` later requests with
-the same batch key and hands them to that worker as one micro-batch.
-While every worker is busy, requests wait in the queue, so batches form
-from the backlog alone and ``queue_capacity`` bounds every request not
-yet dispatched.  Every submitted request reaches exactly one terminal
-status: served or failed.
+future.  ``n_workers`` worker threads share one warm pipeline; each
+loops on taking the oldest queued requests, up to ``max_batch_size``,
+and running them as one micro-batch.  While every worker is busy,
+requests wait in the queue, so batches form from the backlog alone and
+``queue_capacity`` bounds every request not yet taken.  Every
+submitted request reaches exactly one terminal status: served or
+failed.
 
 Determinism contract
 --------------------
@@ -26,9 +25,11 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set
+from typing import List, Optional
 
+from repro.core.pipeline import DefensePipeline
 from repro.errors import ConfigurationError
+from repro.serve import workers
 from repro.serve.metrics import MetricsCollector, ServiceMetrics
 from repro.serve.queue import BoundedRequestQueue
 from repro.serve.request import (
@@ -36,7 +37,7 @@ from repro.serve.request import (
     VerificationRequest,
     VerificationResponse,
 )
-from repro.serve.workers import PipelineSpec, WarmWorkerPool, WorkerResult
+from repro.serve.workers import PipelineSpec, WorkerResult
 
 
 @dataclass
@@ -46,7 +47,7 @@ class ServiceConfig:
     Attributes
     ----------
     n_workers:
-        Warm worker threads in the pool.
+        Worker threads serving the queue.
     worker_mode:
         Must be ``"thread"``, the only worker kind; kept so existing
         callers that pass it still construct.
@@ -85,19 +86,15 @@ class _Entry:
     dispatched_at: float = 0.0
 
 
-def _batch_key(entry: _Entry) -> Hashable:
-    return entry.request.batch_key
-
-
 class VerificationService:
     """In-process online verification service.
 
     Parameters
     ----------
     spec:
-        Pipeline recipe the workers warm up with.
+        Pipeline recipe the service warms up with.
     config:
-        Queue / batching / pool tunables.
+        Queue / batching / worker tunables.
 
     Examples
     --------
@@ -118,23 +115,14 @@ class VerificationService:
         self._queue: "BoundedRequestQueue[_Entry]" = BoundedRequestQueue(
             self.config.queue_capacity
         )
-        self._pool = WarmWorkerPool(
-            self.spec, n_workers=self.config.n_workers
-        )
-        # Batches handed to the pool and not yet resolved.  The
-        # dispatcher waits on the condition for a free worker; stop()
-        # waits on it for the set to empty.
-        self._inflight: Set[Future] = set()
-        self._inflight_drained = threading.Condition()
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._threads: List[threading.Thread] = []
         self._started = False
         # Serializes start/stop so concurrent lifecycle calls (two
         # callers double-stopping, or a stop racing a start) are
-        # idempotent instead of racing on _thread/_pool teardown.
+        # idempotent instead of racing on the worker threads.
         self._lifecycle_lock = threading.Lock()
-        #: Wall-clock seconds :meth:`start` spent warming the worker
-        #: pool (training or store-loading segmenters); ``None`` until
+        #: Wall-clock seconds :meth:`start` spent building the pipeline
+        #: (training or store-loading the segmenter); ``None`` until
         #: the first start.  The cold-start benchmark reads this to
         #: separate warm-up cost from steady-state latency.
         self.warmup_s: Optional[float] = None
@@ -144,60 +132,65 @@ class VerificationService:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Warm the worker pool, start the dispatcher and the clock.
+        """Build the pipeline, start the worker threads and the clock.
 
-        The metrics clock starts once warm-up is done, so
+        The pipeline is built in the calling thread, so segmenter
+        training happens here rather than on the first request.  The
+        metrics clock starts once warm-up is done, so
         ``ServiceMetrics.wall_s`` and ``throughput_rps`` cover serving
-        time only; :attr:`warmup_s` reports the warm-up.
+        time only; :attr:`warmup_s` reports the warm-up.  If a worker
+        thread cannot start, the ones already running are stopped and
+        the error propagates.
         """
         with self._lifecycle_lock:
             if self._started:
                 return
             warmup_start = time.monotonic()
-            self._pool.start()
+            pipeline = self.spec.build_pipeline(16_000.0, False)
             self.warmup_s = time.monotonic() - warmup_start
+            try:
+                for index in range(self.config.n_workers):
+                    thread = threading.Thread(
+                        target=self._work,
+                        args=(pipeline,),
+                        name=f"verify-worker-{index}",
+                        daemon=True,
+                    )
+                    thread.start()
+                    self._threads.append(thread)
+            except BaseException:
+                self._join_workers()
+                raise
             self.metrics_collector.start_clock()
-            self._thread = threading.Thread(
-                target=self._dispatch_loop,
-                name="verify-dispatcher",
-                daemon=True,
-            )
-            self._thread.start()
             self._started = True
 
     def stop(self) -> None:
-        """Drain queued work, wait for in-flight batches, shut down.
+        """Drain queued work, wait for the workers, shut down.
 
         Idempotent and safe to call concurrently: every caller returns
         only after the drain completed (the first caller performs it,
-        the rest wait on the lifecycle lock), and a stop racing the
-        draining dispatcher can no longer observe a half-torn-down
-        ``_thread``/``_pool`` pair.  Everything still queued is
-        dispatched in batches of at most ``max_batch_size``, whether or
-        not a worker is free.  The metrics clock stops once the drain
-        is done.
+        the rest wait on the lifecycle lock).  Closing the queue lets
+        each worker finish what is still queued, in batches of at most
+        ``max_batch_size``, and return once the queue is empty.  The
+        metrics clock stops once the drain is done.
         """
         with self._lifecycle_lock:
             if not self._started:
                 return
-            self._queue.close()
-            with self._inflight_drained:
-                self._stop_event.set()
-                self._inflight_drained.notify_all()
-            if self._thread is not None:
-                self._thread.join()
-                self._thread = None
-            with self._inflight_drained:
-                while self._inflight:
-                    self._inflight_drained.wait()
-            self._pool.shutdown(wait=True)
+            self._join_workers()
             self._started = False
             self.metrics_collector.stop_clock()
 
+    def _join_workers(self) -> None:
+        self._queue.close()
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
+
     @property
     def n_workers(self) -> int:
-        """Worker-pool size, fixed by ``config.n_workers`` at construction."""
-        return self._pool.n_workers
+        """Worker-thread count, fixed by ``config.n_workers``."""
+        return self.config.n_workers
 
     def __enter__(self) -> "VerificationService":
         self.start()
@@ -246,125 +239,72 @@ class VerificationService:
         )
 
     # ------------------------------------------------------------------
-    # Dispatcher internals
+    # Worker internals
     # ------------------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        """Hand each free worker the oldest request and its batch-mates.
+    def _work(self, pipeline: DefensePipeline) -> None:
+        """Take the oldest queued batch, run it, resolve it; repeat.
 
-        Batch completion and :meth:`stop` wake the wait for a free
-        worker; a ``put`` or ``close`` wakes the wait for a request.
-        After :meth:`stop` the loop stops waiting for workers and
-        returns once the closed queue is empty.
+        Returns once the queue is closed and empty.
         """
         while True:
-            with self._inflight_drained:
-                while (
-                    len(self._inflight) >= self._pool.n_workers
-                    and not self._stop_event.is_set()
-                ):
-                    self._inflight_drained.wait()
-            entries = self._queue.take_batch(
-                self.config.max_batch_size, _batch_key
-            )
+            entries = self._queue.take_batch(self.config.max_batch_size)
             if not entries:
                 return
-            self._dispatch(entries)
-
-    def _dispatch(self, entries: List[_Entry]) -> None:
-        now = time.monotonic()
-        for entry in entries:
-            entry.dispatched_at = now
-        key = entries[0].request.batch_key
-        requests = [entry.request for entry in entries]
-        ages = [now - entry.submitted_at for entry in entries]
-        self.metrics_collector.record_batch(len(entries))
-        try:
-            pool_future = self._pool.submit(key, requests, ages)
-        except Exception as error:
-            self._fail_batch(entries, error)
-            return
-        with self._inflight_drained:
-            self._inflight.add(pool_future)
-        pool_future.add_done_callback(
-            lambda future, entries=entries: self._on_batch_done(
-                entries, future
-            )
-        )
-
-    def _on_batch_done(
-        self,
-        entries: List[_Entry],
-        pool_future: "Future[List[WorkerResult]]",
-    ) -> None:
-        try:
-            error = pool_future.exception()
-            if error is not None:
-                self._fail_batch(entries, error)
-                return
-            results = pool_future.result()
-            for result in results:
-                if result.events:
-                    self.metrics_collector.record_stage_events(
-                        result.events
-                    )
-            by_id: Dict[int, WorkerResult] = dict(enumerate(results))
             now = time.monotonic()
-            for index, entry in enumerate(entries):
-                result = by_id.get(index)
-                if result is None or result.error is not None:
-                    message = (
-                        result.error
-                        if result is not None
-                        else "worker returned no result"
-                    )
-                    self.metrics_collector.record_failed()
-                    entry.future.set_result(
-                        VerificationResponse(
-                            request_id=entry.request.request_id,
-                            status=RequestStatus.FAILED,
-                            total_s=now - entry.submitted_at,
-                            queue_wait_s=(
-                                entry.dispatched_at - entry.submitted_at
-                            ),
-                            error=message,
-                        )
-                    )
-                    continue
-                total_s = now - entry.submitted_at
-                queue_wait_s = entry.dispatched_at - entry.submitted_at
-                self.metrics_collector.record_served(
-                    total_s=total_s,
-                    queue_wait_s=queue_wait_s,
-                    stage_timings_s=result.stage_timings_s,
-                )
+            for entry in entries:
+                entry.dispatched_at = now
+            self.metrics_collector.record_batch(len(entries))
+            items = [
+                (entry.request, now - entry.submitted_at)
+                for entry in entries
+            ]
+            try:
+                # Looked up on the module at call time, so a wrapper
+                # installed on the attribute sees every batch.
+                results = workers.execute_batch((pipeline, None, items))
+            except Exception as error:
+                message = f"{type(error).__name__}: {error}"
+                results = [
+                    WorkerResult(entry.request.request_id, error=message)
+                    for entry in entries
+                ]
+            self._resolve(entries, results)
+
+    def _resolve(
+        self, entries: List[_Entry], results: List[WorkerResult]
+    ) -> None:
+        for result in results:
+            if result.events:
+                self.metrics_collector.record_stage_events(result.events)
+        now = time.monotonic()
+        for entry, result in zip(entries, results):
+            total_s = now - entry.submitted_at
+            queue_wait_s = entry.dispatched_at - entry.submitted_at
+            if result.error is not None:
+                self.metrics_collector.record_failed()
                 entry.future.set_result(
                     VerificationResponse(
                         request_id=entry.request.request_id,
-                        status=RequestStatus.SERVED,
-                        verdict=result.verdict,
-                        stage_timings_s=result.stage_timings_s,
-                        queue_wait_s=queue_wait_s,
+                        status=RequestStatus.FAILED,
                         total_s=total_s,
+                        queue_wait_s=queue_wait_s,
+                        error=result.error,
                     )
                 )
-        finally:
-            with self._inflight_drained:
-                self._inflight.discard(pool_future)
-                self._inflight_drained.notify_all()
-
-    def _fail_batch(
-        self, entries: List[_Entry], error: BaseException
-    ) -> None:
-        now = time.monotonic()
-        for entry in entries:
-            self.metrics_collector.record_failed()
+                continue
+            self.metrics_collector.record_served(
+                total_s=total_s,
+                queue_wait_s=queue_wait_s,
+                stage_timings_s=result.stage_timings_s,
+            )
             entry.future.set_result(
                 VerificationResponse(
                     request_id=entry.request.request_id,
-                    status=RequestStatus.FAILED,
-                    total_s=now - entry.submitted_at,
-                    queue_wait_s=entry.dispatched_at - entry.submitted_at,
-                    error=f"{type(error).__name__}: {error}",
+                    status=RequestStatus.SERVED,
+                    verdict=result.verdict,
+                    stage_timings_s=result.stage_timings_s,
+                    queue_wait_s=queue_wait_s,
+                    total_s=total_s,
                 )
             )

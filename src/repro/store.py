@@ -9,7 +9,7 @@ decoding the weights is the caller's (see
 An entry's address is a deterministic fingerprint of its training
 recipe (:func:`artifact_fingerprint`), so the same recipe maps to the
 same entry across processes, machines and Python hash seeds.  The same
-fingerprint scheme names scenario specs and serve batch classes.
+fingerprint scheme names scenario specs.
 
 Layout (all under one root directory)::
 

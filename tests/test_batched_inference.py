@@ -504,14 +504,13 @@ def make_request(seed, n_samples=8_000, **kwargs):
 class TestExecuteBatchParity:
     """The serving contract: a verdict does not depend on its batch."""
 
-    KEY = (RATE, False)
-
     def _verdicts(self, spec, requests):
+        pipeline = spec.build_pipeline(RATE, False)
         batched = execute_batch(
-            (spec, self.KEY, [(request, 0.0) for request in requests])
+            (pipeline, None, [(request, 0.0) for request in requests])
         )
         singles = [
-            execute_batch((spec, self.KEY, [(request, 0.0)]))[0]
+            execute_batch((pipeline, None, [(request, 0.0)]))[0]
             for request in requests
         ]
         return batched, singles
@@ -539,13 +538,15 @@ class TestExecuteBatchParity:
         # 7 batch-mates get the verdicts they get when served alone.
         # The seed -1 request fails where its generator is built, which
         # must sit inside analyze_batch's per-request isolation.
-        spec = PipelineSpec(use_segmenter=False)
+        pipeline = PipelineSpec(use_segmenter=False).build_pipeline(
+            RATE, False
+        )
         good = [
             make_request(seed, n_samples=6_000 + 500 * (seed % 3))
             for seed in range(10, 17)
         ]
         alone = [
-            execute_batch((spec, self.KEY, [(request, 0.0)]))[0]
+            execute_batch((pipeline, None, [(request, 0.0)]))[0]
             for request in good
         ]
         va, wearable = make_pair(18)
@@ -562,7 +563,7 @@ class TestExecuteBatchParity:
             )
             batch = good[:3] + [bad] + good[3:]
             results = execute_batch(
-                (spec, self.KEY, [(request, 0.0) for request in batch])
+                (pipeline, None, [(request, 0.0) for request in batch])
             )
             assert len(results) == 8
             assert results[3].verdict is None

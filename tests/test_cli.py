@@ -144,6 +144,33 @@ def test_evaluate_workers_zero_means_one_per_core(monkeypatch):
     assert runner.n_workers is None
 
 
+def test_redteam_curve_workers_follow_evaluate_rule(monkeypatch):
+    """``redteam curve --workers`` rejects negatives and reads ``0`` as
+    one worker per core, like ``evaluate``."""
+    import repro.redteam.campaign as campaign
+
+    counts = []
+
+    class Reached(Exception):
+        pass
+
+    def fake_map_units(fn, units, n_workers):
+        counts.append(n_workers)
+        raise Reached
+
+    monkeypatch.setattr(campaign, "map_units", fake_map_units)
+    curve = ["redteam", "curve", "--budgets", "0", "--threshold", "0.5"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(curve + ["--workers", "-3"])
+    assert str(excinfo.value.code).startswith(
+        "error: --workers must be >= 0"
+    )
+    assert counts == []
+    with pytest.raises(Reached):
+        main(curve + ["--workers", "0"])
+    assert counts == [None]
+
+
 @pytest.mark.parametrize("command", ["serve", "loadgen"])
 def test_recording_pool_is_built_before_the_service_starts(
     command, monkeypatch

@@ -2,6 +2,7 @@
 determinism."""
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from repro.eval.rooms import ROOM_A
 from repro.eval.runner import CampaignRunner
 from repro.phonemes.corpus import SyntheticCorpus
 from repro.runtime import capture_stage_events, map_units
-from repro.serve import PipelineSpec, ServiceConfig, WarmWorkerPool
+from repro.serve import (
+    PipelineSpec,
+    RequestStatus,
+    ServiceConfig,
+    VerificationRequest,
+    VerificationService,
+)
 import repro.serve.workers as workers_module
 
 
@@ -24,6 +31,17 @@ def _double(x):
 
 def _boom(x):
     raise ValueError(f"bad unit {x}")
+
+
+def _request():
+    audio = np.random.default_rng(0).standard_normal(8_000)
+    return VerificationRequest(va_audio=audio, wearable_audio=audio)
+
+
+def _service(n_workers):
+    return VerificationService(
+        PipelineSpec(use_segmenter=False), ServiceConfig(n_workers=n_workers)
+    )
 
 
 def _die_in_worker(payload):
@@ -60,13 +78,10 @@ class TestExecutorsBasic:
         assert back.tobytes() == (audio * 2).tobytes()
 
     def test_submit_returns_future(self):
-        # Serve's worker threads hand back executor futures.
-        pool = WarmWorkerPool(PipelineSpec(use_segmenter=False), n_workers=1)
-        pool.start()
-        try:
-            assert pool.submit((16_000.0, False), [], []).result() == []
-        finally:
-            pool.shutdown()
+        # Serve's worker threads resolve the future submit hands back.
+        with _service(n_workers=1) as service:
+            response = service.submit(_request()).result()
+        assert response.status is RequestStatus.SERVED
 
     def test_initializer_runs_inline(self):
         seen = []
@@ -89,16 +104,14 @@ class TestErrorPropagation:
         for n_workers in (1, 2):
             with pytest.raises(ValueError):
                 map_units(_boom, [1], n_workers)
-        # Serve's worker threads carry the original exception too; the
-        # pool looks execute_batch up on its module at call time.
+        # Serve's worker threads carry the original exception too, into
+        # the failed response; they look execute_batch up on its module
+        # at call time.
         monkeypatch.setattr(workers_module, "execute_batch", _boom)
-        pool = WarmWorkerPool(PipelineSpec(use_segmenter=False), n_workers=2)
-        pool.start()
-        try:
-            with pytest.raises(ValueError):
-                pool.submit((16_000.0, False), [], []).result()
-        finally:
-            pool.shutdown()
+        with _service(n_workers=2) as service:
+            response = service.verify(_request())
+        assert response.status is RequestStatus.FAILED
+        assert response.error.startswith("ValueError: bad unit")
 
     def test_process_wraps_errors_picklable(self):
         with pytest.raises(WorkerError) as excinfo:
@@ -141,15 +154,15 @@ class TestFallbackLadder:
     def test_thread_pool_failure_raises(self, monkeypatch):
         # Only a process pool falls back: serve's worker threads that
         # cannot start fail the service start.
-        def broken(*args, **kwargs):
+        def broken(thread):
             raise OSError("no threads available")
 
-        monkeypatch.setattr(workers_module, "ThreadPoolExecutor", broken)
-        pool = WarmWorkerPool(PipelineSpec(use_segmenter=False), n_workers=2)
+        monkeypatch.setattr(threading.Thread, "start", broken)
+        service = _service(n_workers=2)
         with pytest.raises(OSError):
-            pool.start()
+            service.start()
         with pytest.raises(ConfigurationError):
-            pool.submit((16_000.0, False), [], [])
+            service.submit(_request())
 
     def test_unspawnable_campaign_pool_finishes_serially(
         self, tiny_campaign, monkeypatch

@@ -221,11 +221,6 @@ class TestCampaignAndServingWiring:
         with pytest.raises(ConfigurationError):
             PipelineSpec(scenario="no-such-scenario")
 
-    def test_pipeline_spec_fingerprint_includes_scenario(self):
-        plain = PipelineSpec()
-        scoped = PipelineSpec(scenario="ultrasound-solid")
-        assert plain.fingerprint != scoped.fingerprint
-
     def test_pipeline_spec_builds_scenario_sensor(self):
         spec = PipelineSpec(
             use_segmenter=False, scenario="metamaterial-barrier"

@@ -1,7 +1,8 @@
-"""Every ``repro`` import in the examples and benchmarks resolves.
+"""Every ``repro`` import in the examples, benchmarks and perfbench resolves.
 
-Neither ``examples/`` nor ``benchmarks/`` is collected by this suite, so
-deleting or renaming a library name could break them silently.  Each
+None of ``examples/``, ``benchmarks/`` or ``perfbench/`` is collected by
+this suite, so deleting or renaming a library name could break them
+silently.  Each
 script is parsed with :mod:`ast` (nothing in it runs); every
 ``import repro.…`` must name an importable module, and every
 ``from repro.… import name`` must name an attribute or submodule of an
@@ -17,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted(
     path
-    for directory in ("examples", "benchmarks")
+    for directory in ("examples", "benchmarks", "perfbench")
     for path in (ROOT / directory).glob("*.py")
 )
 
@@ -52,6 +53,7 @@ def _unresolved(module_name, name):
 def test_scripts_found():
     assert any(path.parent.name == "examples" for path in SCRIPTS)
     assert any(path.parent.name == "benchmarks" for path in SCRIPTS)
+    assert any(path.parent.name == "perfbench" for path in SCRIPTS)
 
 
 @pytest.mark.parametrize(

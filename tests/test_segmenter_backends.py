@@ -1,9 +1,8 @@
 """BLSTM segmenter contracts: mask conversion, bounds, recipe memo.
 
 Covers the frame-mask → segment conversion, that segments stay inside
-the recording, that the serving fingerprint tracks the training
-recipe, and that ``default_segmenter`` trains exactly once per recipe
-under concurrent misses.
+the recording, and that ``default_segmenter`` trains exactly once per
+recipe under concurrent misses.
 """
 
 import threading
@@ -19,7 +18,6 @@ from repro.core.segmentation import (
     training_run_count,
 )
 from repro.phonemes.commands import phonemize
-from repro.serve.workers import PipelineSpec
 
 RATE = 16_000.0
 
@@ -129,14 +127,6 @@ class TestSegmentBounds:
             np.ones(10, dtype=bool), duration
         )
         assert segments and segments[-1][1] <= duration
-
-
-class TestServingSpec:
-    def test_blstm_fingerprint_still_recipe_sensitive(self):
-        assert (
-            PipelineSpec(n_speakers=2).fingerprint
-            != PipelineSpec(n_speakers=8).fingerprint
-        )
 
 
 class TestDefaultSegmenterRace:

@@ -11,7 +11,7 @@ from repro.serve.queue import BoundedRequestQueue
 
 def take_one(queue, timeout_s=0):
     """The oldest entry (a batch of one), or ``None`` if none came."""
-    batch = queue.take_batch(1, lambda entry: None, timeout_s=timeout_s)
+    batch = queue.take_batch(1, timeout_s=timeout_s)
     return batch[0] if batch else None
 
 
@@ -96,25 +96,21 @@ class TestClose:
         queue = BoundedRequestQueue(capacity=2)
         queue.put("a")
         queue.close()
-        assert queue.take_batch(4, lambda entry: None) == ["a"]
-        assert queue.take_batch(4, lambda entry: None) == []
+        assert queue.take_batch(4) == ["a"]
+        assert queue.take_batch(4) == []
 
 
 class TestTakeBatch:
-    @staticmethod
-    def key_of(entry):
-        return entry[0]
-
     def test_take_batch_times_out_empty(self):
         queue = BoundedRequestQueue(capacity=2)
-        assert queue.take_batch(4, self.key_of, timeout_s=0.01) == []
+        assert queue.take_batch(4, timeout_s=0.01) == []
 
     def test_close_wakes_blocked_take_batch(self):
         queue = BoundedRequestQueue(capacity=2)
         taken = []
 
         def consumer():
-            taken.append(queue.take_batch(4, self.key_of))
+            taken.append(queue.take_batch(4))
 
         thread = threading.Thread(target=consumer)
         thread.start()
@@ -129,7 +125,7 @@ class TestTakeBatch:
         queue = BoundedRequestQueue(capacity=2)
         taken = []
         thread = threading.Thread(
-            target=lambda: taken.append(queue.take_batch(4, self.key_of))
+            target=lambda: taken.append(queue.take_batch(4))
         )
         thread.start()
         time.sleep(0.05)
@@ -146,10 +142,10 @@ class TestTakeBatch:
         )
         thread.start()
         time.sleep(0.05)
-        assert queue.take_batch(2, self.key_of) == [("a", 0), ("a", 1)]
+        assert queue.take_batch(2) == [("a", 0), ("a", 1)]
         thread.join(timeout=2.0)
         assert not thread.is_alive()
-        assert queue.take_batch(4, self.key_of, timeout_s=0) == [
+        assert queue.take_batch(4, timeout_s=0) == [
             ("a", 2),
             ("a", 3),
         ]

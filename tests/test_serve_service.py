@@ -1,6 +1,8 @@
 """Verification service: lifecycle, dispatch, determinism, metrics."""
 
+import os
 import statistics
+import sys
 import threading
 import time
 
@@ -16,7 +18,6 @@ from repro.serve import (
     ServiceConfig,
     VerificationRequest,
     VerificationService,
-    WarmWorkerPool,
     workers,
 )
 
@@ -67,9 +68,8 @@ class TestLifecycle:
         real_execute = workers.execute_batch
 
         def gated_execute(payload):
-            if payload[2]:  # the warm-up probe carries no requests
-                busy.set()
-                release.wait(timeout=30.0)
+            busy.set()
+            release.wait(timeout=30.0)
             return real_execute(payload)
 
         monkeypatch.setattr(workers, "execute_batch", gated_execute)
@@ -101,6 +101,47 @@ class TestLifecycle:
         service.stop()  # repeat: no-op
         with pytest.raises(ConfigurationError):
             service.submit(make_request(2))
+
+    def test_workers_are_threads_of_their_own(self, fast_spec):
+        def serve_threads():
+            return sorted(
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("verify-")
+            )
+
+        service = VerificationService(
+            fast_spec, ServiceConfig(n_workers=3)
+        )
+        with service:
+            assert serve_threads() == [
+                "verify-worker-0", "verify-worker-1", "verify-worker-2"
+            ]
+            service.verify(make_request(1))
+        assert serve_threads() == []
+
+    def test_thread_start_failure_leaves_no_thread(
+        self, fast_spec, monkeypatch
+    ):
+        real_start = threading.Thread.start
+        started = []
+
+        def start_one_then_fail(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_one_then_fail)
+        service = VerificationService(
+            fast_spec, ServiceConfig(n_workers=2)
+        )
+        with pytest.raises(RuntimeError):
+            service.start()
+        with pytest.raises(ConfigurationError):
+            service.submit(make_request(0))
+        assert [thread.name for thread in started] == ["verify-worker-0"]
+        assert not started[0].is_alive()
 
     def test_stop_is_concurrent_safe(self, fast_spec):
         service = VerificationService(
@@ -144,22 +185,19 @@ class TestWorkConservingDispatch:
         lock = threading.Lock()
         in_flight = [0]
         peak = [0]
-        real_submit = WarmWorkerPool.submit
+        real_execute = workers.execute_batch
 
-        def spy_submit(pool, key, requests, ages_s):
-            future = real_submit(pool, key, requests, ages_s)
+        def spy_execute(payload):
             with lock:
                 in_flight[0] += 1
                 peak[0] = max(peak[0], in_flight[0])
-
-            def finished(_):
+            try:
+                return real_execute(payload)
+            finally:
                 with lock:
                     in_flight[0] -= 1
 
-            future.add_done_callback(finished)
-            return future
-
-        monkeypatch.setattr(WarmWorkerPool, "submit", spy_submit)
+        monkeypatch.setattr(workers, "execute_batch", spy_execute)
         with VerificationService(
             fast_spec, ServiceConfig(n_workers=1)
         ) as service:
@@ -170,23 +208,23 @@ class TestWorkConservingDispatch:
         assert metrics.n_batches <= 3
         assert peak[0] <= service.n_workers
 
-    def test_failed_batch_carries_queue_wait(self, fast_spec):
+    def test_failed_batch_carries_queue_wait(self, fast_spec, monkeypatch):
         calls = []
 
-        def broken_submit(key, requests, ages_s):
-            calls.append(len(requests))
+        def broken_execute(payload):
+            calls.append(len(payload[2]))
             raise RuntimeError("pool died")
 
+        monkeypatch.setattr(workers, "execute_batch", broken_execute)
         with VerificationService(
             fast_spec, ServiceConfig(n_workers=1)
         ) as service:
-            service._pool.submit = broken_submit
             responses = [
                 service.submit(make_request(seed)).result()
                 for seed in range(3)
             ]
             metrics = service.metrics()
-        # A failed submit fails its batch at once: no retry.
+        # A raising batch fails at once: no retry.
         assert metrics.n_batches == 3
         assert calls == [1, 1, 1]
         for response in responses:
@@ -194,6 +232,64 @@ class TestWorkConservingDispatch:
             assert "pool died" in response.error
             # Every failed entry was dispatched, so its wait is known.
             assert 0.0 < response.queue_wait_s <= response.total_s
+
+
+class TestWorkerStress:
+    def test_more_workers_than_cores_resolve_each_request_once(
+        self, fast_spec
+    ):
+        # Workers share the queue and the metrics sink; with a short
+        # switch interval a lost update or a double take shows as a
+        # missing, duplicated or miscounted response.
+        n_workers = (os.cpu_count() or 1) + 2
+        n_producers, per_producer = 4, 8
+        futures = {}
+        lock = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with VerificationService(
+                fast_spec,
+                ServiceConfig(
+                    n_workers=n_workers, queue_capacity=4, max_batch_size=3
+                ),
+            ) as service:
+
+                def produce(producer):
+                    for index in range(per_producer):
+                        seed = producer * per_producer + index
+                        future = service.submit(
+                            make_request(seed, request_id=f"r{seed}")
+                        )
+                        with lock:
+                            futures[seed] = future
+
+                producers = [
+                    threading.Thread(target=produce, args=(producer,))
+                    for producer in range(n_producers)
+                ]
+                for thread in producers:
+                    thread.start()
+                for thread in producers:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+                responses = {
+                    seed: future.result(timeout=60.0)
+                    for seed, future in futures.items()
+                }
+            metrics = service.metrics()
+        finally:
+            sys.setswitchinterval(interval)
+        n_requests = n_producers * per_producer
+        assert sorted(responses) == list(range(n_requests))
+        for seed, response in responses.items():
+            assert response.request_id == f"r{seed}"
+            assert response.status is RequestStatus.SERVED
+        assert metrics.n_submitted == metrics.n_served == n_requests
+        assert metrics.queue_depth == 0
+        assert metrics.n_batches * metrics.mean_batch_size == pytest.approx(
+            n_requests
+        )
 
 
 class TestThreadModeWarmup:
@@ -319,18 +415,3 @@ class TestConfigValidation:
     def test_thread_worker_mode_constructs(self):
         # Serve always runs on threads; the field takes that one value.
         assert ServiceConfig(worker_mode="thread").worker_mode == "thread"
-
-
-class TestRequestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"audio_rate": 0.0},
-            {"audio_rate": -1.0},
-            {"audio_rate": float("nan")},
-            {"audio_rate": float("inf")},
-        ],
-    )
-    def test_invalid_request_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            make_request(0, **kwargs)

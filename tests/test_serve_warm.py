@@ -118,53 +118,3 @@ class TestPipelineSpecHardening:
 
         with pytest.raises(ConfigurationError):
             PipelineSpec(use_segmenter=False, threshold_jitter=0.05)
-
-    def test_hardening_knobs_split_the_fingerprint(self):
-        from repro.serve.workers import PipelineSpec
-
-        plain = PipelineSpec(threshold=0.3)
-        jittered = PipelineSpec(threshold=0.3, threshold_jitter=0.05)
-        subset = PipelineSpec(threshold=0.3, subset_fraction=0.5)
-        assert len({
-            plain.fingerprint,
-            jittered.fingerprint,
-            subset.fingerprint,
-        }) == 3
-
-
-#: A changed value for every PipelineSpec field.
-_SPEC_CHANGES = {
-    "use_segmenter": False,
-    "segmenter_seed": 1,
-    "n_speakers": 2,
-    "n_per_phoneme": 3,
-    "epochs": 3,
-    "threshold": 0.4,
-    "threshold_jitter": 0.05,
-    "subset_fraction": 0.5,
-    "min_audio_s": 0.5,
-    "store_dir": "elsewhere",
-    "scenario": "baseline-glass",
-}
-
-
-class TestPipelineSpecFingerprint:
-    BASE = dict(threshold=0.3)
-
-    def test_every_field_is_changed(self):
-        from dataclasses import fields
-
-        from repro.serve.workers import PipelineSpec
-
-        names = {field.name for field in fields(PipelineSpec)}
-        assert names == set(_SPEC_CHANGES)
-
-    @pytest.mark.parametrize("name", sorted(_SPEC_CHANGES))
-    def test_every_field_but_store_dir_splits_the_fingerprint(self, name):
-        from repro.serve.workers import PipelineSpec
-
-        base = PipelineSpec(**self.BASE)
-        changed = PipelineSpec(**{**self.BASE, name: _SPEC_CHANGES[name]})
-        assert (changed.fingerprint == base.fingerprint) == (
-            name == "store_dir"
-        )
